@@ -25,7 +25,7 @@ from .coupling import (ComplementDomain, CouplingScenario, PatchPair,
                        build_scenario, build_transfer, interface_reaction,
                        residual_offset)
 from .solvers import (IterationRecord, ReferenceSolution, SolveReport,
-                      aitken_update, compute_residual, global_solve,
+                      aitken_update, compute_residual,
                       monolithic_reference, richardson_sync,
                       stop_threshold)
 from .async_engine import (AsyncStep, AsyncTrace, DelaySchedule, WindowCell,
@@ -54,7 +54,7 @@ __all__ = [
     "ComplementDomain", "CouplingScenario", "PatchPair", "build_scenario",
     "build_transfer", "interface_reaction", "residual_offset",
     "IterationRecord", "ReferenceSolution", "SolveReport", "aitken_update",
-    "compute_residual", "global_solve", "monolithic_reference",
+    "compute_residual", "monolithic_reference",
     "stop_threshold",
     "richardson_sync",
     "AsyncStep", "AsyncTrace", "DelaySchedule", "WindowCell",

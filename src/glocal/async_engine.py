@@ -1,8 +1,10 @@
-"""Asynchronous coupling iteration: delay schedules, a deterministic
-virtual-time simulator, and a thread-based concurrent executor.
+"""Asynchronous coupling: delay schedules, the reaction sources that feed
+stale patch reactions to the iteration kernel, and one threaded executor.
 
-The asynchronous update keeps the global interface solve exact while
-letting every patch reaction lag behind by a bounded number of steps:
+Every driver here runs :func:`glocal.solvers._iterate`, the same loop as
+the synchronous drivers; only the source of the residual changes.  The
+global interface solve stays exact while every patch reaction may lag
+behind by a bounded number of steps:
 
     p_{j+1} = p_j + omega * r_j,
     r_j = -( complement reaction at u_j
@@ -13,14 +15,16 @@ not refreshed at step j carries sigma(s,j) = sigma(s,j-1) + 1), and a
 synchronous warm-up sweep at j = 0 so every reaction exists before any
 stale combination is formed.
 
-Two executions of the same semantics are provided.  The *simulator* walks
-virtual time with an explicit :class:`DelaySchedule`; it is deterministic
-and is the canonical definition of the iteration.  The *concurrent
-executor* runs one thread per rank (one for the global model, one per
-patch group) that exchange data through one-sided :class:`WindowCell`
-windows; delays then come from real scheduling, are observed rather than
-prescribed, and the iterate sequence is not reproducible run to run, only
-its limit is.
+``run_async_simulated`` takes the ages from an explicit
+:class:`DelaySchedule` and reuses cached reactions; it is deterministic
+and is the canonical definition of the iteration.  The threaded executor
+runs the global model on the calling thread and patch groups on worker
+threads that exchange traces and reactions through one-sided
+:class:`WindowCell` windows.  Free-running (``run_async_concurrent``),
+delays come from real scheduling, are observed rather than prescribed,
+and the iterate sequence is not reproducible run to run, only its limit
+is.  Behind barriers (``run_sync_concurrent``) every reaction is fresh
+and the iterates are those of :func:`glocal.solvers.richardson_sync`.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingScenario, interface_reaction
-from .errors import DivergenceError, LivelockError, ScheduleError
-from .solvers import (DIVERGENCE_FACTOR, IterationRecord, SolveReport,
-                      stop_threshold)
+from .errors import LivelockError, ScheduleError
+from .solvers import AsyncStep, AsyncTrace, SolveReport, _iterate, _Reactions
 
 __all__ = ["DelaySchedule", "AsyncStep", "AsyncTrace", "WindowCell",
            "partition_by_delay", "run_async_simulated",
@@ -157,41 +160,51 @@ def partition_by_delay(schedule: DelaySchedule, j: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# trace records
+# reaction sources
 
 
-@dataclass(frozen=True)
-class AsyncStep:
-    """Per-step view: ages per patch and cumulative solve counts per rank.
+def _stale_residual(scenario: CouplingScenario, u: np.ndarray,
+                    reactions) -> np.ndarray:
+    """Residual from the complement at u and the given patch reactions.
 
-    Rank 0 is the global model (it owns the complement reaction); patch
-    ranks are keyed by subdomain id.
+    Sums in subdomain order, as :func:`glocal.solvers.compute_residual`
+    does, so fresh reactions give its result bit for bit.
     """
-
-    index: int
-    sigma: dict[int, int]
-    residual_norm: float
-    omega: float
-    solves: dict[int, int]
-
-
-@dataclass
-class AsyncTrace:
-    steps: list[AsyncStep]
-    rank_ids: tuple[int, ...]
+    acc = np.zeros(scenario.gamma_dim)
+    for sid in scenario.subdomain_ids:
+        if sid == 0:
+            acc += interface_reaction(scenario, 0, u)
+        else:
+            acc += reactions[sid]
+    return -acc
 
 
-# ---------------------------------------------------------------------------
-# virtual-time simulator
+class _ScheduledReactions(_Reactions):
+    """Patch reactions refreshed when the schedule ages them at 0 and
+    reused from the cache otherwise; the complement is fresh every step."""
 
+    traced = True
 
-def _check_solver_args(omega: float, tol: float, max_iter: int):
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    def __init__(self, scenario: CouplingScenario, schedule: DelaySchedule):
+        if tuple(schedule.patch_ids) != scenario.patch_ids:
+            raise ScheduleError("schedule patch ids do not match the "
+                                "scenario")
+        if schedule.has_complement != (scenario.complement is not None):
+            raise ScheduleError("schedule and scenario disagree about the "
+                                "complement")
+        super().__init__(scenario)
+        self.schedule = schedule
+        self.cache: dict[int, np.ndarray] = {}
+
+    def residual(self, j: int, u: np.ndarray):
+        ages = self.schedule.ages(j)
+        for sid, age in zip(self.schedule.patch_ids, ages):
+            if age == 0:
+                self.cache[sid] = interface_reaction(self.scenario, sid, u)
+                self.solves[sid] += 1
+        return (_stale_residual(self.scenario, u, self.cache),
+                {sid: int(a) for sid, a in zip(self.schedule.patch_ids,
+                                               ages)})
 
 
 def run_async_simulated(scenario: CouplingScenario, omega: float,
@@ -204,65 +217,8 @@ def run_async_simulated(scenario: CouplingScenario, omega: float,
     step.  An all-zero schedule reproduces the synchronous fixed-omega
     iteration operation for operation.
     """
-    _check_solver_args(omega, tol, max_iter)
-    if tuple(schedule.patch_ids) != scenario.patch_ids:
-        raise ScheduleError("schedule patch ids do not match the scenario")
-    if schedule.has_complement != (scenario.complement is not None):
-        raise ScheduleError("schedule and scenario disagree about the "
-                            "complement")
-
-    p = np.zeros(scenario.gamma_dim)
-    cache: dict[int, np.ndarray] = {}
-    history: list[IterationRecord] = []
-    steps: list[AsyncStep] = []
-    patch_solves = {sid: 0 for sid in scenario.patch_ids}
-    converged = False
-    r0 = 0.0
-    t0 = time.perf_counter()
-    u = np.zeros(scenario.gamma_dim)
-
-    for j in range(max_iter + 1):
-        u = scenario.solve_interface(p)
-        ages = schedule.ages(j)
-        for sid, age in zip(schedule.patch_ids, ages):
-            if age == 0:
-                cache[sid] = interface_reaction(scenario, sid, u)
-                patch_solves[sid] += 1
-        acc = np.zeros(scenario.gamma_dim)
-        for sid in scenario.subdomain_ids:
-            if sid == 0:
-                acc += interface_reaction(scenario, 0, u)
-            else:
-                acc += cache[sid]
-        r = -acc
-        rn = float(np.linalg.norm(r))
-        if j == 0:
-            r0 = rn
-            threshold = stop_threshold(scenario, tol, r0)
-        history.append(IterationRecord(index=j, p_gamma=p.copy(), residual=r,
-                                       residual_norm=rn, omega=omega,
-                                       wall_time=time.perf_counter() - t0))
-        solves = {0: j + 1}
-        solves.update(patch_solves)
-        steps.append(AsyncStep(index=j,
-                               sigma={sid: int(a) for sid, a
-                                      in zip(schedule.patch_ids, ages)},
-                               residual_norm=rn, omega=omega, solves=solves))
-        if rn <= threshold:
-            converged = True
-            break
-        if rn > DIVERGENCE_FACTOR * r0:
-            raise DivergenceError(
-                f"residual grew to {rn:.3e} (>= 1e6 * ||r_0||) at "
-                f"step {j}", history)
-        p = p + omega * r
-
-    trace = AsyncTrace(steps=steps,
-                       rank_ids=(0,) + scenario.patch_ids)
-    return SolveReport(converged=converged, history=history,
-                       final_u_gamma=u, total_global_solves=len(history),
-                       patch_solves=dict(patch_solves), variant="async-sim",
-                       trace=trace)
+    return _iterate(scenario, _ScheduledReactions(scenario, schedule),
+                    omega, tol, max_iter, "fixed", "async-sim")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +269,7 @@ class WindowCell:
 
 
 # ---------------------------------------------------------------------------
-# concurrent executors
+# the threaded executor
 
 
 def _patch_groups(patch_ids: tuple[int, ...],
@@ -329,201 +285,150 @@ def _patch_groups(patch_ids: tuple[int, ...],
     return groups
 
 
-class _PatchWorkerState:
-    __slots__ = ("solves", "last_version", "error")
+class _WindowRanks(_Reactions):
+    """Patch ranks on threads, exchanging through window cells.
 
-    def __init__(self, patch_ids):
-        self.solves = {sid: 0 for sid in patch_ids}
-        self.last_version = {sid: 0 for sid in patch_ids}
-        self.error: BaseException | None = None
+    The global rank (the kernel's thread) puts each trace in every patch's
+    trace window; a patch rank solves the reaction of each patch of its
+    group at the trace in that patch's window and puts it in the patch's
+    reaction window, tagged with the step the trace came from.
+    ``synchronized`` runs every step behind two barriers (trace published,
+    reactions published), so all reactions are fresh.  Otherwise patch
+    ranks re-solve continuously and the global rank sums whatever
+    reactions the windows hold as soon as one patch has answered the
+    current trace; ``patch_sleep`` adds a per-solve delay to some patches,
+    and the run aborts with :class:`LivelockError` when no patch answers
+    within ``watchdog`` seconds.
+    """
 
+    def __init__(self, scenario: CouplingScenario, rank_count: int | None,
+                 synchronized: bool,
+                 patch_sleep: dict[int, float] | None = None,
+                 watchdog: float = 10.0):
+        super().__init__(scenario)
+        groups = _patch_groups(scenario.patch_ids, rank_count)
+        self.traced = not synchronized
+        self.patch_sleep = patch_sleep or {}
+        self.watchdog = watchdog
+        self.trace_cells = {sid: WindowCell(f"trace[{sid}]")
+                            for sid in scenario.patch_ids}
+        self.reaction_cells = {sid: WindowCell(f"reaction[{sid}]")
+                               for sid in scenario.patch_ids}
+        # Step whose trace each patch's newest reaction was solved at.
+        self.latest = dict.fromkeys(scenario.patch_ids, -1)
+        self.barrier = (threading.Barrier(len(groups) + 1)
+                        if synchronized else None)
+        self.stop = threading.Event()
+        self.errors: list[Exception] = []
+        self.threads = [threading.Thread(target=self._patch_rank,
+                                         args=(group,), daemon=True)
+                        for group in groups]
 
-def _patch_reaction_local(scenario: CouplingScenario, sid: int,
-                          trace: np.ndarray) -> np.ndarray:
-    """Reaction of one patch under its local interface trace (pre-scatter)."""
-    j = scenario.transfer_ops[sid]
-    cond = scenario.condensed_fine[sid]
-    if j is None:
-        return cond.schur @ trace - cond.rhs
-    lam = cond.schur @ (j @ trace) - cond.rhs
-    return j.T @ lam
+    def __enter__(self):
+        for t in self.threads:
+            t.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop.set()
+        if self.barrier is not None:
+            self.barrier.abort()
+        for t in self.threads:
+            t.join(timeout=5.0)
+        self._raise_worker_error()
+
+    def _raise_worker_error(self):
+        if self.errors:
+            raise self.errors[0]
+
+    def _patch_rank(self, group: list[int]):
+        try:
+            while not self.stop.is_set():
+                if self.barrier is not None:
+                    self.barrier.wait()  # trace published
+                did_work = self._solve(group)
+                if self.barrier is not None:
+                    self.barrier.wait()  # reactions published
+                else:
+                    time.sleep(0 if did_work else 5e-5)
+        except threading.BrokenBarrierError:
+            return  # the global rank has stopped
+        except Exception as err:  # re-raised on the global rank
+            self.errors.append(err)
+            if self.barrier is not None:
+                self.barrier.abort()
+
+    def _solve(self, group: list[int]) -> bool:
+        did_work = False
+        for sid in group:
+            _, u, meta = self.trace_cells[sid].read()
+            if u is None:
+                continue
+            reaction = interface_reaction(self.scenario, sid, u)
+            self.reaction_cells[sid].put(reaction, source_iter=meta["iter"])
+            self.solves[sid] += 1
+            self.latest[sid] = meta["iter"]
+            did_work = True
+            delay = self.patch_sleep.get(sid, 0.0)
+            if delay:
+                time.sleep(delay)
+        return did_work
+
+    def _await_reactions(self, j: int):
+        """Wait until every patch (step 0) or at least one patch (later
+        steps) has put a reaction solved at the trace of step j.
+
+        Any reaction not seen before would not do: a global rank that
+        steps quickly would then outrun the patch ranks, and the ages, and
+        with them whether the run converges, would depend on how cheap a
+        global step is.
+        """
+        enough = all if j == 0 else any
+        deadline = time.monotonic() + self.watchdog
+        while not enough(source >= j for source in self.latest.values()):
+            self._raise_worker_error()
+            if time.monotonic() > deadline:
+                raise LivelockError(f"no patch answered trace {j} within "
+                                    f"{self.watchdog} s")
+            time.sleep(2e-5)
+
+    def residual(self, j: int, u: np.ndarray):
+        if self.barrier is None and j:
+            time.sleep(0)  # yield so patch ranks keep pace
+        for cell in self.trace_cells.values():
+            cell.put(u, iter=j)
+        if self.barrier is not None:
+            self.barrier.wait()  # trace published
+            self.barrier.wait()  # reactions published
+        else:
+            self._await_reactions(j)
+        self._raise_worker_error()
+        reactions, ages = {}, {}
+        for sid, cell in self.reaction_cells.items():
+            _, reactions[sid], meta = cell.read()
+            ages[sid] = max(j - int(meta["source_iter"]), 0)
+        return _stale_residual(self.scenario, u, reactions), ages
 
 
 def run_async_concurrent(scenario: CouplingScenario, omega: float,
                          tol: float = 1e-8, max_iter: int = 10000,
                          rank_count: int | None = None, *,
-                         always_recompute: bool = True,
                          patch_sleep: dict[int, float] | None = None,
                          watchdog: float = 10.0) -> SolveReport:
     """Threaded asynchronous run exchanging data through window cells.
 
-    The global rank publishes per-patch interface traces and keeps
-    iterating on whatever reactions the patch ranks have put back, fresh
-    or not; patch ranks re-solve continuously (``always_recompute``) or
-    only on a new trace version.  ``patch_sleep`` injects an artificial
-    per-solve delay for a subset of patches, which is how tests model rank
-    imbalance.  A watchdog aborts with :class:`LivelockError` when no
-    reaction version advances for ``watchdog`` seconds.
-
-    A residual assembled from stale reactions can dip below the tolerance
-    without the trace being anywhere near the coupled solution, so when
-    the running residual passes the test the global rank recomputes every
-    patch reaction at the current trace and only stops if that confirmed
-    residual passes too; those confirmation solves are included in the
-    reported per-patch counts.
+    The global rank publishes the interface trace and, once at least one
+    patch has answered that trace, iterates on whatever reactions the
+    patch ranks have put back, fresh or not; patch ranks re-solve
+    continuously.  ``patch_sleep`` injects an artificial per-solve delay
+    for a subset of patches, which is how tests model rank imbalance.  A
+    watchdog aborts with :class:`LivelockError` when no patch answers
+    within ``watchdog`` seconds.
     """
-    _check_solver_args(omega, tol, max_iter)
-    patch_sleep = patch_sleep or {}
-    groups = _patch_groups(scenario.patch_ids, rank_count)
-
-    u_cells = {sid: WindowCell(f"trace[{sid}]") for sid in scenario.patch_ids}
-    q_cells = {sid: WindowCell(f"reaction[{sid}]")
-               for sid in scenario.patch_ids}
-    stop_cell = WindowCell("stop")
-    stop_cell.put(np.array([0.0]))
-
-    states = [_PatchWorkerState(group) for group in groups]
-
-    def patch_loop(group: list[int], state: _PatchWorkerState):
-        try:
-            while True:
-                _, flag, _ = stop_cell.read()
-                if flag is not None and flag[0]:
-                    return
-                did_work = False
-                for sid in group:
-                    version, trace, meta = u_cells[sid].read()
-                    if trace is None:
-                        continue
-                    if always_recompute or version != state.last_version[sid]:
-                        local = _patch_reaction_local(scenario, sid, trace)
-                        q_cells[sid].put(local, source_iter=meta["iter"])
-                        state.solves[sid] += 1
-                        state.last_version[sid] = version
-                        did_work = True
-                        delay = patch_sleep.get(sid, 0.0)
-                        if delay:
-                            time.sleep(delay)
-                time.sleep(0 if did_work else 5e-5)
-        except BaseException as err:  # surfaced by the global loop
-            state.error = err
-
-    threads = [threading.Thread(target=patch_loop, args=(g, s), daemon=True)
-               for g, s in zip(groups, states)]
-    for t in threads:
-        t.start()
-
-    def raise_worker_errors():
-        for state in states:
-            if state.error is not None:
-                stop_cell.put(np.array([1.0]))
-                raise state.error
-
-    def snapshot_solves(j: int) -> dict[int, int]:
-        out = {0: j + 1}
-        for state in states:
-            out.update(state.solves)
-        return out
-
-    p = np.zeros(scenario.gamma_dim)
-    history: list[IterationRecord] = []
-    steps: list[AsyncStep] = []
-    converged = False
-    r0 = 0.0
-    t0 = time.perf_counter()
-    u = scenario.solve_interface(p)
-    confirm_solves = {sid: 0 for sid in scenario.patch_ids}
-
-    def confirmed_residual_norm(u_now: np.ndarray) -> float:
-        acc = np.zeros(scenario.gamma_dim)
-        for sid in scenario.subdomain_ids:
-            if sid == 0:
-                acc += interface_reaction(scenario, 0, u_now)
-            else:
-                acc += interface_reaction(scenario, sid, u_now)
-                confirm_solves[sid] += 1
-        return float(np.linalg.norm(acc))
-
-    try:
-        # Warm-up: publish the initial trace and wait until every patch has
-        # contributed once; only then is the stale combination well defined.
-        for sid in scenario.patch_ids:
-            u_cells[sid].put(u[scenario.assembly_ops[sid]], iter=0)
-        deadline = time.monotonic() + watchdog
-        while any(q_cells[sid].version == 0 for sid in scenario.patch_ids):
-            raise_worker_errors()
-            if time.monotonic() > deadline:
-                raise LivelockError("no patch contributed a reaction "
-                                    f"within {watchdog} s")
-            time.sleep(5e-5)
-
-        last_versions = {sid: 0 for sid in scenario.patch_ids}
-        for j in range(max_iter + 1):
-            u = scenario.solve_interface(p)
-            for sid in scenario.patch_ids:
-                u_cells[sid].put(u[scenario.assembly_ops[sid]], iter=j)
-
-            # Pacing: a global step must consume at least one reaction it
-            # has not seen before, otherwise nothing distinguishes step
-            # j+1 from step j and the observed delays grow without bound.
-            if j > 0:
-                deadline = time.monotonic() + watchdog
-                while not any(q_cells[sid].version > last_versions[sid]
-                              for sid in scenario.patch_ids):
-                    raise_worker_errors()
-                    if time.monotonic() > deadline:
-                        raise LivelockError("no reaction version advanced "
-                                            f"for {watchdog} s")
-                    time.sleep(2e-5)
-
-            raise_worker_errors()
-            acc = np.zeros(scenario.gamma_dim)
-            if scenario.complement is not None:
-                acc += interface_reaction(scenario, 0, u)
-            sigma: dict[int, int] = {}
-            for sid in scenario.patch_ids:
-                version, local, meta = q_cells[sid].read()
-                out = np.zeros(scenario.gamma_dim)
-                out[scenario.assembly_ops[sid]] = local
-                acc += out
-                sigma[sid] = max(j - int(meta["source_iter"]), 0)
-                last_versions[sid] = version
-
-            r = -acc
-            rn = float(np.linalg.norm(r))
-            if j == 0:
-                r0 = rn
-                threshold = stop_threshold(scenario, tol, r0)
-            history.append(IterationRecord(
-                index=j, p_gamma=p.copy(), residual=r, residual_norm=rn,
-                omega=omega, wall_time=time.perf_counter() - t0))
-            steps.append(AsyncStep(index=j, sigma=sigma, residual_norm=rn,
-                                   omega=omega, solves=snapshot_solves(j)))
-            if rn <= threshold and confirmed_residual_norm(u) <= threshold:
-                converged = True
-                break
-            if rn > DIVERGENCE_FACTOR * r0:
-                raise DivergenceError(
-                    f"residual grew to {rn:.3e} (>= 1e6 * ||r_0||) at "
-                    f"step {j}", history)
-            p = p + omega * r
-            time.sleep(0)  # yield so patch ranks keep pace
-    finally:
-        stop_cell.put(np.array([1.0]))
-        for t in threads:
-            t.join(timeout=5.0)
-
-    raise_worker_errors()
-    patch_solves: dict[int, int] = {}
-    for state in states:
-        patch_solves.update(state.solves)
-    for sid, count in confirm_solves.items():
-        patch_solves[sid] += count
-    trace = AsyncTrace(steps=steps, rank_ids=(0,) + scenario.patch_ids)
-    return SolveReport(converged=converged, history=history,
-                       final_u_gamma=u, total_global_solves=len(history),
-                       patch_solves=patch_solves, variant="async-concurrent",
-                       trace=trace)
+    ranks = _WindowRanks(scenario, rank_count, synchronized=False,
+                         patch_sleep=patch_sleep, watchdog=watchdog)
+    return _iterate(scenario, ranks, omega, tol, max_iter, "fixed",
+                    "async-concurrent")
 
 
 def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
@@ -537,115 +442,6 @@ def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
     :func:`glocal.solvers.richardson_sync` operation for operation; it
     exists to show the window plumbing does not perturb the numbers.
     """
-    _check_solver_args(omega, tol, max_iter)
-    if relaxation not in ("fixed", "aitken"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
-    from .solvers import aitken_update  # local import to avoid a cycle
-
-    groups = _patch_groups(scenario.patch_ids, rank_count)
-    u_cells = {sid: WindowCell(f"trace[{sid}]") for sid in scenario.patch_ids}
-    q_cells = {sid: WindowCell(f"reaction[{sid}]")
-               for sid in scenario.patch_ids}
-    stop_cell = WindowCell("stop")
-    stop_cell.put(np.array([0.0]))
-    barrier = threading.Barrier(len(groups) + 1)
-    states = [_PatchWorkerState(group) for group in groups]
-
-    def patch_loop(group: list[int], state: _PatchWorkerState):
-        try:
-            while True:
-                barrier.wait()  # A: traces published
-                for sid in group:
-                    _, trace, meta = u_cells[sid].read()
-                    local = _patch_reaction_local(scenario, sid, trace)
-                    q_cells[sid].put(local, source_iter=meta["iter"])
-                    state.solves[sid] += 1
-                barrier.wait()  # B: reactions published
-                barrier.wait()  # C: stop flag decided
-                _, flag, _ = stop_cell.read()
-                if flag[0]:
-                    return
-        except threading.BrokenBarrierError:
-            return
-        except BaseException as err:
-            state.error = err
-            barrier.abort()
-
-    threads = [threading.Thread(target=patch_loop, args=(g, s), daemon=True)
-               for g, s in zip(groups, states)]
-    for t in threads:
-        t.start()
-
-    aitken = relaxation == "aitken"
-    w = 1.0 if aitken else float(omega)
-    p = np.zeros(scenario.gamma_dim)
-    history: list[IterationRecord] = []
-    r_prev: np.ndarray | None = None
-    converged = False
-    failure: BaseException | None = None
-    r0 = 0.0
-    t0 = time.perf_counter()
-    u = np.zeros(scenario.gamma_dim)
-
-    try:
-        for j in range(max_iter + 1):
-            u = scenario.solve_interface(p)
-            for sid in scenario.patch_ids:
-                u_cells[sid].put(u[scenario.assembly_ops[sid]], iter=j)
-            barrier.wait()  # A
-            barrier.wait()  # B
-            acc = np.zeros(scenario.gamma_dim)
-            for sid in scenario.subdomain_ids:
-                if sid == 0:
-                    acc += interface_reaction(scenario, 0, u)
-                else:
-                    _, local, _ = q_cells[sid].read()
-                    out = np.zeros(scenario.gamma_dim)
-                    out[scenario.assembly_ops[sid]] = local
-                    acc += out
-            r = -acc
-            rn = float(np.linalg.norm(r))
-            if j == 0:
-                r0 = rn
-                threshold = stop_threshold(scenario, tol, r0)
-            history.append(IterationRecord(
-                index=j, p_gamma=p.copy(), residual=r, residual_norm=rn,
-                omega=w, wall_time=time.perf_counter() - t0))
-            stop = rn <= threshold
-            diverged = rn > DIVERGENCE_FACTOR * r0
-            last_round = stop or diverged or j == max_iter
-            stop_cell.put(np.array([1.0 if last_round else 0.0]))
-            barrier.wait()  # C
-            if stop:
-                converged = True
-                break
-            if diverged:
-                raise DivergenceError(
-                    f"residual grew to {rn:.3e} (>= 1e6 * ||r_0||) at "
-                    f"iteration {j}", history)
-            if last_round:
-                break
-            if aitken and r_prev is not None:
-                w = aitken_update(w, r, r_prev)
-            p = p + w * r
-            r_prev = r
-    except threading.BrokenBarrierError as err:
-        failure = err
-    finally:
-        stop_cell.put(np.array([1.0]))
-        barrier.abort()
-        for t in threads:
-            t.join(timeout=5.0)
-
-    for state in states:
-        if state.error is not None:
-            raise state.error
-    if failure is not None:
-        raise failure
-
-    patch_solves: dict[int, int] = {}
-    for state in states:
-        patch_solves.update(state.solves)
-    return SolveReport(converged=converged, history=history,
-                       final_u_gamma=u, total_global_solves=len(history),
-                       patch_solves=patch_solves, variant="sync-concurrent")
+    ranks = _WindowRanks(scenario, rank_count, synchronized=True)
+    return _iterate(scenario, ranks, omega, tol, max_iter, relaxation,
+                    "sync-concurrent")

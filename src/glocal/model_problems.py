@@ -63,9 +63,9 @@ class Material:
             raise MeshError(f"unknown material kind {self.kind!r}")
         coeff = np.asarray(self.coeff, dtype=float)
         object.__setattr__(self, "coeff", coeff)
-        if coeff.ndim != 1 or np.any(coeff <= 0.0):
-            raise MeshError("material coefficients must be positive scalars, "
-                            "one per element")
+        if coeff.ndim != 1 or not np.all(np.isfinite(coeff) & (coeff > 0.0)):
+            raise MeshError("material coefficients must be finite positive "
+                            "scalars, one per element")
         if self.kind == "elastic" and not 0.0 < self.poisson < 0.5:
             raise MeshError(f"Poisson ratio {self.poisson} outside (0, 0.5)")
 

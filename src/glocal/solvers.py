@@ -1,18 +1,29 @@
-"""Synchronous coupling solvers and the monolithic reference.
+"""The coupling iteration kernel, its synchronous drivers and the
+monolithic reference.
 
-The iteration works on the interface load p carried by the global model:
+Every coupling variant runs one relaxed iteration on the interface load p
+carried by the global model:
 
     u_j = S_G^{-1} (b_G + p_j)          (global solve)
-    r_j = -(sum of subdomain reactions at u_j)
+    r_j = -(sum of subdomain reactions, each taken at some u_{j - sigma})
     p_{j+1} = p_j + omega_j r_j
 
-starting from p_0 = 0.  With a fixed relaxation this is a Richardson
-iteration on an SPD-similar operator; the ``aitken`` mode rescales omega
-each step from the last two residuals.  Convergence is declared when
-||r_j|| <= tol * ||r_0||, with an absolute floor tied to the global load
-so that an initial residual at roundoff level (fine model identical to
-the global one) counts as converged immediately; a residual above
-1e6 * ||r_0|| aborts with the history attached.
+starting from p_0 = 0.  The variants differ only in how old each patch
+reaction is when it enters r_j (the bounded-delay model): the synchronous
+drivers here take every reaction fresh, the asynchronous ones in
+:mod:`glocal.async_engine` read cached or concurrently computed ones.
+:func:`_iterate` is that loop, written once; a reaction source supplies
+r_j.  With a fixed relaxation the iteration is Richardson on an
+SPD-similar operator; the ``aitken`` mode rescales omega each step from
+the last two residuals.
+
+Convergence is declared when ||r_j|| <= tol * ||r_0||, with an absolute
+floor tied to the global load so that an initial residual at roundoff
+level (fine model identical to the global one) counts as converged
+immediately.  A residual that mixes in stale reactions must pass again
+when recomputed from fresh ones at the same trace, so "converged" always
+means a fresh residual passed.  A residual above 1e6 * ||r_0||, or a
+non-finite one, aborts with the history attached.
 
 ``monolithic_reference`` assembles the coupled problem directly (all fine
 patches plus the complement, glued by the transfer maps) and solves it
@@ -22,6 +33,7 @@ makes it the oracle the iterative variants are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -33,8 +45,8 @@ from .coupling import CouplingScenario, interface_reaction
 from .errors import DivergenceError, StagnationError
 
 __all__ = ["IterationRecord", "SolveReport", "ReferenceSolution",
-           "global_solve", "compute_residual", "aitken_update",
-           "stop_threshold", "richardson_sync", "monolithic_reference"]
+           "compute_residual", "aitken_update", "stop_threshold",
+           "richardson_sync", "monolithic_reference"]
 
 DIVERGENCE_FACTOR = 1e6
 OMEGA_CAP = 10.0
@@ -66,12 +78,34 @@ class IterationRecord:
     wall_time: float
 
 
+@dataclass(frozen=True)
+class AsyncStep:
+    """Per-step view: ages per patch and cumulative solve counts per rank.
+
+    Rank 0 is the global model (it owns the complement reaction); patch
+    ranks are keyed by subdomain id.
+    """
+
+    index: int
+    sigma: dict[int, int]
+    residual_norm: float
+    omega: float
+    solves: dict[int, int]
+
+
+@dataclass
+class AsyncTrace:
+    steps: list[AsyncStep]
+    rank_ids: tuple[int, ...]
+
+
 @dataclass
 class SolveReport:
     """Outcome of one solver run.
 
     Asynchronous variants attach their per-step delay/solve-count trace;
-    synchronous runs leave it None.
+    synchronous runs leave it None.  ``patch_solves`` counts every patch
+    reaction solved, confirmation solves included.
     """
 
     converged: bool
@@ -80,7 +114,7 @@ class SolveReport:
     total_global_solves: int
     patch_solves: dict[int, int]
     variant: str
-    trace: "object | None" = None
+    trace: AsyncTrace | None = None
 
     @property
     def iterations(self) -> int:
@@ -90,12 +124,6 @@ class SolveReport:
     def final_relative_residual(self) -> float:
         r0 = self.history[0].residual_norm
         return self.history[-1].residual_norm / r0 if r0 > 0 else 0.0
-
-
-def global_solve(scenario: CouplingScenario,
-                 p_gamma: np.ndarray) -> np.ndarray:
-    """Interface trace of the global model under the interface load p."""
-    return scenario.solve_interface(p_gamma)
 
 
 def compute_residual(scenario: CouplingScenario,
@@ -133,6 +161,119 @@ def aitken_update(omega: float, residual: np.ndarray,
     return float(min(max(new_omega, OMEGA_FLOOR), OMEGA_CAP))
 
 
+# ---------------------------------------------------------------------------
+# the iteration kernel
+
+
+class _Reactions:
+    """Where the kernel gets r_j from.
+
+    ``residual(j, u)`` returns r_j at the trace u of step j and the age of
+    every patch reaction in it (None when all are fresh); ``solves`` counts
+    the patch reactions solved so far.  ``traced`` sources get an
+    :class:`AsyncTrace` on their report.  Sources that run threads start
+    them on ``__enter__`` and stop them on ``__exit__``.
+    """
+
+    traced = False
+
+    def __init__(self, scenario: CouplingScenario):
+        self.scenario = scenario
+        self.solves = dict.fromkeys(scenario.patch_ids, 0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+
+class _FreshReactions(_Reactions):
+    """Every reaction recomputed at the current trace."""
+
+    def residual(self, j: int, u: np.ndarray):
+        for sid in self.solves:
+            self.solves[sid] += 1
+        return compute_residual(self.scenario, u), None
+
+
+def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
+             tol: float, max_iter: int, relaxation: str,
+             variant: str) -> SolveReport:
+    """Run the relaxed interface iteration with residuals from ``source``.
+
+    ``relaxation`` is "fixed" (constant omega) or "aitken" (omega re-fitted
+    each step, starting from 1.0 regardless of the omega argument).  When
+    a residual holding reactions of age > 0 passes the stop test, the
+    residual at the same trace is recomputed from fresh reactions and the
+    run stops only if that one passes too; otherwise it carries on with
+    the stale residual.  Each confirmation costs one solve per patch.
+    """
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError("omega must be finite and positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
+    if relaxation not in ("fixed", "aitken"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+
+    aitken = relaxation == "aitken"
+    w = 1.0 if aitken else float(omega)
+    p = np.zeros(scenario.gamma_dim)
+    history: list[IterationRecord] = []
+    steps: list[AsyncStep] = []
+    r_prev: np.ndarray | None = None
+    converged = False
+    confirmations = 0
+    t0 = perf_counter()
+
+    with source:
+        for j in range(max_iter + 1):
+            u = scenario.solve_interface(p)
+            r, ages = source.residual(j, u)
+            rn = float(np.linalg.norm(r))
+            if j == 0:
+                r0 = rn
+                threshold = stop_threshold(scenario, tol, r0)
+            stop = rn <= threshold
+            if stop and ages and any(ages.values()):
+                confirmations += 1
+                fresh = compute_residual(scenario, u)
+                stop = float(np.linalg.norm(fresh)) <= threshold
+            history.append(IterationRecord(index=j, p_gamma=p.copy(),
+                                           residual=r, residual_norm=rn,
+                                           omega=w,
+                                           wall_time=perf_counter() - t0))
+            if source.traced:
+                solves = {0: j + 1}
+                for sid, count in source.solves.items():
+                    solves[sid] = count + confirmations
+                steps.append(AsyncStep(index=j, sigma=ages,
+                                       residual_norm=rn, omega=w,
+                                       solves=solves))
+            if stop:
+                converged = True
+                break
+            if not rn <= DIVERGENCE_FACTOR * r0:
+                raise DivergenceError(
+                    f"residual grew to {rn:.3e} (>= 1e6 * ||r_0||) at "
+                    f"iteration {j}", history)
+            if aitken and r_prev is not None:
+                w = aitken_update(w, r, r_prev)
+            p = p + w * r
+            r_prev = r
+
+    patch_solves = {sid: count + confirmations
+                    for sid, count in source.solves.items()}
+    trace = (AsyncTrace(steps=steps, rank_ids=(0,) + scenario.patch_ids)
+             if source.traced else None)
+    return SolveReport(converged=converged, history=history,
+                       final_u_gamma=u, total_global_solves=len(history),
+                       patch_solves=patch_solves, variant=variant,
+                       trace=trace)
+
+
 def richardson_sync(scenario: CouplingScenario, omega: float = 1.0,
                     tol: float = 1e-8, max_iter: int = 10000,
                     relaxation: str = "fixed") -> SolveReport:
@@ -141,53 +282,9 @@ def richardson_sync(scenario: CouplingScenario, omega: float = 1.0,
     ``relaxation`` is "fixed" (constant omega) or "aitken" (omega re-fitted
     each step, starting from 1.0 regardless of the omega argument).
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
-    if relaxation not in ("fixed", "aitken"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
-
-    aitken = relaxation == "aitken"
-    w = 1.0 if aitken else float(omega)
-    p = np.zeros(scenario.gamma_dim)
-    history: list[IterationRecord] = []
-    r_prev: np.ndarray | None = None
-    r0 = 0.0
-    threshold = 0.0
-    t0 = perf_counter()
-    converged = False
-    u = np.zeros(scenario.gamma_dim)
-
-    for j in range(max_iter + 1):
-        u = scenario.solve_interface(p)
-        r = compute_residual(scenario, u)
-        rn = float(np.linalg.norm(r))
-        if j == 0:
-            r0 = rn
-            threshold = stop_threshold(scenario, tol, r0)
-        history.append(IterationRecord(index=j, p_gamma=p.copy(),
-                                       residual=r, residual_norm=rn,
-                                       omega=w,
-                                       wall_time=perf_counter() - t0))
-        if rn <= threshold:
-            converged = True
-            break
-        if rn > DIVERGENCE_FACTOR * r0:
-            raise DivergenceError(
-                f"residual grew to {rn:.3e} (>= 1e6 * ||r_0||) at "
-                f"iteration {j}", history)
-        if aitken and r_prev is not None:
-            w = aitken_update(w, r, r_prev)
-        p = p + w * r
-        r_prev = r
-
-    solves = len(history)
-    patch_solves = {sid: solves for sid in scenario.patch_ids}
-    return SolveReport(converged=converged, history=history,
-                       final_u_gamma=u, total_global_solves=solves,
-                       patch_solves=patch_solves,
-                       variant="sync-aitken" if aitken else "sync-fixed")
+    variant = "sync-aitken" if relaxation == "aitken" else "sync-fixed"
+    return _iterate(scenario, _FreshReactions(scenario), omega, tol,
+                    max_iter, relaxation, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,26 @@ exact agreement with the sequential driver (synchronized) and for
 convergence to the monolithic reference (free-running).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from glocal import (
     DelaySchedule,
+    DivergenceError,
     LivelockError,
     ScheduleError,
     WindowCell,
+    compute_residual,
+    generalized_alphas,
     interface_reaction,
     partition_by_delay,
     richardson_sync,
     run_async_concurrent,
     run_async_simulated,
     run_sync_concurrent,
+    stop_threshold,
 )
 
 
@@ -147,13 +153,33 @@ def test_simulated_run_counts_refreshes(chain):
     assert report.total_global_solves == n_steps
     twin = DelaySchedule.random_bounded(chain.patch_ids, 2, seed=3,
                                         has_complement=True)
+    # A step whose stale-mixed residual passes the stop test is confirmed
+    # with one fresh solve per patch.
+    threshold = stop_threshold(chain, 1e-8, report.history[0].residual_norm)
+    confirmations = sum(int(rec.residual_norm <= threshold
+                            and np.any(twin.ages(rec.index) > 0))
+                        for rec in report.history)
     for k, sid in enumerate(chain.patch_ids):
         refreshes = sum(int(twin.ages(j)[k] == 0) for j in range(n_steps))
-        assert report.patch_solves[sid] == refreshes
+        assert report.patch_solves[sid] == refreshes + confirmations
     last = report.trace.steps[-1]
     assert last.solves[0] == n_steps
     assert last.solves[1] == report.patch_solves[1]
     assert report.trace.rank_ids == (0,) + chain.patch_ids
+
+
+def test_simulated_run_stops_on_a_fresh_residual(two_patch_thermal):
+    scn = two_patch_thermal
+    _, alpha_max = generalized_alphas(scn)
+    sched = DelaySchedule.random_bounded(scn.patch_ids, 3, seed=1,
+                                         update_prob=0.5,
+                                         has_complement=True)
+    report = run_async_simulated(scn, 0.6 * (2.0 / alpha_max), sched,
+                                 tol=1e-6)
+    assert report.converged
+    threshold = stop_threshold(scn, 1e-6, report.history[0].residual_norm)
+    fresh = compute_residual(scn, report.final_u_gamma)
+    assert np.linalg.norm(fresh) <= threshold
 
 
 def test_simulated_run_validates_inputs(chain):
@@ -247,3 +273,18 @@ def test_starved_run_is_reported_as_livelock(two_patch_thermal):
     with pytest.raises(LivelockError):
         run_async_concurrent(scn, omega=0.5, tol=1e-12,
                              patch_sleep=sleeps, watchdog=0.1)
+
+
+def test_threaded_runs_end_their_threads(two_patch_thermal):
+    scn = two_patch_thermal
+    start = threading.active_count()
+    assert run_async_concurrent(scn, omega=0.5, tol=1e-8).converged
+    assert threading.active_count() == start
+    sleeps = {sid: 0.5 for sid in scn.patch_ids}
+    with pytest.raises(LivelockError):
+        run_async_concurrent(scn, omega=0.5, tol=1e-12,
+                             patch_sleep=sleeps, watchdog=0.1)
+    assert threading.active_count() == start
+    with pytest.raises(DivergenceError):
+        run_sync_concurrent(scn, omega=5.0)
+    assert threading.active_count() == start

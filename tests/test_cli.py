@@ -296,3 +296,10 @@ def test_suite_name_validation(tmp_path):
         run_suite("weak-scaling", sizes=[5], out_dir=tmp_path)
     with pytest.raises(ConfigError):
         run_suite("everything", out_dir=tmp_path)
+
+
+def test_paper_2d_suite_end_to_end(tmp_path):
+    summaries = run_suite("paper-2d", out_dir=tmp_path)
+    assert len(summaries) == 8
+    assert all(s.converged for s in summaries)
+    assert len(read_csv(tmp_path / "summary.csv")) == 9

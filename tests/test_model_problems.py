@@ -274,6 +274,9 @@ def test_material_validation():
         Material(kind="magnetic", coeff=np.array([1.0]))
     with pytest.raises(MeshError):
         Material(kind="thermal", coeff=np.array([1.0, -2.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MeshError):
+            Material(kind="thermal", coeff=np.array([1.0, bad]))
     with pytest.raises(MeshError):
         Material(kind="elastic", coeff=np.array([1.0]), poisson=0.5)
 

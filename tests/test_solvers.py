@@ -9,10 +9,13 @@ interface values can be integrated by hand:
 That gives u = 14, 19, 22.5, 24.5 at the interface nodes x = 2, 4, 5, 7.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from glocal import (
+    DelaySchedule,
     DivergenceError,
     Material,
     MeshModel,
@@ -21,6 +24,9 @@ from glocal import (
     compute_residual,
     monolithic_reference,
     richardson_sync,
+    run_async_concurrent,
+    run_async_simulated,
+    run_sync_concurrent,
     solve_direct,
     stop_threshold,
 )
@@ -108,6 +114,11 @@ def test_divergence_is_caught_with_history(two_patch_thermal):
     history = excinfo.value.history
     assert len(history) > 1
     assert history[-1].residual_norm > 1e6 * history[0].residual_norm
+    # A non-finite residual is reported at once, not after max_iter steps.
+    broken = replace(two_patch_thermal,
+                     rhs_global=np.full(two_patch_thermal.gamma_dim, np.nan))
+    with pytest.raises(DivergenceError):
+        richardson_sync(broken, omega=1.0, tol=1e-8)
 
 
 def test_identical_fine_model_converges_immediately(fine_eq_thermal,
@@ -150,11 +161,29 @@ def test_aitken_clamps_and_degenerate_cases():
 
 
 def test_driver_argument_validation(chain):
-    with pytest.raises(ValueError):
-        richardson_sync(chain, omega=0.0)
-    with pytest.raises(ValueError):
-        richardson_sync(chain, tol=2.0)
+    schedule = DelaySchedule.all_zero(chain.patch_ids, has_complement=True)
+    drivers = {
+        "sync-fixed": lambda **kw: richardson_sync(chain, **kw),
+        "sync-aitken": lambda **kw: richardson_sync(
+            chain, relaxation="aitken", **kw),
+        "async-sim": lambda omega=0.5, **kw: run_async_simulated(
+            chain, omega, schedule, **kw),
+        "async-concurrent": lambda omega=0.5, **kw: run_async_concurrent(
+            chain, omega, **kw),
+        "sync-concurrent": lambda **kw: run_sync_concurrent(chain, **kw),
+    }
+    bad_args = [{"omega": value}
+                for value in (0.0, -1.0, np.nan, np.inf, -np.inf)]
+    bad_args += [{"tol": value} for value in (0.0, 1.0, 2.0, np.nan)]
+    bad_args += [{"max_iter": -1}]
+    for name, run in drivers.items():
+        for kwargs in bad_args:
+            with pytest.raises(ValueError):
+                run(**kwargs)
+                pytest.fail(f"{name} accepted {kwargs}")
     with pytest.raises(ValueError):
         richardson_sync(chain, relaxation="chebyshev")
+    with pytest.raises(ValueError):
+        run_sync_concurrent(chain, relaxation="chebyshev")
     with pytest.raises(ValueError):
         chain.solve_interface(np.zeros(chain.gamma_dim + 1))
