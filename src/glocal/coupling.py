@@ -8,8 +8,10 @@ least two subdomains.  Three operator families tie everything together:
 
 * assembly maps ``A_s`` (index maps) scatter each subdomain's interface
   dofs into Gamma,
-* transfer maps ``J_s`` interpolate a global interface trace onto the
-  fine patch interface (piecewise-linear, a permutation when meshes match),
+* transfer maps ``J_s`` give the trace of the coarse global field at the
+  fine interface nodes: each fine node takes the weights of the global
+  interface facet it lies on (vertex, edge or parallelogram face), which
+  is a permutation when the meshes match,
 * Schur complements of every subdomain, global side and fine side, from
   :mod:`.condensation`.
 
@@ -97,10 +99,8 @@ class CouplingScenario:
     subdomain_ids: tuple[int, ...]
     assembly_ops: dict[int, np.ndarray]            # A_s as dof index maps
     transfer_ops: dict[int, sp.csr_matrix | None]  # J_s, None == identity
-    condensed_global: dict[int, CondensedOperator]
     condensed_fine: dict[int, CondensedOperator]
     fine_systems: dict[int, AssembledSystem]
-    global_part_systems: dict[int, AssembledSystem]
     schur_global: np.ndarray
     rhs_global: np.ndarray
     fine_schur_embedded: dict[int, np.ndarray]
@@ -128,105 +128,80 @@ class CouplingScenario:
 # transfer operators
 
 
-def _segment_candidates(coords: np.ndarray):
-    ng = len(coords)
-    i, j = np.triu_indices(ng, k=1)
-    p0 = coords[i]
-    v = coords[j] - coords[i]
-    length2 = np.einsum("ij,ij->i", v, v)
-    return i, j, p0, v, length2
+# Facet kinds by corner count: a vertex (1D), an edge (2D) and a face with
+# corners in ``_HEX_FACES`` loop order (3D).  Each row places one corner in
+# the facet's local coordinates; the corners listed in ``_AXIS_CORNERS``
+# span them from corner 0.
+_REFERENCE_CORNERS = {1: np.zeros((1, 0)),
+                      2: np.array([[0.0], [1.0]]),
+                      4: np.array([[0.0, 0.0], [1.0, 0.0],
+                                   [1.0, 1.0], [0.0, 1.0]])}
+_AXIS_CORNERS = {1: [], 2: [1], 4: [1, 3]}
 
 
 def build_transfer(global_coords: np.ndarray, fine_coords: np.ndarray,
-                   tol: float | None = None) -> sp.csr_matrix:
-    """Node-level interpolation from global interface nodes to fine ones.
+                   facets, tol: float | None = None) -> sp.csr_matrix:
+    """Trace of the global interface facets at the fine nodes.
 
-    Each fine node must coincide with a global node, sit on a segment
-    between two of them, or (3D) sit inside an axis-aligned rectangle of
-    four of them; the weights are the matching hat/bilinear values, so rows
-    sum to one and linear fields are reproduced.  A fine node off the
-    global interface raises :class:`GeometryError` (this also catches
-    Dirichlet data that disagrees between the two sides).
+    ``facets`` are index tuples into ``global_coords``, all of one kind:
+    vertices, edges, or parallelogram faces with corners in loop order.
+    A fine node is on the interface when it lies within ``tol`` of some
+    facet.  Its row is the coarse element trace there: 1 on a vertex,
+    (1-t, t) on an edge, the four bilinear weights on a face.  Rows sum
+    to one and reproduce linear fields.  A node on several facets takes
+    the first; the weights agree there.  Rows of fine nodes on no facet
+    store no entries.  :class:`GeometryError` is raised when no fine node
+    lies on a facet, or a facet is degenerate or not a parallelogram.
     """
     gc = np.atleast_2d(np.asarray(global_coords, dtype=float))
     fc = np.atleast_2d(np.asarray(fine_coords, dtype=float))
-    if gc.shape[0] == 0 or fc.shape[0] == 0:
+    facets = np.asarray(facets, dtype=np.int64)
+    if gc.shape[0] == 0 or fc.shape[0] == 0 or facets.size == 0:
         raise GeometryError("empty interface")
     if gc.shape[1] != fc.shape[1]:
         raise GeometryError("coordinate dimensions differ between sides")
+    if facets.ndim != 2 or facets.shape[1] not in _REFERENCE_CORNERS:
+        raise GeometryError("facets must all be vertices, edges or "
+                            "quadrilateral faces")
+    if facets.min() < 0 or facets.max() >= len(gc):
+        raise GeometryError("facet refers to a missing global node")
     if tol is None:
-        span = max(np.ptp(gc, axis=0).max(), 1.0)
-        tol = 1e-9 * span
+        tol = 1e-9 * max(np.ptp(gc, axis=0).max(), 1.0)
 
-    seg = _segment_candidates(gc) if len(gc) >= 2 else None
-    rows, cols, vals = [], [], []
-    for fi, x in enumerate(fc):
-        dist = np.linalg.norm(gc - x, axis=1)
-        nearest = int(np.argmin(dist))
-        if dist[nearest] <= tol:
-            rows.append(fi)
-            cols.append(nearest)
-            vals.append(1.0)
-            continue
-        # Face-interior points (3D) take the four-corner weights first;
-        # a diagonal segment would also contain them but does not match
-        # the coarse element trace there.
-        placed = False
-        if gc.shape[1] == 3:
-            placed = _bilinear_row(gc, x, tol, fi, rows, cols, vals)
-        if not placed and seg is not None:
-            i, j, p0, v, length2 = seg
-            t = np.einsum("ij,ij->i", x - p0, v) / length2
-            off = np.linalg.norm(x - p0 - t[:, None] * v, axis=1)
-            ok = (off <= tol) & (t > 0.0) & (t < 1.0)
-            if np.any(ok):
-                pick = np.nonzero(ok)[0]
-                best = pick[np.argmin(length2[pick])]
-                rows.extend([fi, fi])
-                cols.extend([int(i[best]), int(j[best])])
-                vals.extend([1.0 - t[best], t[best]])
-                placed = True
-        if not placed:
-            raise GeometryError(
-                f"fine interface node at {x} is not on the global interface "
-                "(geometry mismatch or inconsistent Dirichlet data)")
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(fc), len(gc)))
-
-
-def _bilinear_row(gc, x, tol, fi, rows, cols, vals) -> bool:
-    for axis in range(3):
-        plane = np.abs(gc[:, axis] - x[axis]) <= tol
-        if plane.sum() < 4:
-            continue
-        u_ax, v_ax = [a for a in range(3) if a != axis]
-        pu, pv = gc[plane, u_ax], gc[plane, v_ax]
-        below_u, above_u = pu[pu < x[u_ax] - tol], pu[pu > x[u_ax] + tol]
-        below_v, above_v = pv[pv < x[v_ax] - tol], pv[pv > x[v_ax] + tol]
-        if not (below_u.size and above_u.size and below_v.size
-                and above_v.size):
-            continue
-        u_lo, u_hi = below_u.max(), above_u.min()
-        v_lo, v_hi = below_v.max(), above_v.min()
-        plane_idx = np.nonzero(plane)[0]
-
-        def corner(u, v):
-            hit = (np.abs(pu - u) <= tol) & (np.abs(pv - v) <= tol)
-            found = np.nonzero(hit)[0]
-            return int(plane_idx[found[0]]) if found.size else None
-
-        ids = [corner(u_lo, v_lo), corner(u_hi, v_lo),
-               corner(u_lo, v_hi), corner(u_hi, v_hi)]
-        if any(c is None for c in ids):
-            continue
-        du, dv = u_hi - u_lo, v_hi - v_lo
-        su, sv = (x[u_ax] - u_lo) / du, (x[v_ax] - v_lo) / dv
-        weights = [(1 - su) * (1 - sv), su * (1 - sv),
-                   (1 - su) * sv, su * sv]
-        rows.extend([fi] * 4)
-        cols.extend(ids)
-        vals.extend(weights)
-        return True
-    return False
+    n_fine, k = len(fc), facets.shape[1]
+    ref = _REFERENCE_CORNERS[k]
+    cols = np.zeros((n_fine, k), dtype=np.int64)
+    vals = np.zeros((n_fine, k))
+    placed = np.zeros(n_fine, dtype=bool)
+    for facet in facets:
+        corners = gc[facet]
+        basis = corners[_AXIS_CORNERS[k]] - corners[0]
+        misfit = np.linalg.norm(corners[0] + ref @ basis - corners, axis=1)
+        if misfit.max() > tol:
+            raise GeometryError(f"facet at {corners.tolist()} is not a "
+                                "parallelogram")
+        if basis.size and np.linalg.svd(basis, compute_uv=False).min() <= tol:
+            raise GeometryError(f"facet at {corners.tolist()} is degenerate")
+        todo = np.flatnonzero(~placed)
+        w = fc[todo] - corners[0]
+        xi = np.linalg.solve(basis @ basis.T, basis @ w.T).T
+        off = np.linalg.norm(w - xi @ basis, axis=1)
+        slack = tol / np.linalg.norm(basis, axis=1)
+        on = (off <= tol) & np.all((xi >= -slack) & (xi <= 1.0 + slack),
+                                   axis=1)
+        # Nodes within tol outside the facet take the trace at its edge.
+        xi = np.clip(xi[on], 0.0, 1.0)[:, None, :]
+        hit = todo[on]
+        cols[hit] = facet
+        vals[hit] = np.prod(np.where(ref == 1.0, xi, 1.0 - xi), axis=2)
+        placed[hit] = True
+    if not placed.any():
+        raise GeometryError(
+            "no fine node lies on the global interface (geometry mismatch "
+            "or inconsistent Dirichlet data)")
+    indptr = np.concatenate([[0], np.cumsum(np.where(placed, k, 0))])
+    return sp.csr_matrix((vals[placed].ravel(), cols[placed].ravel(), indptr),
+                         shape=(n_fine, len(gc)))
 
 
 def _expand_transfer(j_node: sp.csr_matrix, ndpn: int) -> sp.csr_matrix:
@@ -335,7 +310,7 @@ def residual_offset(scenario: CouplingScenario) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# geometric interface detection
+# interface facets
 
 
 _HEX_FACES = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4),
@@ -348,37 +323,6 @@ def _element_facets(dim: int, conn: np.ndarray):
     if dim == 2:
         return [(conn[0], conn[1]), (conn[1], conn[2]), (conn[2], conn[0])]
     return [tuple(conn[i] for i in face) for face in _HEX_FACES]
-
-
-def _points_on_facet(points: np.ndarray, facet: np.ndarray,
-                     tol: float) -> np.ndarray:
-    """Boolean mask of points lying on the facet (vertex/segment/quad)."""
-    if len(facet) == 1:
-        return np.linalg.norm(points - facet[0], axis=1) <= tol
-    if len(facet) == 2:
-        v = facet[1] - facet[0]
-        length2 = float(v @ v)
-        t = (points - facet[0]) @ v / length2
-        off = np.linalg.norm(points - facet[0] - t[:, None] * v, axis=1)
-        return (off <= tol) & (t >= -1e-9) & (t <= 1 + 1e-9)
-    tri1 = _points_in_triangle(points, facet[0], facet[1], facet[2], tol)
-    tri2 = _points_in_triangle(points, facet[0], facet[2], facet[3], tol)
-    return tri1 | tri2
-
-
-def _points_in_triangle(points, p0, p1, p2, tol) -> np.ndarray:
-    v1, v2 = p1 - p0, p2 - p0
-    normal = np.cross(v1, v2)
-    nn = np.linalg.norm(normal)
-    w = points - p0
-    plane = np.abs(w @ normal) / nn <= tol
-    d00, d01, d11 = v1 @ v1, v1 @ v2, v2 @ v2
-    denom = d00 * d11 - d01 * d01
-    d20, d21 = w @ v1, w @ v2
-    s = (d11 * d20 - d01 * d21) / denom
-    t = (d00 * d21 - d01 * d20) / denom
-    eps = 1e-9
-    return plane & (s >= -eps) & (t >= -eps) & (s + t <= 1 + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +403,6 @@ def build_scenario(global_model: MeshModel, labels,
     condensed_global: dict[int, CondensedOperator] = {}
     condensed_fine: dict[int, CondensedOperator] = {}
     fine_systems: dict[int, AssembledSystem] = {}
-    global_part_systems: dict[int, AssembledSystem] = {}
     transfer_ops: dict[int, sp.csr_matrix | None] = {}
     iface_nodes_by_sid: dict[int, np.ndarray] = {}
 
@@ -478,7 +421,6 @@ def build_scenario(global_model: MeshModel, labels,
         cond_g = condense(system_g, system_g.node_dofs(local_ids),
                           label=f"subdomain {sid} (global part)")
         condensed_global[sid] = cond_g
-        global_part_systems[sid] = system_g
         iface_nodes_by_sid[sid] = gnodes
 
         if sid == 0:
@@ -494,35 +436,33 @@ def build_scenario(global_model: MeshModel, labels,
                 global_model.material.kind:
             raise TopologyError(f"patch {sid}: fine mesh dimension or "
                                 "material kind differs from the global model")
-        on_iface = np.zeros(fine.node_count, dtype=bool)
-        for facet in facets_by_sid[sid]:
-            coords = global_model.nodes[list(facet)]
-            on_iface |= _points_on_facet(fine.nodes, coords, tol)
-        fine_iface = np.array([n for n in np.nonzero(on_iface)[0]
-                               if int(n) not in fine.dirichlet],
-                              dtype=np.int64)
-        if fine_iface.size == 0:
-            raise GeometryError(f"patch {sid}: no fine interface nodes found")
-
-        global_coords = global_model.nodes[gnodes]
-        fine_coords = fine.nodes[fine_iface]
+        # One pass over the subdomain's interface facets places every free
+        # fine node that lies on one and gives its trace weights.
+        facets = np.array(facets_by_sid[sid], dtype=np.int64)
+        corner_nodes, local = np.unique(facets, return_inverse=True)
+        free = np.ones(fine.node_count, dtype=bool)
+        free[list(fine.dirichlet)] = False
+        free_nodes = np.flatnonzero(free)
+        j_all = build_transfer(global_model.nodes[corner_nodes],
+                               fine.nodes[free_nodes],
+                               local.reshape(facets.shape), tol)
+        on = j_all.getnnz(axis=1) > 0
+        fine_iface = free_nodes[on]
+        j_all = j_all[on]
         # Nested-refinement check: every free global interface node must
-        # have a coincident fine twin, otherwise the two interface
-        # discretizations cannot represent the same trace space.
-        for gidx, gx in zip(gnodes, global_coords):
-            if np.linalg.norm(fine_coords - gx, axis=1).min() > tol:
-                raise GeometryError(
-                    f"patch {sid}: global interface node {int(gidx)} has no "
-                    "matching fine node (interfaces differ geometrically)")
-        # Constrained global interface nodes join the interpolation
-        # candidates so boundary-adjacent fine nodes can be placed; their
-        # columns multiply the (zero) prescribed values and are dropped.
-        cnodes = np.array([n for n in constrained_iface
-                           if sid in node_labels[int(n)]], dtype=np.int64)
-        candidates = np.vstack([global_coords, global_model.nodes[cnodes]]) \
-            if cnodes.size else global_coords
-        j_node = build_transfer(candidates, fine_coords,
-                                tol)[:, :len(gnodes)].tocsr()
+        # have a fine node on the facet corner it sits at, otherwise the
+        # two interface discretizations cannot represent the same trace.
+        nearest = np.asarray(j_all.argmax(axis=1)).ravel()
+        twin = np.linalg.norm(fine.nodes[fine_iface]
+                              - global_model.nodes[corner_nodes[nearest]],
+                              axis=1) <= tol
+        missing = np.setdiff1d(gnodes, corner_nodes[nearest[twin]])
+        if missing.size:
+            raise GeometryError(
+                f"patch {sid}: global interface node {int(missing[0])} has "
+                "no matching fine node (interfaces differ geometrically)")
+        # Columns of constrained corners multiply zero prescribed values.
+        j_node = j_all[:, np.searchsorted(corner_nodes, gnodes)]
         j_dof = _expand_transfer(j_node, ndpn)
 
         system_f = assemble(fine, source=source, body_force=body_force)
@@ -557,9 +497,8 @@ def build_scenario(global_model: MeshModel, labels,
         complement=complement, gamma_nodes=gamma_nodes,
         gamma_coords=global_model.nodes[gamma_nodes], ndof_per_node=ndpn,
         subdomain_ids=subdomain_ids, assembly_ops=assembly_ops,
-        transfer_ops=transfer_ops, condensed_global=condensed_global,
-        condensed_fine=condensed_fine, fine_systems=fine_systems,
-        global_part_systems=global_part_systems, schur_global=schur_global,
+        transfer_ops=transfer_ops, condensed_fine=condensed_fine,
+        fine_systems=fine_systems, schur_global=schur_global,
         rhs_global=rhs_global, fine_schur_embedded=embedded,
         offset=np.zeros(gamma_dim), _sg_chol=sg_chol)
     scenario.offset = residual_offset(scenario)

@@ -117,7 +117,8 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
     slots = _validate_partition(scenario, partition, max_delay)
     n = scenario.gamma_dim
 
-    chol_l = np.linalg.cholesky(scenario.schur_global)
+    if symmetrized:
+        chol_l = np.linalg.cholesky(scenario.schur_global)
     blocks: list[np.ndarray] = []
     for slot in slots:
         shat = np.zeros((n, n))

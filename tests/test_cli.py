@@ -303,3 +303,11 @@ def test_paper_2d_suite_end_to_end(tmp_path):
     assert len(summaries) == 8
     assert all(s.converged for s in summaries)
     assert len(read_csv(tmp_path / "summary.csv")) == 9
+
+
+def test_weak_scaling_suite_end_to_end(tmp_path):
+    # One size runs sync-aitken and async-sim on the n=2 cube grid.
+    summaries = run_suite("weak-scaling", sizes=[2], out_dir=tmp_path)
+    assert len(summaries) == 2
+    assert all(s.converged for s in summaries)
+    assert len(read_csv(tmp_path / "summary.csv")) == 3

@@ -31,7 +31,7 @@ def test_exact_match_gives_permutation():
     rng = np.random.default_rng(0)
     gc = rng.uniform(size=(6, 2))
     perm = rng.permutation(6)
-    j = build_transfer(gc, gc[perm]).toarray()
+    j = build_transfer(gc, gc[perm], [(i,) for i in range(6)]).toarray()
     expected = np.zeros((6, 6))
     expected[np.arange(6), perm] = 1.0
     assert np.allclose(j, expected, atol=1e-14)
@@ -39,14 +39,15 @@ def test_exact_match_gives_permutation():
 
 def test_segment_weights_frozen():
     gc = np.array([[0.0, 0.0], [1.0, 0.0]])
-    j = build_transfer(gc, np.array([[0.25, 0.0]])).toarray()
+    j = build_transfer(gc, np.array([[0.25, 0.0]]), [(0, 1)]).toarray()
     assert np.allclose(j, [[0.75, 0.25]], atol=1e-12)
 
 
 def test_bilinear_weights_frozen():
     corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    j = build_transfer(corners, np.array([[0.25, 0.5, 0.0]])).toarray()
+    j = build_transfer(corners, np.array([[0.25, 0.5, 0.0]]),
+                       [(0, 1, 3, 2)]).toarray()
     assert np.allclose(j, [[0.375, 0.125, 0.375, 0.125]], atol=1e-12)
 
 
@@ -56,7 +57,8 @@ def test_face_interior_point_prefers_four_corners():
     # diagonal average is not.
     corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    j = build_transfer(corners, np.array([[0.5, 0.5, 0.0]])).toarray()
+    j = build_transfer(corners, np.array([[0.5, 0.5, 0.0]]),
+                       [(0, 1, 3, 2)]).toarray()
     assert np.allclose(j, [[0.25, 0.25, 0.25, 0.25]], atol=1e-12)
 
 
@@ -64,21 +66,38 @@ def test_transfer_reproduces_linear_fields():
     rng = np.random.default_rng(7)
     gc = np.column_stack([np.arange(5.0), np.zeros(5)])
     fc = np.column_stack([rng.uniform(0.0, 4.0, size=20), np.zeros(20)])
-    j = build_transfer(gc, fc)
+    j = build_transfer(gc, fc, [(i, i + 1) for i in range(4)])
     for a, b in ((1.0, 0.0), (-2.0, 3.0)):
         assert np.allclose(j @ (a * gc[:, 0] + b), a * fc[:, 0] + b,
                            atol=1e-10)
     assert np.allclose(np.asarray(j.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
 
+def test_malformed_facets_are_rejected():
+    # A trapezoid has no bilinear trace weights; the other facets are
+    # degenerate, of no known kind, or point past the global nodes.
+    trapezoid = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                          [1.5, 1.0, 0.0], [0.5, 1.0, 0.0]])
+    point = np.array([[1.0, 0.5, 0.0]])
+    for facets in ([(0, 1, 2, 3)], [(0, 1, 2)], [(0, 1, 2, 4)]):
+        with pytest.raises(GeometryError):
+            build_transfer(trapezoid, point, facets)
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                     [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(GeometryError):
+        build_transfer(flat, point, [(0, 1, 2, 3)])
+    with pytest.raises(GeometryError):
+        build_transfer(flat, point, [(1, 3)])
+
+
 def test_transfer_rejects_bad_geometry():
     gc = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(GeometryError):
-        build_transfer(gc, np.array([[0.5, 0.3]]))
+        build_transfer(gc, np.array([[0.5, 0.3]]), [(0, 1)])
     with pytest.raises(GeometryError):
-        build_transfer(np.empty((0, 2)), np.array([[0.0, 0.0]]))
+        build_transfer(np.empty((0, 2)), np.array([[0.0, 0.0]]), [(0,)])
     with pytest.raises(GeometryError):
-        build_transfer(gc, np.array([[0.0, 0.0, 0.0]]))
+        build_transfer(gc, np.array([[0.0, 0.0, 0.0]]), [(0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +210,9 @@ def test_non_nested_fine_interface_is_rejected():
 
 def test_cube_transfers_interpolate_linearly(cube2_thermal):
     scn = cube2_thermal
+    # Dirichlet data sits on x = 0, so a facet has a constrained corner
+    # exactly when fine nodes on it may have x below the global spacing.
+    spacing = np.diff(np.unique(scn.global_model.nodes[:, 0])).min()
     saw_trimmed_row = False
     for sid in scn.patch_ids:
         j = scn.transfer_ops[sid].toarray()
@@ -203,9 +225,63 @@ def test_cube_transfers_interpolate_linearly(cube2_thermal):
         fx = scn.patches[sid].fine_part.nodes[
             scn.patches[sid].interface_nodes_fine, 0]
         assert np.allclose((j @ gx)[full], fx[full], atol=1e-9)
+        free_facet = fx >= spacing - 1e-12
+        assert np.allclose(sums[free_facet], 1.0, atol=1e-12)
+        # Next to the clamped face the dropped corners carry 1 - x/h.
+        assert np.allclose(sums[~free_facet], fx[~free_facet] / spacing,
+                           atol=1e-12)
     # Patches on the clamped face must have exercised the dropped-column
     # path, otherwise this fixture stopped covering it.
     assert saw_trimmed_row
+
+
+def _row_at(coords, point):
+    return int(np.flatnonzero(np.all(np.isclose(coords, point), axis=1))[0])
+
+
+def _q1_field_at(model, values, points):
+    """Trilinear interpolation of nodal values in the axis-aligned hex
+    that contains each point, found by bounding box."""
+    corners = model.nodes[model.elements]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
+        inside = np.all((lo <= x + 1e-12) & (x <= hi + 1e-12), axis=1)
+        e = np.flatnonzero(inside)[0]
+        local = (x - lo[e]) / (hi[e] - lo[e])
+        upper = corners[e] > lo[e] + 1e-12
+        weights = np.prod(np.where(upper, local, 1.0 - local), axis=1)
+        out[i] = weights @ values[model.elements[e]]
+    return out
+
+
+def test_cube_transfers_are_the_global_trace(cube2_thermal):
+    # J_s maps a global Q1 field on Gamma_s to its trace at the fine
+    # interface nodes; the reference evaluates the field in the global
+    # hex that contains each fine node.
+    scn = cube2_thermal
+    glob = scn.global_model
+    u = np.random.default_rng(0).standard_normal(glob.node_count)
+    u[list(glob.dirichlet)] = 0.0
+    for sid in scn.patch_ids:
+        patch = scn.patches[sid]
+        fine_x = patch.fine_part.nodes[patch.interface_nodes_fine]
+        traced = scn.transfer_ops[sid] @ u[patch.interface_nodes_global]
+        exact = _q1_field_at(glob, u, fine_x)
+        assert np.abs(traced - exact).max() <= 1e-12, sid
+
+
+def test_cube_edge_node_takes_the_edge_weights(cube2_thermal):
+    # (0.5, 0.25, 1) lies on the global edge x = 0.5 of the face z = 1.
+    patch = cube2_thermal.patches[1]
+    fine_x = patch.fine_part.nodes[patch.interface_nodes_fine]
+    global_x = cube2_thermal.global_model.nodes[patch.interface_nodes_global]
+    row = cube2_thermal.transfer_ops[1].toarray()[
+        _row_at(fine_x, [0.5, 0.25, 1.0])]
+    expected = np.zeros(len(global_x))
+    expected[_row_at(global_x, [0.5, 0.0, 1.0])] = 0.5
+    expected[_row_at(global_x, [0.5, 0.5, 1.0])] = 0.5
+    assert np.allclose(row, expected, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
