@@ -15,7 +15,7 @@ class SingularInteriorError(GlocalError):
     """Interior stiffness block is not positive definite."""
 
     def __init__(self, label: str = "interior block"):
-        super().__init__(f"Cholesky factorization failed: {label} is singular "
+        super().__init__(f"interior factorization failed: {label} is singular "
                          "or indefinite")
         self.label = label
 

@@ -14,6 +14,7 @@ and stay symmetric positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -38,12 +39,20 @@ __all__ = [
     "solve_direct",
 ]
 
-# Gauss points for the trilinear hexahedron, 2 per direction.
+# Trilinear hexahedron: reference corners and the 2x2x2 Gauss points (unit
+# weights), first coordinate slowest.  _HEX_SHAPE[g, n] is basis n at point
+# g and _HEX_DSHAPE[g, n, a] its derivative along reference axis a.
 _GP = 1.0 / np.sqrt(3.0)
 _HEX_CORNERS = np.array([
     [-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
     [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1],
 ], dtype=float)
+_HEX_TERMS = 1.0 + _HEX_CORNERS * np.array(
+    list(product((-_GP, _GP), repeat=3)))[:, None, :]
+_HEX_SHAPE = np.prod(_HEX_TERMS, axis=2) / 8.0
+_HEX_DSHAPE = np.stack(
+    [np.prod(np.where(np.arange(3) == a, _HEX_CORNERS, _HEX_TERMS), axis=2)
+     for a in range(3)], axis=2) / 8.0
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,8 @@ class MeshModel:
             raise MeshError(f"dimension {self.dimension} unsupported")
         if nodes.ndim != 2 or nodes.shape[1] != self.dimension:
             raise MeshError("nodes must have shape (n_nodes, dimension)")
+        if not np.all(np.isfinite(nodes)):
+            raise MeshError("node coordinates must be finite")
         expected = {1: 2, 2: 3, 3: 8}[self.dimension]
         if elements.ndim != 2 or elements.shape[1] != expected:
             raise MeshError(f"elements must have {expected} nodes each "
@@ -100,14 +111,17 @@ class MeshModel:
         if elements.size and (elements.min() < 0
                               or elements.max() >= len(nodes)):
             raise MeshError("element refers to a node that does not exist")
-        for row in elements:
-            if len(set(row.tolist())) != len(row):
-                raise MeshError("degenerate element (repeated node)")
+        ordered = np.sort(elements, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise MeshError("degenerate element (repeated node)")
         if len(self.material.coeff) != len(elements):
             raise MeshError("material must carry one coefficient per element")
-        for n in self.dirichlet:
+        for n, value in self.dirichlet.items():
             if not 0 <= n < len(nodes):
                 raise MeshError(f"dirichlet node {n} does not exist")
+            if not math.isfinite(value):
+                raise MeshError(f"dirichlet value {value} at node {n} is "
+                                "not finite")
 
     @property
     def node_count(self) -> int:
@@ -203,36 +217,30 @@ def build_structured_mesh(dimension: int,
 
     axes = [origin[a] + np.linspace(0.0, extent[a], divisions[a] + 1)
             for a in range(dimension)]
-    nodes = np.array(list(product(*axes)), dtype=float)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"),
+                     axis=-1).reshape(-1, dimension)
 
-    def nid(idx: tuple) -> int:
-        flat = 0
-        for a in range(dimension):
-            flat = flat * (divisions[a] + 1) + idx[a]
-        return flat
+    # ids[i, j, k] is the lexicographic number of grid node (i, j, k); each
+    # corner array below holds one element node for every cell, cells in
+    # lexicographic order.
+    ids = np.arange(len(nodes), dtype=np.int64).reshape(
+        tuple(d + 1 for d in divisions))
 
-    elems = []
+    def corner(offset: tuple) -> np.ndarray:
+        return ids[tuple(slice(o, o + d)
+                         for o, d in zip(offset, divisions))].reshape(-1)
+
     if dimension == 1:
-        for i in range(divisions[0]):
-            elems.append([nid((i,)), nid((i + 1,))])
+        elements = np.stack([corner((0,)), corner((1,))], axis=1)
     elif dimension == 2:
-        for i in range(divisions[0]):
-            for j in range(divisions[1]):
-                a, b = nid((i, j)), nid((i + 1, j))
-                c, d = nid((i + 1, j + 1)), nid((i, j + 1))
-                elems.append([a, b, c])
-                elems.append([a, c, d])
+        a, b = corner((0, 0)), corner((1, 0))
+        c, d = corner((1, 1)), corner((0, 1))
+        # Two triangles per cell, (a, b, c) then (a, c, d).
+        elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     else:
-        for i in range(divisions[0]):
-            for j in range(divisions[1]):
-                for k in range(divisions[2]):
-                    corners = [nid((i, j, k)), nid((i + 1, j, k)),
-                               nid((i + 1, j + 1, k)), nid((i, j + 1, k)),
-                               nid((i, j, k + 1)), nid((i + 1, j, k + 1)),
-                               nid((i + 1, j + 1, k + 1)),
-                               nid((i, j + 1, k + 1))]
-                    elems.append(corners)
-    elements = np.array(elems, dtype=np.int64)
+        elements = np.stack([corner(o) for o in (
+            (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+            (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))], axis=1)
     material = Material(kind=kind,
                         coeff=np.full(len(elements), float(coefficient)),
                         poisson=poisson)
@@ -302,99 +310,63 @@ def scale_coefficient_in_ball(mesh: MeshModel, center, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# element matrices
+# element matrices, computed for all elements at once
 
 
-def _interval_poisson(x: np.ndarray, a: float):
-    h = x[1, 0] - x[0, 0]
-    if h <= 0:
-        raise MeshError("interval element with non-increasing coordinates")
-    k = (a / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    shape_int = np.array([h / 2, h / 2])
-    return k, shape_int
+def _element_geometry(mesh: MeshModel):
+    """Quadrature data of every element, stacked over elements.
+
+    Returns ``weights`` (element, point) with the Jacobian determinant
+    folded in, basis ``grads`` (element, point, node, dim) and basis values
+    ``shape`` (point, node).  Intervals and P1 triangles have constant
+    gradients and take one point; hexahedra take the 2x2x2 Gauss rule with
+    a Jacobian per point, so sheared and distorted elements stay exact.
+    The checks read ``~(x > 0)`` so that NaN geometry is rejected too.
+    """
+    x = mesh.nodes[mesh.elements]                      # (element, node, dim)
+    if mesh.dimension == 1:
+        h = x[:, 1, 0] - x[:, 0, 0]
+        if np.any(~(h > 0)):
+            raise MeshError("interval element with non-increasing "
+                            "coordinates")
+        grads = np.stack([-1.0 / h, 1.0 / h], axis=1)
+        return h[:, None], grads[:, None, :, None], np.array([[0.5, 0.5]])
+    if mesh.dimension == 2:
+        # Constant P1 gradients; area from the cross product.
+        v1, v2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+        area = 0.5 * np.abs(det)
+        if np.any(~(area > 0)):
+            raise MeshError("triangle with zero area")
+        b = x[:, [1, 2, 0], 1] - x[:, [2, 0, 1], 1]
+        c = x[:, [2, 0, 1], 0] - x[:, [1, 2, 0], 0]
+        grads = np.stack([b, c], axis=2) / det[:, None, None]
+        return area[:, None], grads[:, None], np.full((1, 3), 1.0 / 3.0)
+    jac = np.einsum("gna,enb->egab", _HEX_DSHAPE, x)
+    det = np.linalg.det(jac)
+    if np.any(~(det > 0)):
+        raise MeshError("inverted hexahedron")
+    grads = np.einsum("gna,egab->egnb", _HEX_DSHAPE, np.linalg.inv(jac))
+    return det, grads, _HEX_SHAPE
 
 
-def _tri_gradients(x: np.ndarray):
-    # Constant P1 gradients; area from the cross product.
-    v1, v2 = x[1] - x[0], x[2] - x[0]
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    area = 0.5 * abs(det)
-    if area <= 0:
-        raise MeshError("triangle with zero area")
-    b = np.array([x[1, 1] - x[2, 1], x[2, 1] - x[0, 1], x[0, 1] - x[1, 1]])
-    c = np.array([x[2, 0] - x[1, 0], x[0, 0] - x[2, 0], x[1, 0] - x[0, 0]])
-    grads = np.column_stack([b, c]) / det  # (3, 2), rows are grad(phi_i)
-    return grads, area
-
-
-def _hex_quadrature(x: np.ndarray):
-    """Yield (weight*detJ, gradients (8,3), shape (8,)) per Gauss point."""
-    for gx, gy, gz in product((-_GP, _GP), repeat=3):
-        xi = np.array([gx, gy, gz])
-        shape = np.prod(1.0 + _HEX_CORNERS * xi, axis=1) / 8.0
-        dshape = np.empty((8, 3))
-        for a in range(3):
-            term = 1.0 + _HEX_CORNERS * xi
-            term[:, a] = _HEX_CORNERS[:, a]
-            dshape[:, a] = np.prod(term, axis=1) / 8.0
-        jac = dshape.T @ x          # (3, 3)
-        det = np.linalg.det(jac)
-        if det <= 0:
-            raise MeshError("inverted hexahedron")
-        grads = dshape @ np.linalg.inv(jac)
-        yield det, grads, shape
-
-
-def _plane_strain_moduli(e: float, nu: float) -> tuple[float, float]:
+def _plane_strain_moduli(e, nu: float):
     lam = e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     mu = e / (2.0 * (1.0 + nu))
     return lam, mu
 
 
-def _elastic_d(e: float, nu: float, dim: int) -> np.ndarray:
-    lam, mu = _plane_strain_moduli(e, nu)
-    if dim == 2:
-        # Plane strain, engineering shear strain ordering (exx, eyy, gxy).
-        return np.array([[lam + 2 * mu, lam, 0.0],
-                         [lam, lam + 2 * mu, 0.0],
-                         [0.0, 0.0, mu]])
-    d = np.zeros((6, 6))
-    d[:3, :3] = lam
-    d[np.arange(3), np.arange(3)] = lam + 2 * mu
-    d[np.arange(3, 6), np.arange(3, 6)] = mu
-    return d
-
-
-def _tri_b_matrix(grads: np.ndarray) -> np.ndarray:
-    b = np.zeros((3, 6))
-    for i in range(3):
-        gx, gy = grads[i]
-        b[0, 2 * i] = gx
-        b[1, 2 * i + 1] = gy
-        b[2, 2 * i] = gy
-        b[2, 2 * i + 1] = gx
-    return b
-
-
-def _hex_b_matrix(grads: np.ndarray) -> np.ndarray:
-    b = np.zeros((6, 24))
-    for i in range(8):
-        gx, gy, gz = grads[i]
-        c = 3 * i
-        b[0, c] = gx
-        b[1, c + 1] = gy
-        b[2, c + 2] = gz
-        b[3, c] = gy
-        b[3, c + 1] = gx
-        b[4, c + 1] = gz
-        b[4, c + 2] = gy
-        b[5, c] = gz
-        b[5, c + 2] = gx
-    return b
-
-
 # ---------------------------------------------------------------------------
 # assembly
+
+
+def _element_major_coo(dofs: np.ndarray, ke: np.ndarray,
+                       size: int) -> sp.coo_matrix:
+    """Global matrix from element matrices, triplets in (e, i, j) order."""
+    width = dofs.shape[1]
+    rows = np.repeat(dofs, width, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, width)).reshape(-1)
+    return sp.coo_matrix((ke.reshape(-1), (rows, cols)), shape=(size, size))
 
 
 def _reduce_system(mesh: MeshModel, k_coo: sp.coo_matrix, f: np.ndarray,
@@ -432,33 +404,16 @@ def assemble_poisson(mesh: MeshModel, source: float = 1.0) -> AssembledSystem:
     """
     if mesh.material.kind != "thermal":
         raise MeshError("assemble_poisson needs a thermal material")
-    rows, cols, vals = [], [], []
-    f = np.zeros(mesh.node_count)
-    coeff = mesh.material.coeff
-    for e, conn in enumerate(mesh.elements):
-        x = mesh.nodes[conn]
-        a = coeff[e]
-        if mesh.dimension == 1:
-            ke, fe = _interval_poisson(x, a)
-            fe = source * fe
-        elif mesh.dimension == 2:
-            grads, area = _tri_gradients(x)
-            ke = a * area * (grads @ grads.T)
-            fe = source * np.full(3, area / 3.0)
-        else:
-            ke = np.zeros((8, 8))
-            fe = np.zeros(8)
-            for det, grads, shape in _hex_quadrature(x):
-                ke += a * det * (grads @ grads.T)
-                fe += source * det * shape
-        for i, ni in enumerate(conn):
-            f[ni] += fe[i]
-            for j, nj in enumerate(conn):
-                rows.append(ni)
-                cols.append(nj)
-                vals.append(ke[i, j])
-    k = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(mesh.node_count, mesh.node_count))
+    if not np.isfinite(source):
+        raise MeshError(f"source {source} is not finite")
+    weights, grads, shape = _element_geometry(mesh)
+    ke = np.einsum("egid,egjd->eij", grads * weights[:, :, None, None], grads)
+    ke *= mesh.material.coeff[:, None, None]
+    fe = source * (weights @ shape)
+    n = mesh.node_count
+    k = _element_major_coo(mesh.elements, ke, n)
+    f = np.bincount(mesh.elements.reshape(-1), weights=fe.reshape(-1),
+                    minlength=n)
     return _reduce_system(mesh, k, f, ndpn=1)
 
 
@@ -479,34 +434,30 @@ def assemble_elasticity(mesh: MeshModel, body_force=None) -> AssembledSystem:
     body_force = np.asarray(body_force, dtype=float)
     if body_force.shape != (dim,):
         raise MeshError(f"body force must be a {dim}-vector")
+    if not np.all(np.isfinite(body_force)):
+        raise MeshError("body force must be finite")
 
-    nu = mesh.material.poisson
-    rows, cols, vals = [], [], []
-    f = np.zeros(mesh.node_count * dim)
-    for e, conn in enumerate(mesh.elements):
-        x = mesh.nodes[conn]
-        d = _elastic_d(mesh.material.coeff[e], nu, dim)
-        if dim == 2:
-            grads, area = _tri_gradients(x)
-            b = _tri_b_matrix(grads)
-            ke = area * (b.T @ d @ b)
-            fe = np.tile(body_force, 3) * (area / 3.0)
-        else:
-            ke = np.zeros((24, 24))
-            fe = np.zeros(24)
-            for det, grads, shape in _hex_quadrature(x):
-                b = _hex_b_matrix(grads)
-                ke += det * (b.T @ d @ b)
-                fe += det * np.outer(shape, body_force).reshape(-1)
-        gdofs = (conn[:, None] * dim + np.arange(dim)).reshape(-1)
-        for i, gi in enumerate(gdofs):
-            f[gi] += fe[i]
-            for j, gj in enumerate(gdofs):
-                rows.append(gi)
-                cols.append(gj)
-                vals.append(ke[i, j])
+    weights, grads, shape = _element_geometry(mesh)
+    n_el, n_pt, n_nodes = grads.shape[:3]
+    # p[e, i, a, j, b]: sum over points of w * dphi_i/dx_a * dphi_j/dx_b.
+    flat = grads.reshape(n_el, n_pt, n_nodes * dim)
+    p = np.einsum("egi,egj->eij", flat * weights[:, :, None], flat)
+    p = p.reshape(n_el, n_nodes, dim, n_nodes, dim)
+    # Isotropic Hooke's law: k[ia, jb] = lam p[iajb] + mu p[ibja]
+    # + mu delta_ab sum_c p[icjc], which is B^T D B with engineering shear.
+    lam, mu = _plane_strain_moduli(mesh.material.coeff,
+                                   mesh.material.poisson)
+    ke = lam[:, None, None, None, None] * p
+    ke += mu[:, None, None, None, None] * p.swapaxes(2, 4)
+    grad_dot = mu[:, None, None] * np.einsum("eiaja->eij", p)
+    for a in range(dim):
+        ke[:, :, a, :, a] += grad_dot
+    fe = (weights @ shape)[:, :, None] * body_force
+    gdofs = (mesh.elements[:, :, None] * dim
+             + np.arange(dim)).reshape(n_el, n_nodes * dim)
     n = mesh.node_count * dim
-    k = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    k = _element_major_coo(gdofs, ke, n)
+    f = np.bincount(gdofs.reshape(-1), weights=fe.reshape(-1), minlength=n)
     return _reduce_system(mesh, k, f, ndpn=dim)
 
 

@@ -311,3 +311,15 @@ def test_weak_scaling_suite_end_to_end(tmp_path):
     assert len(summaries) == 2
     assert all(s.converged for s in summaries)
     assert len(read_csv(tmp_path / "summary.csv")) == 3
+
+
+def test_imbalance_suite_end_to_end(tmp_path):
+    # Balanced and imbalanced grids, each with sync-aitken and
+    # async-concurrent.  Only the synchronous rows must converge: the
+    # concurrent ones run at a relaxation with no delay bound behind it.
+    summaries = run_suite("imbalance", out_dir=tmp_path)
+    assert len(summaries) == 4
+    assert len(read_csv(tmp_path / "summary.csv")) == 5
+    aitken = [s for s in summaries if s.variant == "sync-aitken"]
+    assert len(aitken) == 2
+    assert all(s.converged for s in aitken)

@@ -126,3 +126,17 @@ def test_interface_dof_validation():
         dirichlet_to_neumann(op, np.zeros(3))
     with pytest.raises(ValueError):
         expand_interior(op, np.zeros(3))
+
+
+def test_indefinite_interior_with_zero_diagonal_is_rejected():
+    # [[0, 1], [1, 0]] has a positive U diagonal after an off-diagonal
+    # pivot; the factorization must still report it as not SPD.
+    k = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(SingularInteriorError):
+        condense(dense_system(k, np.zeros(3)), np.array([0]))
+
+
+def test_negative_pivot_is_rejected():
+    k = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    with pytest.raises(SingularInteriorError):
+        condense(dense_system(k, np.zeros(3)), np.array([0]))

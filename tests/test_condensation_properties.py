@@ -1,0 +1,84 @@
+"""Properties of the sparse condensation on random SPD systems.
+
+For any sparse symmetric positive definite system and any split of its
+dofs into a nonempty interior and an interface, the Schur complement, the
+condensed load, the interior recovery and the zero of the
+Dirichlet-to-Neumann map must agree with plain dense solves.  A symmetric
+system whose interior block is indefinite must be refused.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glocal import (AssembledSystem, SingularInteriorError, condense,
+                    dirichlet_to_neumann, expand_interior)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def unconstrained(k: sp.spmatrix, f: np.ndarray) -> AssembledSystem:
+    n = len(f)
+    return AssembledSystem(stiffness=sp.csr_matrix(k), load=f,
+                           dof_map=np.arange(n).reshape(n, 1),
+                           fixed_values=np.zeros((n, 1)), ndof_per_node=1)
+
+
+@st.composite
+def spd_splits(draw):
+    """A random sparse SPD matrix, a load and a sorted interface set."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    density = draw(st.floats(0.05, 0.5))
+    b = sp.random_array((n, n), density=density, rng=rng,
+                        data_sampler=rng.standard_normal)
+    # B B^T is positive semidefinite with B's sparsity squared; the shift
+    # makes it definite without making it diagonally dominant.
+    shift = draw(st.floats(1e-2, 1.0))
+    k = (b @ b.T + shift * sp.identity(n)).tocsr()
+    f = rng.standard_normal(n)
+    n_iface = draw(st.integers(1, n - 1))
+    iface = np.sort(rng.choice(n, size=n_iface, replace=False))
+    return k, f, iface
+
+
+@PROPERTY
+@given(spd_splits())
+def test_condensation_matches_dense_solves(case):
+    k, f, iface = case
+    dense = k.toarray()
+    interior = np.setdiff1d(np.arange(len(f)), iface)
+    op = condense(unconstrained(k, f), iface)
+
+    k_ii = dense[np.ix_(interior, interior)]
+    k_gi = dense[np.ix_(iface, interior)]
+    s = dense[np.ix_(iface, iface)] - k_gi @ np.linalg.solve(k_ii, k_gi.T)
+    b = f[iface] - k_gi @ np.linalg.solve(k_ii, f[interior])
+    scale = np.abs(dense).max()
+    assert op.schur.flags.c_contiguous
+    assert np.abs(op.schur - s).max() <= 1e-9 * scale
+    assert np.abs(op.rhs - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
+
+    u = np.linalg.solve(dense, f)
+    assert np.allclose(expand_interior(op, u[iface]), u,
+                       rtol=1e-8, atol=1e-8 * np.abs(u).max())
+    reaction = dirichlet_to_neumann(op, u[iface])
+    assert np.abs(reaction).max() <= 1e-8 * (scale * np.abs(u).max()
+                                             + np.abs(b).max())
+
+
+@PROPERTY
+@given(spd_splits(), st.floats(0.1, 10.0))
+def test_indefinite_interior_is_rejected(case, margin):
+    k, f, iface = case
+    interior = np.setdiff1d(np.arange(len(f)), iface)
+    dense = k.toarray()
+    # Shift the interior block until its smallest eigenvalue is -margin;
+    # the whole matrix stays symmetric.
+    lowest = np.linalg.eigvalsh(dense[np.ix_(interior, interior)])[0]
+    dense[interior, interior] -= lowest + margin
+    with pytest.raises(SingularInteriorError):
+        condense(unconstrained(sp.csr_matrix(dense), f), iface)

@@ -332,3 +332,36 @@ def test_assembly_validation():
         extract_submesh(thermal, np.array([], dtype=np.int64))
     with pytest.raises(MeshError):
         scale_coefficient_in_ball(thermal, (0.5, 0.5), 0.1, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs are rejected where they enter
+
+
+def test_nan_node_coordinates_are_rejected():
+    mesh = build_structured_mesh(2, 2, 1.0)
+    nodes = mesh.nodes.copy()
+    nodes[4, 1] = np.nan
+    with pytest.raises(MeshError):
+        MeshModel(2, nodes, mesh.elements, mesh.material, {})
+
+
+def test_infinite_dirichlet_value_is_rejected():
+    mesh = build_structured_mesh(2, 2, 1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(MeshError):
+            with_dirichlet(mesh, nodes_on_plane(mesh, 0, 0.0), value=bad)
+
+
+def test_nan_source_is_rejected():
+    mesh = build_structured_mesh(2, 2, 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MeshError):
+            assemble_poisson(mesh, source=bad)
+
+
+def test_nan_body_force_is_rejected():
+    mesh = build_structured_mesh(2, 2, 1.0, kind="elastic")
+    for bad in ((np.nan, 0.0), (0.0, -np.inf)):
+        with pytest.raises(MeshError):
+            assemble_elasticity(mesh, body_force=bad)
