@@ -1,23 +1,39 @@
 """Spectral machinery: companion matrices, relaxation bounds, certificates.
 
 One step of the delayed iteration acting on the stacked history
-(p_j, p_{j-1}, ..., p_{j-D}) is the affine map with block companion matrix
+(u_j, u_{j-1}, ..., u_{j-D}) of interface displacements u = S_G^{-1} p is
+the affine map with block companion matrix
 
         [ I - w X_0   -w X_1  ...  -w X_D ]
     B = [     I          0    ...     0   ]
         [     0          I    ...     0   ]
         [    ...                      ... ]
 
-where X_k collects the interface-embedded fine Schur complements of the
-subdomains whose data is k steps old, multiplied by the inverse of the
-assembled global interface operator.  Its eigenvalues are the roots of
+where X_k = S_G^{-1} Shat_k, with Shat_k the sum of the interface-embedded
+fine Schur complements of the subdomains whose data is k steps old and
+S_G the assembled global interface operator.  These displacement-space
+blocks are similar to the load-space Shat_k S_G^{-1} through
+blockdiag(S_G), so the spectrum is the same, and X_k is exactly zero
+outside the interface columns of the age-k subdomains.  The eigenvalues
+of B are the roots of
 
     det( (1-l) l^D I - w sum_k l^(D-k) X_k ) = 0,
 
-and the iteration (for that particular age partition) contracts iff the
-spectral radius is below one.  A run with changing partitions converges
-when every reachable partition yields a contraction, which is what
-``certify_paracontraction`` samples.
+and the iteration for that one age partition contracts iff the spectral
+radius is below one.
+
+What ``certify_paracontraction`` checks is exactly that: rho(B) < 1 for
+each of a sample of random age partitions.  That is not a proof for a run
+that switches between partitions from step to step; such a run is only
+guaranteed to converge when the joint spectral radius of the set of
+reachable companions is below one, which is not computed here.
+
+``spectral_radius`` drops the dead lag coordinates of a companion: lag 0
+stays whole, and at lag k >= 1 only the columns in the union of the
+column supports of X_j, j >= k, are kept (read off the first block row).
+A dropped coordinate only shifts into dropped coordinates and never
+enters the first block row, so B[K, K^c] = 0 and B[K^c, K^c] is a
+nilpotent shift; hence rho(B) = rho(B[K, K]).
 
 The relaxation bounds come from the generalized eigenvalues alpha of the
 pencil (sum of embedded fine Schur, global Schur), computed through the
@@ -104,9 +120,10 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
 
     ``partition`` lists, for each age k = 0..max_delay, the subdomain ids
     whose reaction is k steps old; it must cover all subdomains exactly
-    once (empty slots are fine).  With ``symmetrized`` the blocks are
-    congruence-transformed by the global Cholesky factor, which leaves the
-    spectrum unchanged but makes each block symmetric.  Passing the exact
+    once (empty slots are fine).  The blocks are X_k = S_G^{-1} Shat_k.
+    With ``symmetrized`` they are congruence-transformed by the global
+    Cholesky factor instead, which leaves the spectrum unchanged but makes
+    each block symmetric.  Passing the exact
     interface load ``p_hat`` verifies the fixed-point property of the
     affine step as a construction self-check.
     """
@@ -130,7 +147,7 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
             x = la.solve_triangular(chol_l, y.T, lower=True,
                                     check_finite=False).T
         else:
-            x = la.cho_solve(scenario._sg_chol, shat, check_finite=False).T
+            x = la.cho_solve(scenario._sg_chol, shat, check_finite=False)
         blocks.append(x)
 
     size = (max_delay + 1) * n
@@ -159,7 +176,9 @@ def _verify_fixed_point(scenario: CouplingScenario, system: CompanionSystem,
         offset = la.solve_triangular(chol_l, scenario.offset, lower=True,
                                      check_finite=False)
     else:
-        offset = scenario.offset
+        p_hat = la.cho_solve(scenario._sg_chol, p_hat, check_finite=False)
+        offset = la.cho_solve(scenario._sg_chol, scenario.offset,
+                              check_finite=False)
     stacked = np.tile(p_hat, system.max_delay + 1)
     advanced = system.matrix @ stacked
     advanced[:n] -= system.omega * offset
@@ -170,8 +189,20 @@ def _verify_fixed_point(scenario: CouplingScenario, system: CompanionSystem,
 
 
 def spectral_radius(system: CompanionSystem | np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a companion system (or raw matrix)."""
+    """Largest eigenvalue magnitude of a companion system (or raw matrix).
+
+    For a ``CompanionSystem`` the eigenvalues are taken of the principal
+    submatrix on the live coordinates only (see the module docstring); a
+    raw matrix is taken whole.
+    """
     matrix = getattr(system, "matrix", system)
+    if isinstance(system, CompanionSystem) and system.max_delay > 0:
+        n = system.gamma_dim
+        # live[k-1, i]: column i of some X_j, j >= k, is nonzero.
+        feeds = np.any(matrix[:n, n:] != 0, axis=0).reshape(-1, n)
+        live = np.logical_or.accumulate(feeds[::-1], axis=0)[::-1]
+        keep = np.concatenate([np.ones(n, dtype=bool), live.ravel()])
+        matrix = matrix[np.ix_(keep, keep)]
     return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
@@ -244,9 +275,10 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
 
     Patches are assigned ages uniformly in [0, max_delay]; the complement,
     when present, always sits at age 0.  For max_delay = 0 there is only
-    one partition, evaluated once.  The certificate passes when every
-    sampled spectral radius is strictly below one; a failure is reported,
-    not raised.
+    one partition, evaluated once.  A partition drawn more than once is
+    solved once and its radius repeated in ``rhos``.  The certificate
+    passes when every sampled spectral radius is strictly below one; a
+    failure is reported, not raised.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -264,15 +296,19 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
 
     rhos: list[float] = []
     partitions: list[tuple[tuple[int, ...], ...]] = []
+    solved: dict[tuple[tuple[int, ...], ...], float] = {}
     for assign in assignments:
         slots: list[list[int]] = [[] for _ in range(max_delay + 1)]
         if scenario.complement is not None:
             slots[0].append(0)
         for sid, age in zip(patches, assign):
             slots[int(age)].append(sid)
-        system = build_companion(scenario, slots, omega, max_delay)
-        rhos.append(spectral_radius(system))
-        partitions.append(tuple(tuple(slot) for slot in slots))
+        partition = tuple(tuple(slot) for slot in slots)
+        if partition not in solved:
+            system = build_companion(scenario, slots, omega, max_delay)
+            solved[partition] = spectral_radius(system)
+        rhos.append(solved[partition])
+        partitions.append(partition)
 
     rho_max = max(rhos)
     return CertificateReport(omega=omega, max_delay=max_delay,

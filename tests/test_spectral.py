@@ -20,7 +20,9 @@ from glocal import (
     generalized_spectrum,
     relaxation_bounds,
     spectral_radius,
+    two_patch_2d,
 )
+from glocal import spectral
 
 
 def embedded_sum(scn):
@@ -208,3 +210,72 @@ def test_certificate_validation(chain):
         certify_paracontraction(chain, 0.5, 0, trials=0)
     with pytest.raises(ValueError):
         certify_paracontraction(chain, 0.5, -1)
+
+
+def test_certificate_solves_each_partition_once(two_patch_thermal,
+                                                monkeypatch):
+    scn = two_patch_thermal
+    built = []
+    original = spectral.build_companion
+
+    def counting(*args, **kwargs):
+        built.append(tuple(map(tuple, args[1])))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_companion", counting)
+    report = certify_paracontraction(scn, 0.2, 2, trials=30, seed=5)
+    monkeypatch.undo()
+    assert len(built) == len(set(report.partitions)) < report.trials
+    assert set(built) == set(report.partitions)
+    for partition, rho in zip(report.partitions, report.rhos):
+        direct = build_companion(scn, partition, 0.2, 2)
+        assert rho == spectral_radius(direct)
+
+
+def test_certificate_repeats_bit_for_bit(two_patch_elastic):
+    amin, amax = generalized_alphas(two_patch_elastic)
+    omega = 0.9 * relaxation_bounds(amin, amax, 4).omega_async_factor
+    first = certify_paracontraction(two_patch_elastic, omega, 4,
+                                    trials=100, seed=4)
+    again = certify_paracontraction(two_patch_2d("elasticity"), omega, 4,
+                                    trials=100, seed=4)
+    assert again.rho_max == first.rho_max
+    assert again.rhos == first.rhos
+
+
+# ---------------------------------------------------------------------------
+# reduced spectral radius
+
+
+def age_partitions(scn, max_delay, rng):
+    """All fresh, every patch at age D, and two random age draws."""
+    ages = [np.zeros(len(scn.patch_ids), dtype=int),
+            np.full(len(scn.patch_ids), max_delay)]
+    ages += [rng.integers(0, max_delay + 1, len(scn.patch_ids))
+             for _ in range(2)]
+    for assign in ages:
+        slots = [[] for _ in range(max_delay + 1)]
+        if scn.complement is not None:
+            slots[0].append(0)
+        for sid, age in zip(scn.patch_ids, assign):
+            slots[int(age)].append(sid)
+        yield slots
+
+
+@pytest.mark.parametrize("name", ["chain", "two_patch_thermal",
+                                  "two_patch_elastic", "cube2_thermal"])
+def test_reduced_radius_matches_the_full_companion(name, request):
+    scn = request.getfixturevalue(name)
+    _, amax = generalized_alphas(scn)
+    omega = 0.5 / amax
+    rng = np.random.default_rng(11)
+    for max_delay in (1, 2, 4):
+        for partition in age_partitions(scn, max_delay, rng):
+            radii = []
+            for symmetrized in (False, True):
+                system = build_companion(scn, partition, omega, max_delay,
+                                         symmetrized=symmetrized)
+                full = np.abs(np.linalg.eigvals(system.matrix)).max()
+                radii.append(spectral_radius(system))
+                assert abs(radii[-1] - full) <= 1e-12 * full
+            assert abs(radii[1] - radii[0]) <= 1e-12 * radii[0]
