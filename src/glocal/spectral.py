@@ -196,7 +196,7 @@ def spectral_radius(system: CompanionSystem | np.ndarray) -> float:
     raw matrix is taken whole.
     """
     matrix = getattr(system, "matrix", system)
-    if isinstance(system, CompanionSystem) and system.max_delay > 0:
+    if isinstance(system, CompanionSystem):
         n = system.gamma_dim
         # live[k-1, i]: column i of some X_j, j >= k, is nonzero.
         feeds = np.any(matrix[:n, n:] != 0, axis=0).reshape(-1, n)
