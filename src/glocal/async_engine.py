@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,8 +229,8 @@ class WindowCell:
 
     ``put`` swaps in a read-only copy of the payload under a lock and bumps
     the version; ``read`` returns the current (version, payload, meta)
-    triple after verifying the payload checksum, so a torn or corrupted
-    write can never be observed silently.  Versions are strictly monotone.
+    triple.  A reader holds a payload that no later ``put`` can change,
+    so a torn read cannot happen.  Versions are strictly monotone.
     """
 
     def __init__(self, name: str = "window"):
@@ -240,27 +239,19 @@ class WindowCell:
         self._version = 0
         self._payload: np.ndarray | None = None
         self._meta: dict = {}
-        self._crc = 0
 
     def put(self, payload: np.ndarray, **meta) -> int:
         arr = np.array(payload, dtype=float, copy=True)
         arr.setflags(write=False)
-        crc = zlib.adler32(arr.tobytes())
         with self._lock:
             self._version += 1
             self._payload = arr
             self._meta = meta
-            self._crc = crc
             return self._version
 
     def read(self) -> tuple[int, np.ndarray | None, dict]:
         with self._lock:
-            version, payload = self._version, self._payload
-            meta, crc = self._meta, self._crc
-        if payload is not None and zlib.adler32(payload.tobytes()) != crc:
-            raise RuntimeError(f"window {self.name}: checksum mismatch "
-                               "(torn read)")
-        return version, payload, meta
+            return self._version, self._payload, self._meta
 
     @property
     def version(self) -> int:
@@ -291,14 +282,15 @@ class _WindowRanks(_Reactions):
     The global rank (the kernel's thread) puts each trace in every patch's
     trace window; a patch rank solves the reaction of each patch of its
     group at the trace in that patch's window and puts it in the patch's
-    reaction window, tagged with the step the trace came from.
+    reaction window, tagged with the step the trace came from.  A patch
+    whose trace window still holds the step it last answered is skipped.
     ``synchronized`` runs every step behind two barriers (trace published,
     reactions published), so all reactions are fresh.  Otherwise patch
-    ranks re-solve continuously and the global rank sums whatever
-    reactions the windows hold as soon as one patch has answered the
-    current trace; ``patch_sleep`` adds a per-solve delay to some patches,
-    and the run aborts with :class:`LivelockError` when no patch answers
-    within ``watchdog`` seconds.
+    ranks answer each new trace as they reach it and the global rank sums
+    whatever reactions the windows hold as soon as one patch has answered
+    the current trace; ``patch_sleep`` adds a per-solve delay to some
+    patches, and the run aborts with :class:`LivelockError` when no patch
+    answers within ``watchdog`` seconds.
     """
 
     def __init__(self, scenario: CouplingScenario, rank_count: int | None,
@@ -362,8 +354,8 @@ class _WindowRanks(_Reactions):
         did_work = False
         for sid in group:
             _, u, meta = self.trace_cells[sid].read()
-            if u is None:
-                continue
+            if meta.get("iter", -1) == self.latest[sid]:
+                continue  # no trace yet, or this one is answered
             reaction = interface_reaction(self.scenario, sid, u)
             self.reaction_cells[sid].put(reaction, source_iter=meta["iter"])
             self.solves[sid] += 1
@@ -419,8 +411,8 @@ def run_async_concurrent(scenario: CouplingScenario, omega: float,
 
     The global rank publishes the interface trace and, once at least one
     patch has answered that trace, iterates on whatever reactions the
-    patch ranks have put back, fresh or not; patch ranks re-solve
-    continuously.  ``patch_sleep`` injects an artificial per-solve delay
+    patch ranks have put back, fresh or not; patch ranks answer each new
+    trace once.  ``patch_sleep`` injects an artificial per-solve delay
     for a subset of patches, which is how tests model rank imbalance.  A
     watchdog aborts with :class:`LivelockError` when no patch answers
     within ``watchdog`` seconds.

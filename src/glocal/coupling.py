@@ -16,15 +16,15 @@ least two subdomains.  Three operator families tie everything together:
   :mod:`.condensation`.
 
 The assembled global interface operator is ``S_G = sum A_s S_sG A_s^T``
-(with its load ``b_G``), and each patch contributes an interface-embedded
-fine operator ``A_s J_s^T S_sF J_s A_s^T``.  The residual of the coupled
-problem at an interface trace u is
+(with its load ``b_G``).  Each subdomain's fine side is stored once, on its
+own Gamma dofs: ``S_s = J_s^T S_sF J_s`` and ``b_s = J_s^T b_sF`` (J = I on
+the complement).  The residual of the coupled problem at a trace u is
 
-    r(u) = -( sum_s A_s J_s^T (S_sF J_s A_s^T u - b_sF) ),
+    r(u) = -( sum_s A_s (S_s A_s^T u - b_s) ),
 
 zero exactly at the reference (monolithic) solution.  ``residual_offset``
 is the affine part of -r expressed in the interface load variable, i.e.
-r(p) = -(Q p + offset) with Q = (sum embedded fine Schur) S_G^{-1}.
+r(p) = -(Q p + offset) with Q = (sum_s A_s S_s A_s^T) S_G^{-1}.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .condensation import CondensedOperator, condense, dirichlet_to_neumann
+# dirichlet_to_neumann stays bound here: perfbench traces it by this name.
+from .condensation import CondensedOperator, condense
+from .condensation import dirichlet_to_neumann  # noqa: F401
 from .errors import ConfigError, GeometryError, TopologyError
 from .model_problems import (AssembledSystem, MeshModel, assemble,
                              extract_submesh)
@@ -103,7 +105,8 @@ class CouplingScenario:
     fine_systems: dict[int, AssembledSystem]
     schur_global: np.ndarray
     rhs_global: np.ndarray
-    fine_schur_embedded: dict[int, np.ndarray]
+    local_schur: dict[int, np.ndarray]   # S_s = J_s^T S_sF J_s on Gamma_s
+    local_rhs: dict[int, np.ndarray]     # b_s = J_s^T b_sF
     offset: np.ndarray
     _sg_chol: tuple = field(repr=False, default=None)
 
@@ -259,40 +262,36 @@ def assemble_global_schur(gamma_dim: int,
 
 def embedded_fine_schur(gamma_dim: int, op: CondensedOperator,
                         assembly_map: np.ndarray,
-                        transfer: sp.csr_matrix | None) -> np.ndarray:
-    """Interface embedding ``A J^T S_F J A^T`` of one fine Schur complement."""
+                        transfer: sp.csr_matrix | None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Compact fine operator ``(J^T S_F J, J^T b_F)`` on one Gamma_s; its
+    block scatter-added at ``(assembly_map, assembly_map)`` embeds it."""
     if transfer is None:
-        local = op.schur
+        local, rhs = op.schur, op.rhs
     else:
         jd = transfer.toarray()
         if jd.shape[0] != op.interface_count:
             raise TopologyError("transfer rows do not match the fine interface")
-        local = jd.T @ op.schur @ jd
+        local, rhs = jd.T @ op.schur @ jd, jd.T @ op.rhs
     if local.shape[0] != len(assembly_map):
         raise TopologyError("assembly map does not match the transfer")
-    out = np.zeros((gamma_dim, gamma_dim))
-    out[np.ix_(assembly_map, assembly_map)] = local
-    return out
+    if np.any((assembly_map < 0) | (assembly_map >= gamma_dim)):
+        raise TopologyError("assembly map points outside the interface")
+    return local, rhs
 
 
 def interface_reaction(scenario: CouplingScenario, sid: int,
                        u_gamma: np.ndarray) -> np.ndarray:
-    """One subdomain's contribution ``A_s J_s^T lambda_s`` scattered on Gamma.
+    """One subdomain's reaction ``A_s (S_s A_s^T u - b_s)`` scattered on Gamma.
 
-    ``lambda_s`` is the fine-side interface reaction under the interpolated
-    trace; summing over subdomains and negating gives the coupling residual.
+    This equals ``A_s J_s^T lambda_s`` with ``lambda_s`` the fine-side
+    interface reaction under the interpolated trace; summing over
+    subdomains and negating gives the coupling residual.
     """
     amap = scenario.assembly_ops[sid]
-    trace = u_gamma[amap]
-    j = scenario.transfer_ops[sid]
-    if j is None:
-        lam = dirichlet_to_neumann(scenario.condensed_fine[sid], trace)
-        local = lam
-    else:
-        lam = dirichlet_to_neumann(scenario.condensed_fine[sid], j @ trace)
-        local = j.T @ lam
     out = np.zeros(scenario.gamma_dim)
-    out[amap] = local
+    out[amap] = scenario.local_schur[sid] @ u_gamma[amap] \
+        - scenario.local_rhs[sid]
     return out
 
 
@@ -300,7 +299,7 @@ def residual_offset(scenario: CouplingScenario) -> np.ndarray:
     """Affine part of the (negated) coupling residual in the load variable.
 
     Equals ``-r(p=0)``; the coupled reference load solves
-    ``Q p + offset = 0`` with ``Q = (sum embedded fine Schur) S_G^{-1}``.
+    ``Q p + offset = 0`` with ``Q = (sum_s A_s S_s A_s^T) S_G^{-1}``.
     """
     u0 = scenario.solve_interface(np.zeros(scenario.gamma_dim))
     acc = np.zeros(scenario.gamma_dim)
@@ -488,9 +487,11 @@ def build_scenario(global_model: MeshModel, labels,
         raise ConfigError("assembled global interface operator is not "
                           "positive definite; check Dirichlet data") from err
 
-    embedded = {sid: embedded_fine_schur(gamma_dim, condensed_fine[sid],
-                                         assembly_ops[sid], transfer_ops[sid])
-                for sid in subdomain_ids}
+    local_schur, local_rhs = {}, {}
+    for sid in subdomain_ids:
+        local_schur[sid], local_rhs[sid] = embedded_fine_schur(
+            gamma_dim, condensed_fine[sid], assembly_ops[sid],
+            transfer_ops[sid])
 
     scenario = CouplingScenario(
         name=name, global_model=global_model, patches=patches,
@@ -499,7 +500,7 @@ def build_scenario(global_model: MeshModel, labels,
         subdomain_ids=subdomain_ids, assembly_ops=assembly_ops,
         transfer_ops=transfer_ops, condensed_fine=condensed_fine,
         fine_systems=fine_systems, schur_global=schur_global,
-        rhs_global=rhs_global, fine_schur_embedded=embedded,
+        rhs_global=rhs_global, local_schur=local_schur, local_rhs=local_rhs,
         offset=np.zeros(gamma_dim), _sg_chol=sg_chol)
     scenario.offset = residual_offset(scenario)
     return scenario

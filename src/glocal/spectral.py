@@ -9,13 +9,13 @@ the affine map with block companion matrix
         [     0          I    ...     0   ]
         [    ...                      ... ]
 
-where X_k = S_G^{-1} Shat_k, with Shat_k the sum of the interface-embedded
-fine Schur complements of the subdomains whose data is k steps old and
-S_G the assembled global interface operator.  These displacement-space
-blocks are similar to the load-space Shat_k S_G^{-1} through
-blockdiag(S_G), so the spectrum is the same, and X_k is exactly zero
-outside the interface columns of the age-k subdomains.  The eigenvalues
-of B are the roots of
+where X_k = S_G^{-1} Shat_k, with Shat_k = sum_s A_s S_s A_s^T over the
+subdomains whose data is k steps old (each compact S_s = J_s^T S_sF J_s
+scatter-added at its Gamma dofs) and S_G the assembled global interface
+operator.  These displacement-space blocks are similar to the load-space
+Shat_k S_G^{-1} through blockdiag(S_G), so the spectrum is the same, and
+X_k is exactly zero outside the interface columns of the age-k
+subdomains.  The eigenvalues of B are the roots of
 
     det( (1-l) l^D I - w sum_k l^(D-k) X_k ) = 0,
 
@@ -36,8 +36,8 @@ enters the first block row, so B[K, K^c] = 0 and B[K^c, K^c] is a
 nilpotent shift; hence rho(B) = rho(B[K, K]).
 
 The relaxation bounds come from the generalized eigenvalues alpha of the
-pencil (sum of embedded fine Schur, global Schur), computed through the
-Cholesky congruence that keeps the problem symmetric.  ``2 / alpha_max``
+pencil (sum_s A_s S_s A_s^T, S_G), computed through the Cholesky
+congruence that keeps the problem symmetric.  ``2 / alpha_max``
 is sharp for the synchronous iteration; the delayed factor
 ``(1-eps)^D alpha_min / ((1+eps)^(2D) alpha_max^2)`` with
 ``eps = min(sin(pi/(3D)), 1/2)`` is sufficient, not sharp, so the
@@ -138,9 +138,7 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
         chol_l = np.linalg.cholesky(scenario.schur_global)
     blocks: list[np.ndarray] = []
     for slot in slots:
-        shat = np.zeros((n, n))
-        for sid in slot:
-            shat += scenario.fine_schur_embedded[sid]
+        shat = _scattered_sum(scenario, slot)
         if symmetrized:
             y = la.solve_triangular(chol_l, shat, lower=True,
                                     check_finite=False)
@@ -164,6 +162,15 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
         _verify_fixed_point(scenario, system, np.asarray(p_hat, dtype=float),
                             symmetrized)
     return system
+
+
+def _scattered_sum(scenario: CouplingScenario, sids) -> np.ndarray:
+    """``sum_s A_s S_s A_s^T`` over ``sids`` as one Gamma x Gamma array."""
+    shat = np.zeros((scenario.gamma_dim, scenario.gamma_dim))
+    for sid in sids:
+        amap = scenario.assembly_ops[sid]
+        shat[np.ix_(amap, amap)] += scenario.local_schur[sid]
+    return shat
 
 
 def _verify_fixed_point(scenario: CouplingScenario, system: CompanionSystem,
@@ -222,14 +229,12 @@ def characteristic_value(system: CompanionSystem, lam: complex) -> complex:
 
 
 def generalized_spectrum(scenario: CouplingScenario) -> np.ndarray:
-    """All generalized eigenvalues of (sum embedded fine Schur, global Schur).
+    """All generalized eigenvalues of (sum_s A_s S_s A_s^T, S_G).
 
     Computed as the symmetric eigenvalues of L^{-1} (sum) L^{-T} where the
     global interface operator is L L^T.
     """
-    shat = np.zeros((scenario.gamma_dim, scenario.gamma_dim))
-    for sid in scenario.subdomain_ids:
-        shat += scenario.fine_schur_embedded[sid]
+    shat = _scattered_sum(scenario, scenario.subdomain_ids)
     chol_l = np.linalg.cholesky(scenario.schur_global)
     y = la.solve_triangular(chol_l, shat, lower=True, check_finite=False)
     m = la.solve_triangular(chol_l, y.T, lower=True, check_finite=False).T

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glocal import (chain_1d, cube_grid_3d, fine_equals_global_2d,
-                    monolithic_reference, two_patch_2d)
+                    imbalanced_grid, monolithic_reference, two_patch_2d)
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,11 @@ def two_patch_elastic():
 @pytest.fixture(scope="session")
 def cube2_thermal():
     return cube_grid_3d(2, "thermal")
+
+
+@pytest.fixture(scope="session")
+def imbalanced_thermal():
+    return imbalanced_grid("thermal", seed=0)
 
 
 @pytest.fixture(scope="session")

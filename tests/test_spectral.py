@@ -26,7 +26,12 @@ from glocal import spectral
 
 
 def embedded_sum(scn):
-    return sum(scn.fine_schur_embedded[sid] for sid in scn.subdomain_ids)
+    """sum_s A_s S_s A_s^T, scattered from the compact per-subdomain blocks."""
+    total = np.zeros((scn.gamma_dim, scn.gamma_dim))
+    for sid in scn.subdomain_ids:
+        amap = scn.assembly_ops[sid]
+        total[np.ix_(amap, amap)] += scn.local_schur[sid]
+    return total
 
 
 def full_partition(scn, max_delay):
@@ -279,3 +284,52 @@ def test_reduced_radius_matches_the_full_companion(name, request):
                 radii.append(spectral_radius(system))
                 assert abs(radii[-1] - full) <= 1e-12 * full
             assert abs(radii[1] - radii[0]) <= 1e-12 * radii[0]
+
+
+# ---------------------------------------------------------------------------
+# compact per-subdomain operators against the dense embedded path
+
+
+def dense_embedded_sum(scn, sids):
+    """The old path: one Gamma x Gamma embedding per subdomain, then added."""
+    total = np.zeros((scn.gamma_dim, scn.gamma_dim))
+    for sid in sids:
+        amap = scn.assembly_ops[sid]
+        full = np.zeros((scn.gamma_dim, scn.gamma_dim))
+        full[np.ix_(amap, amap)] = scn.local_schur[sid]
+        total += full
+    return total
+
+
+@pytest.mark.parametrize("name", ["chain", "two_patch_thermal",
+                                  "two_patch_elastic", "cube2_thermal"])
+def test_compact_blocks_match_the_dense_embedded_path(name, request):
+    scn = request.getfixturevalue(name)
+    chol_l = np.linalg.cholesky(scn.schur_global)
+    y = sla.solve_triangular(chol_l, dense_embedded_sum(scn,
+                                                        scn.subdomain_ids),
+                             lower=True)
+    m = sla.solve_triangular(chol_l, y.T, lower=True).T
+    dense = np.linalg.eigvalsh(0.5 * (m + m.T))
+    amin, amax = generalized_alphas(scn)
+    assert abs(amin - dense[0]) <= 1e-12 * abs(dense[0])
+    assert abs(amax - dense[-1]) <= 1e-12 * abs(dense[-1])
+
+    omega, max_delay = 0.5 / amax, 2
+    report = certify_paracontraction(scn, omega, max_delay, trials=20,
+                                     seed=2)
+    n = scn.gamma_dim
+    for partition, rho in zip(report.partitions, report.rhos):
+        blocks = tuple(sla.cho_solve(scn._sg_chol,
+                                     dense_embedded_sum(scn, slot))
+                       for slot in partition)
+        matrix = np.zeros(((max_delay + 1) * n, (max_delay + 1) * n))
+        matrix[:n, :n] = np.eye(n)
+        for k, x in enumerate(blocks):
+            matrix[:n, k * n:(k + 1) * n] -= omega * x
+        matrix[n:, :-n] = np.eye(max_delay * n)
+        system = spectral.CompanionSystem(omega=omega, max_delay=max_delay,
+                                          gamma_dim=n, blocks=blocks,
+                                          matrix=matrix)
+        dense_rho = spectral_radius(system)
+        assert abs(rho - dense_rho) <= 1e-12 * dense_rho
