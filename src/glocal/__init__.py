@@ -21,9 +21,8 @@ from .model_problems import (AssembledSystem, Material, MeshModel, assemble,
                              with_dirichlet)
 from .condensation import (CondensedOperator, condense, dirichlet_to_neumann,
                            expand_interior)
-from .coupling import (ComplementDomain, CouplingScenario, PatchPair,
-                       build_scenario, build_transfer, interface_reaction,
-                       residual_offset)
+from .coupling import (CouplingScenario, Subdomain, build_scenario,
+                       build_transfer, interface_reaction, residual_offset)
 from .solvers import (IterationRecord, ReferenceSolution, SolveReport,
                       aitken_update, compute_residual,
                       monolithic_reference, richardson_sync,
@@ -51,8 +50,8 @@ __all__ = [
     "scale_coefficient_in_ball", "solve_direct", "with_dirichlet",
     "CondensedOperator", "condense", "dirichlet_to_neumann",
     "expand_interior",
-    "ComplementDomain", "CouplingScenario", "PatchPair", "build_scenario",
-    "build_transfer", "interface_reaction", "residual_offset",
+    "CouplingScenario", "Subdomain", "build_scenario", "build_transfer",
+    "interface_reaction", "residual_offset",
     "IterationRecord", "ReferenceSolution", "SolveReport", "aitken_update",
     "compute_residual", "monolithic_reference",
     "stop_threshold",

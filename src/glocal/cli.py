@@ -15,7 +15,7 @@ Configs are INI files with three sections::
     [solver]
     variant       = sync-aitken   ; sync-fixed, async-sim, async-concurrent,
                                   ; sync-concurrent
-    omega         = auto          ; or a positive float
+    omega         = auto          ; or a finite positive float
     tol           = 1e-8
     max_iter      = 10000
     max_delay     = 2             ; async-sim staleness bound
@@ -28,9 +28,10 @@ Configs are INI files with three sections::
 
 Unknown sections or keys are rejected by name.  ``omega = auto`` resolves
 from the certified bounds: 0.9 of the synchronous limit for the fixed
-sweep, 0.9 of the delayed sufficient bound for the simulator, and a
-quarter of the synchronous limit for the concurrent executor, whose
-effective delays depend on thread timing rather than on a declared bound.
+sweep, 0.9 of the delayed sufficient bound for the simulator (also the
+default of ``glocal certify``), and a quarter of the synchronous limit
+for the concurrent executor, whose effective delays depend on thread
+timing rather than on a declared bound.
 
 Every run writes ``history.csv`` (one row per global step) and
 ``summary.csv``; the asynchronous variants add ``trace.csv`` with one row
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from configparser import ConfigParser
 from dataclasses import dataclass, replace
@@ -127,8 +129,8 @@ def _parse_omega(text: str) -> float | str:
     if text.strip().lower() == "auto":
         return "auto"
     value = float(text)
-    if value <= 0:
-        raise ValueError("omega must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("omega must be finite and positive")
     return value
 
 
@@ -224,12 +226,12 @@ def load_config(path: str | Path) -> RunConfig:
                         f"{problem!r}")
 
     for key, lo in (("size", 1), ("refine", 1), ("max_iter", 0),
-                    ("max_delay", 0)):
+                    ("max_delay", 0), ("seed", 0), ("schedule_seed", 0)):
         if key in values and values[key] < lo:
             problems.append(f"{key} must be at least {lo}")
-    for key in ("contrast",):
-        if key in values and values[key] <= 0:
-            problems.append(f"{key} must be positive")
+    if "contrast" in values and not (math.isfinite(values["contrast"])
+                                     and values["contrast"] > 0):
+        problems.append("contrast must be finite and positive")
     if "tol" in values and not 0 < values["tol"] < 1:
         problems.append("tol must lie in (0, 1)")
     if "update_prob" in values and not 0 < values["update_prob"] <= 1:
@@ -251,8 +253,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 def coupled_dof_count(scenario: CouplingScenario) -> int:
     """Interface unknowns plus every subdomain's interior unknowns."""
-    interior = sum(len(scenario.condensed_fine[sid].interior_dofs)
-                   for sid in scenario.subdomain_ids)
+    interior = sum(len(sub.condensed.interior_dofs)
+                   for sub in scenario.subdomains.values())
     return scenario.gamma_dim + interior
 
 
@@ -567,17 +569,26 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.omega is not None and not (math.isfinite(args.omega)
+                                       and args.omega > 0):
+        raise ConfigError(f"--omega must be finite and positive, got "
+                          f"{args.omega!r}")
+    if args.max_delay is not None and args.max_delay < 0:
+        raise ConfigError(f"-D/--max-delay must be non-negative, got "
+                          f"{args.max_delay}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_config(args.config)
     scenario = build_case(cfg)
     max_delay = cfg.max_delay if args.max_delay is None else args.max_delay
     if args.omega is not None:
         omega = args.omega
     else:
-        alpha_min, alpha_max = generalized_alphas(scenario)
-        bounds = relaxation_bounds(alpha_min, alpha_max, max_delay)
-        omega = 0.9 * (bounds.omega_async_factor
-                       if bounds.omega_async_factor is not None
-                       else bounds.omega_sync)
+        delayed = replace(cfg, variant="async-sim", omega="auto",
+                          max_delay=max_delay)
+        omega = resolve_omega(delayed, scenario)
     report = certify_paracontraction(scenario, omega, max_delay,
                                      trials=args.trials, seed=args.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,21 +4,23 @@ A scenario starts from one global mesh whose elements are labelled by
 subdomain: label 0 is the complement (optional), labels 1..N are patch
 zones.  Each patch zone has a fine mesh covering the same region.  The
 coupling interface Gamma is the set of free global nodes shared by at
-least two subdomains.  Three operator families tie everything together:
+least two subdomains.  Each subdomain is one :class:`Subdomain` record
+holding everything about it:
 
-* assembly maps ``A_s`` (index maps) scatter each subdomain's interface
+* its assembly map ``A_s`` (a dof index map) scattering its interface
   dofs into Gamma,
-* transfer maps ``J_s`` give the trace of the coarse global field at the
+* its transfer map ``J_s``, the trace of the coarse global field at the
   fine interface nodes: each fine node takes the weights of the global
   interface facet it lies on (vertex, edge or parallelogram face), which
-  is a permutation when the meshes match,
-* Schur complements of every subdomain, global side and fine side, from
-  :mod:`.condensation`.
+  is a permutation when the meshes match (none on the complement),
+* its fine model, assembled and condensed by :mod:`.condensation`, and
+  the compact fine operator on its own Gamma dofs, stored once:
+  ``S_s = J_s^T S_sF J_s`` and ``b_s = J_s^T b_sF`` (J = I on the
+  complement).
 
 The assembled global interface operator is ``S_G = sum A_s S_sG A_s^T``
-(with its load ``b_G``).  Each subdomain's fine side is stored once, on its
-own Gamma dofs: ``S_s = J_s^T S_sF J_s`` and ``b_s = J_s^T b_sF`` (J = I on
-the complement).  The residual of the coupled problem at a trace u is
+(with its load ``b_G``), summed from the global-side Schur complements.
+The residual of the coupled problem at a trace u is
 
     r(u) = -( sum_s A_s (S_s A_s^T u - b_s) ),
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -44,12 +47,9 @@ from .model_problems import (AssembledSystem, MeshModel, assemble,
                              extract_submesh)
 
 __all__ = [
-    "PatchPair",
-    "ComplementDomain",
+    "Subdomain",
     "CouplingScenario",
     "build_transfer",
-    "build_assembly_operators",
-    "assemble_global_schur",
     "embedded_fine_schur",
     "residual_offset",
     "interface_reaction",
@@ -58,56 +58,47 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PatchPair:
-    """One zone of interest: its global-part mesh and its fine mesh.
+class Subdomain:
+    """One subdomain of the coupling: the complement (sid 0) or a patch.
 
-    ``interface_nodes_global`` are parent (global-mesh) node ids, free ones
-    only; ``interface_nodes_fine`` index into the fine mesh.  Both sorted.
+    ``mesh`` is the fine mesh of a patch, or the global part itself for
+    the complement; ``system`` and ``condensed`` are its assembled and
+    condensed model.  ``interface_nodes`` are free parent (global-mesh)
+    node ids and ``mesh_interface_nodes`` index into ``mesh``, both
+    sorted.  ``amap`` is ``A_s`` as Gamma dof indices, ``transfer`` is
+    ``J_s`` (None == identity), and ``schur``/``rhs`` are the compact
+    ``J_s^T S_sF J_s`` and ``J_s^T b_sF`` on those dofs.
     """
 
     sid: int
+    mesh: MeshModel
     global_part: MeshModel
-    fine_part: MeshModel
-    global_nodes: np.ndarray            # global-part local -> parent ids
-    interface_nodes_global: np.ndarray
-    interface_nodes_fine: np.ndarray
+    interface_nodes: np.ndarray
+    mesh_interface_nodes: np.ndarray
+    amap: np.ndarray
+    transfer: sp.csr_matrix | None
+    system: AssembledSystem
+    condensed: CondensedOperator
+    schur: np.ndarray
+    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
-class ComplementDomain:
-    """The part of the global model not covered by any patch."""
-
-    model: MeshModel
-    global_nodes: np.ndarray
-    interface_nodes: np.ndarray
-
-
-@dataclass
 class CouplingScenario:
     """Everything the solvers need, built once by :func:`build_scenario`.
 
-    Subdomain id 0 is the complement when present; patches are 1..N.
-    ``subdomain_ids`` fixes the traversal order used everywhere, which
+    Subdomain id 0 is the complement when present; patches are 1..N.  The
+    order of ``subdomains`` fixes the traversal used everywhere, which
     keeps residual assembly deterministic.
     """
 
     name: str
     global_model: MeshModel
-    patches: dict[int, PatchPair]
-    complement: ComplementDomain | None
     gamma_nodes: np.ndarray             # free interface nodes, sorted
-    gamma_coords: np.ndarray
     ndof_per_node: int
-    subdomain_ids: tuple[int, ...]
-    assembly_ops: dict[int, np.ndarray]            # A_s as dof index maps
-    transfer_ops: dict[int, sp.csr_matrix | None]  # J_s, None == identity
-    condensed_fine: dict[int, CondensedOperator]
-    fine_systems: dict[int, AssembledSystem]
+    subdomains: dict[int, Subdomain]
     schur_global: np.ndarray
     rhs_global: np.ndarray
-    local_schur: dict[int, np.ndarray]   # S_s = J_s^T S_sF J_s on Gamma_s
-    local_rhs: dict[int, np.ndarray]     # b_s = J_s^T b_sF
-    offset: np.ndarray
     _sg_chol: tuple = field(repr=False, default=None)
 
     @property
@@ -115,8 +106,20 @@ class CouplingScenario:
         return len(self.gamma_nodes) * self.ndof_per_node
 
     @property
+    def subdomain_ids(self) -> tuple[int, ...]:
+        return tuple(self.subdomains)
+
+    @property
     def patch_ids(self) -> tuple[int, ...]:
-        return tuple(s for s in self.subdomain_ids if s != 0)
+        return tuple(s for s in self.subdomains if s != 0)
+
+    @property
+    def complement(self) -> Subdomain | None:
+        return self.subdomains.get(0)
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        return residual_offset(self)
 
     def solve_interface(self, p_gamma: np.ndarray) -> np.ndarray:
         """Global interface solve ``u = S_G^{-1} (b_G + p)``."""
@@ -214,58 +217,14 @@ def _expand_transfer(j_node: sp.csr_matrix, ndpn: int) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# assembly operators
-
-
-def build_assembly_operators(gamma_nodes: np.ndarray,
-                             interface_nodes_by_sid: dict[int, np.ndarray],
-                             ndof_per_node: int) -> dict[int, np.ndarray]:
-    """Dof-level index maps Gamma_s -> Gamma, one per subdomain.
-
-    ``A_s`` is represented as an index array: scattering is
-    ``out[map] += local`` and restriction is ``local = u[map]``.
-    """
-    gamma_nodes = np.asarray(gamma_nodes, dtype=np.int64)
-    ops: dict[int, np.ndarray] = {}
-    for sid, nodes in interface_nodes_by_sid.items():
-        nodes = np.asarray(nodes, dtype=np.int64)
-        pos = np.searchsorted(gamma_nodes, nodes)
-        bad = (pos >= len(gamma_nodes)) | \
-            (gamma_nodes[np.minimum(pos, len(gamma_nodes) - 1)] != nodes)
-        if np.any(bad):
-            raise TopologyError(
-                f"subdomain {sid}: interface node "
-                f"{nodes[np.argmax(bad)]} is not on the coupling interface")
-        dofs = (pos[:, None] * ndof_per_node
-                + np.arange(ndof_per_node)).reshape(-1)
-        ops[sid] = dofs
-    return ops
-
-
-def assemble_global_schur(gamma_dim: int,
-                          condensed: dict[int, CondensedOperator],
-                          assembly_ops: dict[int, np.ndarray],
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the per-subdomain global-side Schur complements on Gamma."""
-    schur = np.zeros((gamma_dim, gamma_dim))
-    rhs = np.zeros(gamma_dim)
-    for sid, op in condensed.items():
-        amap = assembly_ops[sid]
-        if len(amap) != op.interface_count:
-            raise TopologyError(
-                f"subdomain {sid}: assembly map and condensed interface "
-                "disagree in size")
-        schur[np.ix_(amap, amap)] += op.schur
-        rhs[amap] += op.rhs
-    return schur, rhs
+# per-subdomain operators
 
 
 def embedded_fine_schur(gamma_dim: int, op: CondensedOperator,
-                        assembly_map: np.ndarray,
-                        transfer: sp.csr_matrix | None
+                        amap: np.ndarray, transfer: sp.csr_matrix | None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Compact fine operator ``(J^T S_F J, J^T b_F)`` on one Gamma_s; its
-    block scatter-added at ``(assembly_map, assembly_map)`` embeds it."""
+    block scatter-added at ``(amap, amap)`` embeds it."""
     if transfer is None:
         local, rhs = op.schur, op.rhs
     else:
@@ -273,9 +232,9 @@ def embedded_fine_schur(gamma_dim: int, op: CondensedOperator,
         if jd.shape[0] != op.interface_count:
             raise TopologyError("transfer rows do not match the fine interface")
         local, rhs = jd.T @ op.schur @ jd, jd.T @ op.rhs
-    if local.shape[0] != len(assembly_map):
+    if local.shape[0] != len(amap):
         raise TopologyError("assembly map does not match the transfer")
-    if np.any((assembly_map < 0) | (assembly_map >= gamma_dim)):
+    if np.any((amap < 0) | (amap >= gamma_dim)):
         raise TopologyError("assembly map points outside the interface")
     return local, rhs
 
@@ -288,10 +247,9 @@ def interface_reaction(scenario: CouplingScenario, sid: int,
     interface reaction under the interpolated trace; summing over
     subdomains and negating gives the coupling residual.
     """
-    amap = scenario.assembly_ops[sid]
+    sub = scenario.subdomains[sid]
     out = np.zeros(scenario.gamma_dim)
-    out[amap] = scenario.local_schur[sid] @ u_gamma[amap] \
-        - scenario.local_rhs[sid]
+    out[sub.amap] = sub.schur @ u_gamma[sub.amap] - sub.rhs
     return out
 
 
@@ -322,6 +280,48 @@ def _element_facets(dim: int, conn: np.ndarray):
     if dim == 2:
         return [(conn[0], conn[1]), (conn[1], conn[2]), (conn[2], conn[0])]
     return [tuple(conn[i] for i in face) for face in _HEX_FACES]
+
+
+def _patch_transfer(sid: int, global_model: MeshModel, fine: MeshModel,
+                    facets, gnodes: np.ndarray, ndpn: int, tol: float
+                    ) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Fine interface nodes of one patch and its dof-level transfer J_s.
+
+    One pass over the patch's global interface facets places every free
+    fine node that lies on one and gives its trace weights; the columns
+    are the patch's free global interface nodes ``gnodes``.
+    """
+    dim = global_model.dimension
+    if fine.dimension != dim or fine.material.kind != \
+            global_model.material.kind:
+        raise TopologyError(f"patch {sid}: fine mesh dimension or "
+                            "material kind differs from the global model")
+    facets = np.array(facets, dtype=np.int64)
+    corner_nodes, local = np.unique(facets, return_inverse=True)
+    free = np.ones(fine.node_count, dtype=bool)
+    free[list(fine.dirichlet)] = False
+    free_nodes = np.flatnonzero(free)
+    j_all = build_transfer(global_model.nodes[corner_nodes],
+                           fine.nodes[free_nodes],
+                           local.reshape(facets.shape), tol)
+    on = j_all.getnnz(axis=1) > 0
+    fine_iface = free_nodes[on]
+    j_all = j_all[on]
+    # Nested-refinement check: every free global interface node must
+    # have a fine node on the facet corner it sits at, otherwise the
+    # two interface discretizations cannot represent the same trace.
+    nearest = np.asarray(j_all.argmax(axis=1)).ravel()
+    twin = np.linalg.norm(fine.nodes[fine_iface]
+                          - global_model.nodes[corner_nodes[nearest]],
+                          axis=1) <= tol
+    missing = np.setdiff1d(gnodes, corner_nodes[nearest[twin]])
+    if missing.size:
+        raise GeometryError(
+            f"patch {sid}: global interface node {int(missing[0])} has "
+            "no matching fine node (interfaces differ geometrically)")
+    # Columns of constrained corners multiply zero prescribed values.
+    j_node = j_all[:, np.searchsorted(corner_nodes, gnodes)]
+    return fine_iface, _expand_transfer(j_node, ndpn)
 
 
 # ---------------------------------------------------------------------------
@@ -395,112 +395,55 @@ def build_scenario(global_model: MeshModel, labels,
                 facets_by_sid[s].append(facet_order[key])
 
     has_complement = bool(np.any(labels == 0))
-    subdomain_ids = tuple(([0] if has_complement else []) + patch_ids)
+    subdomain_ids = ([0] if has_complement else []) + patch_ids
 
-    patches: dict[int, PatchPair] = {}
-    complement: ComplementDomain | None = None
-    condensed_global: dict[int, CondensedOperator] = {}
-    condensed_fine: dict[int, CondensedOperator] = {}
-    fine_systems: dict[int, AssembledSystem] = {}
-    transfer_ops: dict[int, sp.csr_matrix | None] = {}
-    iface_nodes_by_sid: dict[int, np.ndarray] = {}
-
+    gamma_dim = len(gamma_nodes) * ndpn
+    schur_global = np.zeros((gamma_dim, gamma_dim))
+    rhs_global = np.zeros(gamma_dim)
+    subdomains: dict[int, Subdomain] = {}
     for sid in subdomain_ids:
         elem_ids = np.nonzero(labels == sid)[0]
         part, node_map = extract_submesh(global_model, elem_ids)
         system_g = assemble(part, source=source, body_force=body_force)
-        gnodes = np.array([n for n in gamma_nodes
-                           if sid in node_labels[int(n)]], dtype=np.int64)
-        if gnodes.size == 0:
+        pos = np.flatnonzero([sid in node_labels[int(n)]
+                              for n in gamma_nodes])
+        if pos.size == 0:
             raise TopologyError(f"subdomain {sid} has no free interface "
                                 "nodes (floating patch?)")
+        gnodes = gamma_nodes[pos]
+        amap = (pos[:, None] * ndpn + np.arange(ndpn)).reshape(-1)
         local_of = -np.ones(global_model.node_count, dtype=np.int64)
         local_of[node_map] = np.arange(len(node_map))
         local_ids = local_of[gnodes]
         cond_g = condense(system_g, system_g.node_dofs(local_ids),
                           label=f"subdomain {sid} (global part)")
-        condensed_global[sid] = cond_g
-        iface_nodes_by_sid[sid] = gnodes
+        schur_global[np.ix_(amap, amap)] += cond_g.schur
+        rhs_global[amap] += cond_g.rhs
 
         if sid == 0:
-            complement = ComplementDomain(model=part, global_nodes=node_map,
-                                          interface_nodes=gnodes)
-            condensed_fine[0] = cond_g
-            fine_systems[0] = system_g
-            transfer_ops[0] = None
-            continue
+            mesh, iface, j_dof = part, local_ids, None
+            system, cond = system_g, cond_g
+        else:
+            mesh = fine_meshes[sid]
+            iface, j_dof = _patch_transfer(sid, global_model, mesh,
+                                           facets_by_sid[sid], gnodes,
+                                           ndpn, tol)
+            system = assemble(mesh, source=source, body_force=body_force)
+            cond = condense(system, system.node_dofs(iface),
+                            label=f"patch {sid} (fine)")
+        schur, rhs = embedded_fine_schur(gamma_dim, cond, amap, j_dof)
+        subdomains[sid] = Subdomain(
+            sid=sid, mesh=mesh, global_part=part, interface_nodes=gnodes,
+            mesh_interface_nodes=iface, amap=amap, transfer=j_dof,
+            system=system, condensed=cond, schur=schur, rhs=rhs)
 
-        fine = fine_meshes[sid]
-        if fine.dimension != dim or fine.material.kind != \
-                global_model.material.kind:
-            raise TopologyError(f"patch {sid}: fine mesh dimension or "
-                                "material kind differs from the global model")
-        # One pass over the subdomain's interface facets places every free
-        # fine node that lies on one and gives its trace weights.
-        facets = np.array(facets_by_sid[sid], dtype=np.int64)
-        corner_nodes, local = np.unique(facets, return_inverse=True)
-        free = np.ones(fine.node_count, dtype=bool)
-        free[list(fine.dirichlet)] = False
-        free_nodes = np.flatnonzero(free)
-        j_all = build_transfer(global_model.nodes[corner_nodes],
-                               fine.nodes[free_nodes],
-                               local.reshape(facets.shape), tol)
-        on = j_all.getnnz(axis=1) > 0
-        fine_iface = free_nodes[on]
-        j_all = j_all[on]
-        # Nested-refinement check: every free global interface node must
-        # have a fine node on the facet corner it sits at, otherwise the
-        # two interface discretizations cannot represent the same trace.
-        nearest = np.asarray(j_all.argmax(axis=1)).ravel()
-        twin = np.linalg.norm(fine.nodes[fine_iface]
-                              - global_model.nodes[corner_nodes[nearest]],
-                              axis=1) <= tol
-        missing = np.setdiff1d(gnodes, corner_nodes[nearest[twin]])
-        if missing.size:
-            raise GeometryError(
-                f"patch {sid}: global interface node {int(missing[0])} has "
-                "no matching fine node (interfaces differ geometrically)")
-        # Columns of constrained corners multiply zero prescribed values.
-        j_node = j_all[:, np.searchsorted(corner_nodes, gnodes)]
-        j_dof = _expand_transfer(j_node, ndpn)
-
-        system_f = assemble(fine, source=source, body_force=body_force)
-        cond_f = condense(system_f, system_f.node_dofs(fine_iface),
-                          label=f"patch {sid} (fine)")
-        condensed_fine[sid] = cond_f
-        fine_systems[sid] = system_f
-        transfer_ops[sid] = j_dof
-        patches[sid] = PatchPair(sid=sid, global_part=part, fine_part=fine,
-                                 global_nodes=node_map,
-                                 interface_nodes_global=gnodes,
-                                 interface_nodes_fine=fine_iface)
-
-    gamma_dim = len(gamma_nodes) * ndpn
-    assembly_ops = build_assembly_operators(gamma_nodes, iface_nodes_by_sid,
-                                            ndpn)
-    schur_global, rhs_global = assemble_global_schur(gamma_dim,
-                                                     condensed_global,
-                                                     assembly_ops)
     try:
         sg_chol = la.cho_factor(schur_global, lower=True, check_finite=False)
     except la.LinAlgError as err:
         raise ConfigError("assembled global interface operator is not "
                           "positive definite; check Dirichlet data") from err
+    return CouplingScenario(
+        name=name, global_model=global_model, gamma_nodes=gamma_nodes,
+        ndof_per_node=ndpn, subdomains=subdomains,
+        schur_global=schur_global, rhs_global=rhs_global, _sg_chol=sg_chol)
 
-    local_schur, local_rhs = {}, {}
-    for sid in subdomain_ids:
-        local_schur[sid], local_rhs[sid] = embedded_fine_schur(
-            gamma_dim, condensed_fine[sid], assembly_ops[sid],
-            transfer_ops[sid])
-
-    scenario = CouplingScenario(
-        name=name, global_model=global_model, patches=patches,
-        complement=complement, gamma_nodes=gamma_nodes,
-        gamma_coords=global_model.nodes[gamma_nodes], ndof_per_node=ndpn,
-        subdomain_ids=subdomain_ids, assembly_ops=assembly_ops,
-        transfer_ops=transfer_ops, condensed_fine=condensed_fine,
-        fine_systems=fine_systems, schur_global=schur_global,
-        rhs_global=rhs_global, local_schur=local_schur, local_rhs=local_rhs,
-        offset=np.zeros(gamma_dim), _sg_chol=sg_chol)
-    scenario.offset = residual_offset(scenario)
-    return scenario

@@ -320,20 +320,19 @@ def monolithic_reference(scenario: CouplingScenario) -> ReferenceSolution:
     rhs_interior: list[np.ndarray] = []
     k_gamma = sp.csr_matrix((ng, ng))
 
-    order = scenario.subdomain_ids
-    interior_meta: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for sid in order:
-        system = scenario.fine_systems[sid]
-        cond = scenario.condensed_fine[sid]
-        iface, interior = cond.interface_dofs, cond.interior_dofs
+    subdomains = scenario.subdomains.values()
+    for sub in subdomains:
+        system = sub.system
+        iface = sub.condensed.interface_dofs
+        interior = sub.condensed.interior_dofs
         k = system.stiffness
         # Map local interface dofs to the Gamma trace: C = J A^T as a
         # sparse rectangular operator (|iface_local| x |Gamma|).
-        amap = scenario.assembly_ops[sid]
+        amap = sub.amap
         a_op = sp.csr_matrix((np.ones(len(amap)),
                               (np.arange(len(amap)), amap)),
                              shape=(len(amap), ng))
-        j = scenario.transfer_ops[sid]
+        j = sub.transfer
         c = a_op if j is None else (j @ a_op).tocsr()
 
         k_gg = k[iface][:, iface]
@@ -344,9 +343,8 @@ def monolithic_reference(scenario: CouplingScenario) -> ReferenceSolution:
         blocks_interior.append(k_ii)
         rhs_gamma += c.T @ system.load[iface]
         rhs_interior.append(system.load[interior])
-        interior_meta.append((sid, iface, interior))
 
-    n_sub = len(order)
+    n_sub = len(subdomains)
     grid: list[list] = [[None] * (n_sub + 1) for _ in range(n_sub + 1)]
     grid[0][0] = k_gamma
     for i in range(n_sub):
@@ -360,14 +358,14 @@ def monolithic_reference(scenario: CouplingScenario) -> ReferenceSolution:
     u_gamma = x[:ng]
     fields: dict[int, np.ndarray] = {}
     offset = ng
-    for (sid, iface, interior) in interior_meta:
-        system = scenario.fine_systems[sid]
-        amap = scenario.assembly_ops[sid]
-        j = scenario.transfer_ops[sid]
-        trace = u_gamma[amap] if j is None else j @ u_gamma[amap]
-        u_local = np.empty(system.dof_count)
-        u_local[iface] = trace
+    for sub in subdomains:
+        interior = sub.condensed.interior_dofs
+        trace = u_gamma[sub.amap]
+        if sub.transfer is not None:
+            trace = sub.transfer @ trace
+        u_local = np.empty(sub.system.dof_count)
+        u_local[sub.condensed.interface_dofs] = trace
         u_local[interior] = x[offset:offset + len(interior)]
         offset += len(interior)
-        fields[sid] = system.full_field(u_local)
+        fields[sub.sid] = sub.system.full_field(u_local)
     return ReferenceSolution(u_gamma=u_gamma, fields=fields)

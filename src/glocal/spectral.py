@@ -47,7 +47,7 @@ certificate usually admits noticeably larger omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sin
+from math import isfinite, pi, sin
 
 import numpy as np
 import scipy.linalg as la
@@ -127,8 +127,8 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
     interface load ``p_hat`` verifies the fixed-point property of the
     affine step as a construction self-check.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not (isfinite(omega) and omega > 0):
+        raise ValueError("omega must be finite and positive")
     if max_delay < 0:
         raise ValueError("max_delay must be non-negative")
     slots = _validate_partition(scenario, partition, max_delay)
@@ -168,8 +168,8 @@ def _scattered_sum(scenario: CouplingScenario, sids) -> np.ndarray:
     """``sum_s A_s S_s A_s^T`` over ``sids`` as one Gamma x Gamma array."""
     shat = np.zeros((scenario.gamma_dim, scenario.gamma_dim))
     for sid in sids:
-        amap = scenario.assembly_ops[sid]
-        shat[np.ix_(amap, amap)] += scenario.local_schur[sid]
+        sub = scenario.subdomains[sid]
+        shat[np.ix_(sub.amap, sub.amap)] += sub.schur
     return shat
 
 
@@ -285,6 +285,8 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
     passes when every sampled spectral radius is strictly below one; a
     failure is reported, not raised.
     """
+    if not (isfinite(omega) and omega > 0):
+        raise ValueError("omega must be finite and positive")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if max_delay < 0:

@@ -1,6 +1,7 @@
 """Config parsing, size caps, CSV outputs and the console entry point."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_contrast_defaults_follow_the_problem():
     assert resolve_contrast(RunConfig(contrast=7.5)) == 7.5
     scn = build_case(RunConfig(geometry="two-patch-2d", size=8, refine=1,
                                problem="elasticity"))
-    coeff = scn.patches[1].fine_part.material.coeff
+    coeff = scn.subdomains[1].mesh.material.coeff
     assert coeff.min() == pytest.approx(0.01)
 
 
@@ -109,6 +110,25 @@ backend = x11
     for fragment in ("geometry", "size", "variant", "omega", "colour",
                      "visualisation"):
         assert fragment in message
+
+
+@pytest.mark.parametrize("section, key, value, rule", [
+    ("solver", "omega", "nan", "finite and positive"),
+    ("solver", "omega", "inf", "finite and positive"),
+    ("solver", "omega", "-inf", "finite and positive"),
+    ("solver", "omega", "0", "finite and positive"),
+    ("scenario", "contrast", "nan", "finite and positive"),
+    ("scenario", "contrast", "inf", "finite and positive"),
+    ("scenario", "contrast", "0", "finite and positive"),
+    ("scenario", "contrast", "-2", "finite and positive"),
+    ("scenario", "seed", "-1", "at least 0"),
+    ("solver", "schedule_seed", "-1", "at least 0"),
+])
+def test_out_of_range_values_are_rejected_by_name(tmp_path, section, key,
+                                                  value, rule):
+    path = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be {rule}"):
+        load_config(path)
 
 
 def test_missing_file_is_an_error(tmp_path):
@@ -289,6 +309,53 @@ directory = {out}
     assert rows[0] == ["trial", "max_delay", "omega", "rho", "pass"]
     assert len(rows) == 6
     assert all(row[4] == "True" for row in rows[1:])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--omega", "nan"], ["--omega", "inf"], ["--omega", "0"],
+    ["--omega", "-1"], ["--trials", "0"], ["-D", "-1"], ["--seed", "-1"],
+])
+def test_main_certify_rejects_bad_flags(tmp_path, capsys, flags):
+    config = write_config(tmp_path / "case.ini", f"""
+[scenario]
+geometry = two-patch-2d
+size = 8
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    assert main(["certify", str(config), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flags[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("max_delay", [0, 1])
+def test_certify_default_omega_is_the_delayed_run_policy(tmp_path, capsys,
+                                                         max_delay):
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "case.ini", f"""
+[scenario]
+geometry = two-patch-2d
+size = 8
+
+[solver]
+variant = sync-aitken
+omega = 0.3
+
+[output]
+directory = {out}
+""")
+    assert main(["certify", str(config), "--trials", "2",
+                 "-D", str(max_delay)]) == 0
+    cfg = load_config(config)
+    delayed = replace(cfg, variant="async-sim", omega="auto",
+                      max_delay=max_delay)
+    expected = resolve_omega(delayed, build_case(cfg))
+    rows = read_csv(out / "certificate.csv")
+    assert {float(row[2]) for row in rows[1:]} == {expected}
+    assert f"omega={expected!r}" in capsys.readouterr().out
 
 
 def test_suite_name_validation(tmp_path):

@@ -117,20 +117,20 @@ def test_interface_dofs_are_shared_by_exactly_two_subdomains(
         assert int(n) not in scn.global_model.dirichlet
     coverage = np.zeros(scn.gamma_dim, dtype=int)
     for sid in scn.subdomain_ids:
-        amap = scn.assembly_ops[sid]
+        amap = scn.subdomains[sid].amap
         assert len(np.unique(amap)) == len(amap)
         coverage[amap] += 1
     # Disjoint zones: every interface dof belongs to one patch plus the
     # complement.
     assert np.all(coverage == 2)
-    assert np.array_equal(scn.assembly_ops[0], np.arange(scn.gamma_dim))
+    assert np.array_equal(scn.subdomains[0].amap, np.arange(scn.gamma_dim))
 
 
 def embedded(scn, sid):
     """A_s S_s A_s^T: one subdomain's compact block scattered on Gamma."""
     out = np.zeros((scn.gamma_dim, scn.gamma_dim))
-    amap = scn.assembly_ops[sid]
-    out[np.ix_(amap, amap)] = scn.local_schur[sid]
+    sub = scn.subdomains[sid]
+    out[np.ix_(sub.amap, sub.amap)] = sub.schur
     return out
 
 
@@ -140,8 +140,8 @@ def embedded_sum(scn):
 
 def fine_side_reaction(scn, sid, u):
     """A_s J_s^T DtN_sF(J_s A_s^T u), the reaction via the fine interface."""
-    amap = scn.assembly_ops[sid]
-    op, j = scn.condensed_fine[sid], scn.transfer_ops[sid]
+    sub = scn.subdomains[sid]
+    amap, op, j = sub.amap, sub.condensed, sub.transfer
     out = np.zeros(scn.gamma_dim)
     if j is None:
         out[amap] = dirichlet_to_neumann(op, u[amap])
@@ -171,18 +171,19 @@ def test_reaction_matches_the_fine_side_oracle(name, request):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_operators_are_stored_per_subdomain(name, request):
     scn = request.getfixturevalue(name)
-    for sid in scn.subdomain_ids:
-        m = len(scn.assembly_ops[sid])
-        assert scn.local_schur[sid].shape == (m, m)
-        assert scn.local_rhs[sid].shape == (m,)
-    # No per-subdomain field holds an array larger than that subdomain's
-    # own interface.
+    for sub in scn.subdomains.values():
+        m = len(sub.amap)
+        assert sub.schur.shape == (m, m)
+        assert sub.rhs.shape == (m,)
+        # No per-subdomain operator holds an array larger than that
+        # subdomain's own interface.
+        for item in (sub.amap, sub.schur, sub.rhs):
+            assert max(item.shape) <= m
+    # The scenario keeps no per-subdomain arrays outside the records.
     for f in dataclasses.fields(scn):
         value = getattr(scn, f.name)
         if isinstance(value, dict):
-            for sid, item in value.items():
-                if isinstance(item, np.ndarray):
-                    assert max(item.shape) <= len(scn.assembly_ops[sid])
+            assert f.name == "subdomains"
 
 
 def test_residual_is_affine_in_the_interface_load(two_patch_elastic):
@@ -246,12 +247,13 @@ def test_interface_touching_the_boundary_builds():
     scn = build_scenario(glob, labels, {1: fine})
     # The interface is the line x = 1; the node on the clamped edge is
     # constrained, so only y = 0.5 and y = 1 carry unknowns.
-    assert np.allclose(scn.gamma_coords, [[1.0, 0.5], [1.0, 1.0]])
-    j = scn.transfer_ops[1].toarray()
+    assert np.allclose(scn.global_model.nodes[scn.gamma_nodes],
+                       [[1.0, 0.5], [1.0, 1.0]])
+    j = scn.subdomains[1].transfer.toarray()
     sums = j.sum(axis=1)
     # The fine node at (1, 0.25) interpolates between the constrained
     # corner and (1, 0.5); its dropped column leaves a row sum of 0.5.
-    fine_coords = fine.nodes[scn.patches[1].interface_nodes_fine]
+    fine_coords = fine.nodes[scn.subdomains[1].mesh_interface_nodes]
     row = int(np.nonzero(np.all(np.isclose(fine_coords, [1.0, 0.25]),
                                 axis=1))[0][0])
     assert np.isclose(sums[row], 0.5, atol=1e-12)
@@ -277,17 +279,18 @@ def test_cube_transfers_interpolate_linearly(cube2_thermal):
     # Dirichlet data sits on x = 0, so a facet has a constrained corner
     # exactly when fine nodes on it may have x below the global spacing.
     spacing = np.diff(np.unique(scn.global_model.nodes[:, 0])).min()
+    gamma_coords = scn.global_model.nodes[scn.gamma_nodes]
     saw_trimmed_row = False
     for sid in scn.patch_ids:
-        j = scn.transfer_ops[sid].toarray()
+        patch = scn.subdomains[sid]
+        j = patch.transfer.toarray()
         sums = j.sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-9)
         assert np.all(j >= -1e-12)
         full = sums > 1.0 - 1e-9
         saw_trimmed_row |= bool(np.any(~full))
-        gx = scn.gamma_coords[scn.assembly_ops[sid], 0]
-        fx = scn.patches[sid].fine_part.nodes[
-            scn.patches[sid].interface_nodes_fine, 0]
+        gx = gamma_coords[patch.amap, 0]
+        fx = patch.mesh.nodes[patch.mesh_interface_nodes, 0]
         assert np.allclose((j @ gx)[full], fx[full], atol=1e-9)
         free_facet = fx >= spacing - 1e-12
         assert np.allclose(sums[free_facet], 1.0, atol=1e-12)
@@ -328,19 +331,19 @@ def test_cube_transfers_are_the_global_trace(cube2_thermal):
     u = np.random.default_rng(0).standard_normal(glob.node_count)
     u[list(glob.dirichlet)] = 0.0
     for sid in scn.patch_ids:
-        patch = scn.patches[sid]
-        fine_x = patch.fine_part.nodes[patch.interface_nodes_fine]
-        traced = scn.transfer_ops[sid] @ u[patch.interface_nodes_global]
+        patch = scn.subdomains[sid]
+        fine_x = patch.mesh.nodes[patch.mesh_interface_nodes]
+        traced = patch.transfer @ u[patch.interface_nodes]
         exact = _q1_field_at(glob, u, fine_x)
         assert np.abs(traced - exact).max() <= 1e-12, sid
 
 
 def test_cube_edge_node_takes_the_edge_weights(cube2_thermal):
     # (0.5, 0.25, 1) lies on the global edge x = 0.5 of the face z = 1.
-    patch = cube2_thermal.patches[1]
-    fine_x = patch.fine_part.nodes[patch.interface_nodes_fine]
-    global_x = cube2_thermal.global_model.nodes[patch.interface_nodes_global]
-    row = cube2_thermal.transfer_ops[1].toarray()[
+    patch = cube2_thermal.subdomains[1]
+    fine_x = patch.mesh.nodes[patch.mesh_interface_nodes]
+    global_x = cube2_thermal.global_model.nodes[patch.interface_nodes]
+    row = patch.transfer.toarray()[
         _row_at(fine_x, [0.5, 0.25, 1.0])]
     expected = np.zeros(len(global_x))
     expected[_row_at(global_x, [0.5, 0.0, 1.0])] = 0.5

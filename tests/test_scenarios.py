@@ -17,7 +17,7 @@ def test_two_patch_structure(two_patch_thermal):
     assert scn.subdomain_ids == (0, 1, 2)
     assert scn.ndof_per_node == 1
     # Default zones on a 16x8 grid of the 2x1 rectangle.
-    p1 = scn.patches[1].fine_part
+    p1 = scn.subdomains[1].mesh
     assert np.allclose(p1.nodes.min(axis=0), [0.5, 0.25])
     assert np.allclose(p1.nodes.max(axis=0), [0.875, 0.75])
     # refine=2 doubles the zone resolution: 3x4 cells -> 6x8 -> 96 triangles.
@@ -26,7 +26,7 @@ def test_two_patch_structure(two_patch_thermal):
     assert p1.material.coeff.min() == pytest.approx(0.1)
     assert p1.material.coeff.max() == 1.0
     assert np.all(scn.global_model.material.coeff == 1.0)
-    assert scn.patches[1].fine_part.dirichlet == {}
+    assert scn.subdomains[1].mesh.dirichlet == {}
 
 
 def test_two_patch_options():
@@ -35,7 +35,7 @@ def test_two_patch_options():
     assert scn.name == "bespoke"
     assert scn.ndof_per_node == 2
     for sid in scn.patch_ids:
-        coeff = scn.patches[sid].fine_part.material.coeff
+        coeff = scn.subdomains[sid].mesh.material.coeff
         assert coeff.max() == 4.0 and coeff.min() == 1.0
     with pytest.raises(ValueError):
         two_patch_2d("thermal", refine=0)
@@ -49,11 +49,11 @@ def test_fine_equals_global_reuses_the_global_cells(fine_eq_thermal):
     scn = fine_eq_thermal
     assert scn.name == "fine-equals-global-2d-thermal"
     for sid in scn.patch_ids:
-        patch = scn.patches[sid]
-        assert np.allclose(patch.fine_part.nodes, patch.global_part.nodes)
-        assert np.array_equal(patch.fine_part.elements,
+        patch = scn.subdomains[sid]
+        assert np.allclose(patch.mesh.nodes, patch.global_part.nodes)
+        assert np.array_equal(patch.mesh.elements,
                               patch.global_part.elements)
-        assert np.allclose(patch.fine_part.material.coeff,
+        assert np.allclose(patch.mesh.material.coeff,
                            patch.global_part.material.coeff)
 
 
@@ -63,7 +63,7 @@ def test_cube_grid_structure(cube2_thermal):
     assert scn.complement is None
     assert scn.patch_ids == tuple(range(1, 9))
     for sid in scn.patch_ids:
-        fine = scn.patches[sid].fine_part
+        fine = scn.subdomains[sid].mesh
         assert np.allclose(fine.nodes.max(axis=0)
                            - fine.nodes.min(axis=0), 1.0)
         # cells_per_side=2, refine=2 -> 4 cells per side.
@@ -82,17 +82,17 @@ def test_imbalanced_grid_is_seeded():
     a = imbalanced_grid(shape=(2, 1, 1), cells_per_side=1, seed=5)
     b = imbalanced_grid(shape=(2, 1, 1), cells_per_side=1, seed=5)
     assert a.name == "grid-3d-thermal-imbalanced-s5" == b.name
-    sizes_a = [a.patches[s].fine_part.element_count for s in a.patch_ids]
-    sizes_b = [b.patches[s].fine_part.element_count for s in b.patch_ids]
+    sizes_a = [a.subdomains[s].mesh.element_count for s in a.patch_ids]
+    sizes_b = [b.subdomains[s].mesh.element_count for s in b.patch_ids]
     assert sizes_a == sizes_b
     # Hard inclusions: the imbalanced fixture models stiff inclusions.
-    coeff = a.patches[1].fine_part.material.coeff
+    coeff = a.subdomains[1].mesh.material.coeff
     assert coeff.max() == pytest.approx(1000.0)
 
     flat = imbalanced_grid(shape=(2, 1, 1), cells_per_side=1,
                            uniform_refine=3)
     assert flat.name == "grid-3d-thermal-balanced-r3"
-    assert all(flat.patches[s].fine_part.element_count == 27
+    assert all(flat.subdomains[s].mesh.element_count == 27
                for s in flat.patch_ids)
     with pytest.raises(ValueError):
         imbalanced_grid(seed=None)

@@ -69,8 +69,7 @@ def test_reference_matches_glued_rod_everywhere(chain):
     ref = monolithic_reference(chain)
     mesh, glued = glued_rod()
     for sid, field in ref.fields.items():
-        part = (chain.complement.model if sid == 0
-                else chain.patches[sid].fine_part)
+        part = chain.subdomains[sid].mesh
         for node, x in enumerate(part.nodes[:, 0]):
             assert np.isclose(field[node, 0], value_at(mesh, glued, x),
                               atol=1e-10)

@@ -29,8 +29,8 @@ def embedded_sum(scn):
     """sum_s A_s S_s A_s^T, scattered from the compact per-subdomain blocks."""
     total = np.zeros((scn.gamma_dim, scn.gamma_dim))
     for sid in scn.subdomain_ids:
-        amap = scn.assembly_ops[sid]
-        total[np.ix_(amap, amap)] += scn.local_schur[sid]
+        amap = scn.subdomains[sid].amap
+        total[np.ix_(amap, amap)] += scn.subdomains[sid].schur
     return total
 
 
@@ -175,8 +175,9 @@ def test_partition_validation(chain):
         build_companion(chain, [[0, 1], [1, 2]], 0.5, 1)  # duplicate
     with pytest.raises(ValueError):
         build_companion(chain, [[0, 1], []], 0.5, 1)  # patch 2 missing
-    with pytest.raises(ValueError):
-        build_companion(chain, [[0, 1, 2]], 0.0, 0)
+    for omega in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_companion(chain, [[0, 1, 2]], omega, 0)
     with pytest.raises(ValueError):
         build_companion(chain, [[0, 1, 2]], 0.5, -1)
 
@@ -215,6 +216,10 @@ def test_certificate_validation(chain):
         certify_paracontraction(chain, 0.5, 0, trials=0)
     with pytest.raises(ValueError):
         certify_paracontraction(chain, 0.5, -1)
+    for omega in (0.0, -0.5, np.nan, np.inf):
+        for max_delay in (0, 2):
+            with pytest.raises(ValueError, match="finite and positive"):
+                certify_paracontraction(chain, omega, max_delay, trials=3)
 
 
 def test_certificate_solves_each_partition_once(two_patch_thermal,
@@ -294,9 +299,9 @@ def dense_embedded_sum(scn, sids):
     """The old path: one Gamma x Gamma embedding per subdomain, then added."""
     total = np.zeros((scn.gamma_dim, scn.gamma_dim))
     for sid in sids:
-        amap = scn.assembly_ops[sid]
+        amap = scn.subdomains[sid].amap
         full = np.zeros((scn.gamma_dim, scn.gamma_dim))
-        full[np.ix_(amap, amap)] = scn.local_schur[sid]
+        full[np.ix_(amap, amap)] = scn.subdomains[sid].schur
         total += full
     return total
 
