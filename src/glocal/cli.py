@@ -467,13 +467,16 @@ def write_trace(path: Path, scenario: CouplingScenario, report: SolveReport):
         writer = csv.writer(fh)
         writer.writerow(["step", "rank", *sigma_cols, "residual_norm",
                          "omega", "solves_rank"])
+        # Every field is an int or a float repr, which csv never quotes, so
+        # the columns a step shares across its rank rows are joined once.
+        end = writer.dialect.lineterminator
         for step in trace.steps:
-            sigmas = [step.sigma.get(sid, 0)
-                      for sid in scenario.subdomain_ids]
-            for rank in trace.rank_ids:
-                writer.writerow([step.index, rank, *sigmas,
-                                 _fmt(step.residual_norm), _fmt(step.omega),
-                                 step.solves.get(rank, 0)])
+            shared = ",".join([*(str(step.sigma.get(sid, 0))
+                                 for sid in scenario.subdomain_ids),
+                               _fmt(step.residual_norm), _fmt(step.omega)])
+            fh.writelines(f"{step.index},{rank},{shared},"
+                          f"{step.solves.get(rank, 0)}{end}"
+                          for rank in trace.rank_ids)
 
 
 def write_summary(path: Path, summaries: list[RunSummary]):

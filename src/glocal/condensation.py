@@ -8,15 +8,29 @@ and interior blocks, the condensed operator is the Schur complement
 so that the interface reaction (discrete Dirichlet-to-Neumann map) of the
 subdomain under an interface trace ``u_g`` is ``S u_g - b``.  The interior
 block stays sparse and is factorized with SuperLU in symmetric mode
-(diagonal pivots on a minimum-degree ordering of K_ii + K_ii^T), which is
+(diagonal pivots on a minimum-degree ordering P of K_ii + K_ii^T), which is
 a sparse LDL^T; a pivot that is not positive rejects the block as not SPD.
-K_gi stays sparse too.  Only S is dense: it is n_g x n_g and is what every
-interface reaction multiplies.
+That factor also gives b with one solve.  K_gi stays sparse too.  Only S
+is dense: it is n_g x n_g and is what every interface reaction multiplies.
 
-The factor used to form S is dropped once S is formed: SuperLU keeps its
-whole fill-estimate workspace alive, and a scenario holds one factor per
-subdomain.  Interior recovery factors K_ii again on its first call and
-reuses that factor for later calls.
+S comes from a second, bordered factorization, as in the Schur option of
+sparse direct solvers: the LU factor of
+
+    [[P K_ii P^T, 0],
+     [K_gi P^T,   I]]
+
+in that order has the leading block L11 U11 = P K_ii P^T with
+U11 = D L11^T, and the border row block L21 = K_gi P^T U11^{-1}.  So
+K_gi K_ii^{-1} K_ig = L21 D L21^T and S = K_gg - (L21 D) L21^T, one GEMM
+over the columns of L21 that hold any entry.  For a small interior this
+second factorization costs more, in time or in peak memory, than pushing
+the n_g columns of K_ig through the first factor, so below a work
+estimate (factor entries times n_g) S comes from those solves instead.
+
+No factor outlives the call: SuperLU keeps its whole fill-estimate
+workspace alive, and a scenario holds one operator per subdomain.
+Interior recovery factors K_ii again on its first call and reuses that
+factor for later calls.
 """
 
 from __future__ import annotations
@@ -33,6 +47,13 @@ from .model_problems import AssembledSystem
 
 __all__ = ["CondensedOperator", "condense", "dirichlet_to_neumann",
            "expand_interior"]
+
+# Work estimate (K_ii factor entries times n_g) from which S comes from the
+# bordered factorization.  On a 2-vCPU Xeon with one OpenBLAS thread that
+# is faster from about 3e6, but up to 1e7 it saves at most a few ms per
+# subdomain, and on the imbalanced 3D grid it then raised the peak RSS of
+# a build by about 5 % where the solves did not.
+_BORDERED_WORK = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -101,14 +122,64 @@ def condense(system: AssembledSystem, interface_dofs,
                                  _f_interior=np.zeros(0))
 
     factor = _factor_spd(k_ii, label)
-    # K_ii^{-1} K_ig as one multi-rhs sweep through the sparse factor.
-    w = factor.solve(k_gi.T.toarray())
-    schur = np.ascontiguousarray(k_gg - k_gi @ w)
     rhs = f[iface] - k_gi @ factor.solve(f[interior])
-    return CondensedOperator(schur=schur, rhs=rhs, interface_dofs=iface,
+    schur = None
+    if factor.nnz * iface.size >= _BORDERED_WORK:
+        schur = _bordered_schur(k, iface, interior, factor.perm_c, k_gg)
+    if schur is None:
+        # K_ii^{-1} K_ig as one multi-rhs sweep through the sparse factor.
+        schur = k_gg - k_gi @ factor.solve(k_gi.T.toarray())
+    return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=rhs,
+                             interface_dofs=iface,
                              interior_dofs=interior, dof_count=n,
                              _k_interior=k_ii, _k_interface_interior=k_gi,
                              _f_interior=f[interior].copy())
+
+
+def _bordered_schur(k: sp.csr_matrix, iface: np.ndarray,
+                    interior: np.ndarray, perm: np.ndarray,
+                    k_gg: np.ndarray) -> np.ndarray | None:
+    """``K_gg - (L21 D) L21^T`` from one LU of the bordered matrix.
+
+    ``perm`` is the K_ii factor's ``perm_c``: interior dof ``interior[i]``
+    becomes bordered row and column ``perm[i]``, and interface dof
+    ``iface[a]`` becomes ``n_i + a``.  SuperLU may still reorder the
+    natural order it is given, so the factor is read through its own
+    ``perm_c``; None when that order does not eliminate every interior dof
+    before the interface, where the border rows of L are not L21.
+    """
+    ni, ng = interior.size, iface.size
+    n = ni + ng
+    place = np.empty(n, dtype=np.int64)
+    place[interior] = perm
+    place[iface] = np.arange(ni, n)
+    cols = k.tocsc()[:, interior[np.argsort(perm)]]
+    bordered = sp.csc_matrix(
+        (np.concatenate([cols.data, np.ones(ng)]),
+         np.concatenate([place[cols.indices], np.arange(ni, n)]),
+         np.concatenate([cols.indptr, cols.nnz + np.arange(1, ng + 1)])),
+        shape=(n, n))
+    lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    at = lu.perm_c
+    if np.any(at[ni:] < ni) or not np.array_equal(lu.perm_r, at):
+        return None
+    lower = lu.L
+    pivots = lu.U.diagonal()[:ni]
+    del lu
+    # L21 is what the first n_i columns of L hold below row n_i; interface
+    # dof a sits in row at[n_i + a].
+    stop = lower.indptr[ni]
+    hit = np.flatnonzero(lower.indices[:stop] >= ni)
+    col = np.searchsorted(lower.indptr, hit, side="right") - 1
+    row = np.empty(ng, dtype=np.int64)
+    row[at[ni:] - ni] = np.arange(ng)
+    live = np.zeros(ni, dtype=bool)
+    live[col] = True
+    l21 = np.zeros((ng, np.count_nonzero(live)))
+    l21[row[lower.indices[hit] - ni], (np.cumsum(live) - 1)[col]] = \
+        lower.data[hit]
+    return k_gg - (l21 * pivots[live]) @ l21.T
 
 
 def _factor_spd(k_ii: sp.csc_matrix, label: str) -> spla.SuperLU:

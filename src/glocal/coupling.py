@@ -56,6 +56,8 @@ __all__ = [
     "build_scenario",
 ]
 
+_POTRS, = la.get_lapack_funcs(("potrs",), dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class Subdomain:
@@ -126,8 +128,14 @@ class CouplingScenario:
         p = np.asarray(p_gamma, dtype=float)
         if p.shape != (self.gamma_dim,):
             raise ValueError("interface load has the wrong length")
-        return la.cho_solve(self._sg_chol, self.rhs_global + p,
-                            check_finite=False)
+        # LAPACK directly: cho_solve's checks cost more than the solve
+        # itself at these sizes, and this runs once per global step.
+        c, lower = self._sg_chol
+        u, info = _POTRS(c, self.rhs_global + p, lower=lower,
+                         overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"potrs rejected argument {-info}")
+        return u
 
 
 # ---------------------------------------------------------------------------

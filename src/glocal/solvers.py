@@ -72,7 +72,6 @@ class IterationRecord:
 
     index: int
     p_gamma: np.ndarray
-    residual: np.ndarray
     residual_norm: float
     omega: float
     wall_time: float
@@ -242,8 +241,7 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
                 fresh = compute_residual(scenario, u)
                 stop = float(np.linalg.norm(fresh)) <= threshold
             history.append(IterationRecord(index=j, p_gamma=p.copy(),
-                                           residual=r, residual_norm=rn,
-                                           omega=w,
+                                           residual_norm=rn, omega=w,
                                            wall_time=perf_counter() - t0))
             if source.traced:
                 solves = {0: j + 1}

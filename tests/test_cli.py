@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glocal import ConfigError, generalized_alphas, relaxation_bounds
+from glocal import (ConfigError, DelaySchedule, generalized_alphas,
+                    relaxation_bounds, run_async_simulated)
 from glocal.cli import (
     RunConfig,
     build_case,
@@ -18,6 +19,7 @@ from glocal.cli import (
     resolve_omega,
     run_case,
     run_suite,
+    write_trace,
 )
 
 
@@ -232,6 +234,35 @@ def test_trace_layout(tmp_path, chain):
     # Rank 0 performs one global solve per step.
     last_global = body[-ranks]
     assert last_global[7] == str(steps)
+
+
+def csv_writer_trace(path, scenario, report):
+    """Oracle for write_trace: every row rendered by csv.writer."""
+    sigma_cols = [f"sigma_{sid}" for sid in scenario.subdomain_ids]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "rank", *sigma_cols, "residual_norm",
+                         "omega", "solves_rank"])
+        for step in report.trace.steps:
+            sigmas = [step.sigma.get(sid, 0)
+                      for sid in scenario.subdomain_ids]
+            for rank in report.trace.rank_ids:
+                writer.writerow([step.index, rank, *sigmas,
+                                 repr(float(step.residual_norm)),
+                                 repr(float(step.omega)),
+                                 step.solves.get(rank, 0)])
+
+
+def test_trace_bytes_match_csv_writer(tmp_path, two_patch_thermal):
+    scn = two_patch_thermal
+    schedule = DelaySchedule.random_bounded(
+        scn.patch_ids, 2, seed=4, has_complement=scn.complement is not None)
+    report = run_async_simulated(scn, 0.3, schedule, max_iter=60)
+    assert len(report.trace.steps) > 1
+    write_trace(tmp_path / "trace.csv", scn, report)
+    csv_writer_trace(tmp_path / "oracle.csv", scn, report)
+    assert (tmp_path / "trace.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_history_and_summary_layout(tmp_path, chain):

@@ -1,19 +1,27 @@
 """Schur condensation against hand-worked and dense-algebra oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import glocal.condensation as condensation
+from condensation_oracle import solve_condense
 from glocal import (
     AssembledSystem,
     SingularInteriorError,
     assemble_poisson,
     build_structured_mesh,
+    chain_1d,
     condense,
+    cube_grid_3d,
     dirichlet_to_neumann,
     expand_interior,
+    imbalanced_grid,
     nodes_on_plane,
     solve_direct,
+    two_patch_2d,
     with_dirichlet,
 )
 
@@ -140,3 +148,99 @@ def test_negative_pivot_is_rejected():
     k = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
     with pytest.raises(SingularInteriorError):
         condense(dense_system(k, np.zeros(3)), np.array([0]))
+
+
+# ---------------------------------------------------------------------------
+# the bordered factorization against the multi-rhs oracle
+
+
+def rel_diff(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def assert_matches_oracle(system, iface):
+    schur, rhs = solve_condense(system, iface)
+    op = condense(system, iface)
+    assert op.schur.flags.c_contiguous
+    assert rel_diff(op.schur, schur) <= 1e-12
+    assert rel_diff(op.rhs, rhs) <= 1e-12
+
+
+@pytest.fixture
+def bordered_always(monkeypatch):
+    monkeypatch.setattr(condensation, "_BORDERED_WORK", 0)
+
+
+# The three benchmark workloads, the 1D chain and a vector-valued 3D grid.
+SCENARIOS = {
+    "grid3d-imbalanced": lambda: imbalanced_grid("thermal", seed=0),
+    "patch2d-condense": lambda: two_patch_2d("thermal", nx=40, refine=8),
+    "elastic2d-delay-sweep": lambda: two_patch_2d("elasticity",
+                                                  contrast=100.0),
+    "chain-1d": chain_1d,
+    "cube-grid-3d-elasticity": lambda: cube_grid_3d(2, "elasticity"),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_subdomain_matches_the_multi_rhs_oracle(name, monkeypatch):
+    scn = SCENARIOS[name]()
+    cases = [(sub.system, sub.condensed.interface_dofs)
+             for sub in scn.subdomains.values()]
+    for system, iface in cases:
+        assert_matches_oracle(system, iface)
+    # Once more with the bordered factorization on every subdomain, not
+    # only on those whose work estimate selects it.
+    monkeypatch.setattr(condensation, "_BORDERED_WORK", 0)
+    for system, iface in cases:
+        assert_matches_oracle(system, iface)
+
+
+def chain_matrix(n, shift=0.1):
+    """A 1D Laplacian chain 0-1-...-(n-1), made definite by ``shift``."""
+    return (np.diag((2.0 + shift) * np.ones(n)) - np.eye(n, k=1)
+            - np.eye(n, k=-1))
+
+
+def test_interface_dof_without_interior_neighbour(bordered_always):
+    # Dof 6 touches only dof 5, which is interface too, and dof 7 touches
+    # nothing but itself: neither reaches the interior.
+    k = np.pad(chain_matrix(7), ((0, 1), (0, 1)))
+    k[7, 7] = 3.0
+    system = dense_system(k, np.arange(1.0, 9.0))
+    assert_matches_oracle(system, np.array([2, 5, 6, 7]))
+    assert_matches_oracle(system, np.array([7, 0, 5, 6]))
+
+
+def test_interior_in_two_disconnected_components(bordered_always):
+    # Interface dof 3 cuts the chain; interior {0, 1, 2} and {4, 5, 6}
+    # share no entry, so their elimination trees are separate.
+    system = dense_system(chain_matrix(7), np.linspace(1.0, 2.0, 7))
+    assert_matches_oracle(system, np.array([3]))
+    assert_matches_oracle(system, np.array([6, 3, 0]))
+
+
+def test_bordered_order_is_checked(monkeypatch):
+    # A bordered factor whose order puts an interface dof before interior
+    # ones cannot be read as L21: condense must notice and use the solves.
+    real = condensation.spla.splu
+    results = []
+
+    def reordered(a, permc_spec=None, **kwargs):
+        lu = real(a, permc_spec=permc_spec, **kwargs)
+        if permc_spec != "NATURAL":
+            return lu
+        order = lu.perm_c[::-1].copy()
+        return SimpleNamespace(perm_c=order, perm_r=order)
+
+    def spy(*args):
+        results.append(bordered(*args))
+        return results[-1]
+
+    bordered = condensation._bordered_schur
+    monkeypatch.setattr(condensation.spla, "splu", reordered)
+    monkeypatch.setattr(condensation, "_bordered_schur", spy)
+    monkeypatch.setattr(condensation, "_BORDERED_WORK", 0)
+    system = dense_system(chain_matrix(7), np.linspace(1.0, 2.0, 7))
+    assert_matches_oracle(system, np.array([3]))
+    assert results == [None]

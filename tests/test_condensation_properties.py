@@ -3,9 +3,15 @@
 For any sparse symmetric positive definite system and any split of its
 dofs into a nonempty interior and an interface, the Schur complement, the
 condensed load, the interior recovery and the zero of the
-Dirichlet-to-Neumann map must agree with plain dense solves.  A symmetric
-system whose interior block is indefinite must be refused.
+Dirichlet-to-Neumann map must agree with plain dense solves, whether S
+comes from the bordered factorization or from solves through the K_ii
+factor.  The draws include block-diagonal systems, whose interior falls
+apart into disconnected components and whose interface can hold dofs with
+no interior neighbour.  A symmetric system whose interior block is
+indefinite must be refused.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glocal.condensation as condensation
 from glocal import (AssembledSystem, SingularInteriorError, condense,
                     dirichlet_to_neumann, expand_interior)
 
@@ -35,6 +42,10 @@ def spd_splits(draw):
     density = draw(st.floats(0.05, 0.5))
     b = sp.random_array((n, n), density=density, rng=rng,
                         data_sampler=rng.standard_normal)
+    # Up to four diagonal blocks: no entry couples two blocks, so a block
+    # can leave the interior disconnected or hold only interface dofs.
+    block = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    b = b.multiply(block[:, None] == block[None, :])
     # B B^T is positive semidefinite with B's sparsity squared; the shift
     # makes it definite without making it diagonally dominant.
     shift = draw(st.floats(1e-2, 1.0))
@@ -52,15 +63,18 @@ def test_condensation_matches_dense_solves(case):
     dense = k.toarray()
     interior = np.setdiff1d(np.arange(len(f)), iface)
     op = condense(unconstrained(k, f), iface)
+    with mock.patch.object(condensation, "_BORDERED_WORK", 0):
+        bordered = condense(unconstrained(k, f), iface)
 
     k_ii = dense[np.ix_(interior, interior)]
     k_gi = dense[np.ix_(iface, interior)]
     s = dense[np.ix_(iface, iface)] - k_gi @ np.linalg.solve(k_ii, k_gi.T)
     b = f[iface] - k_gi @ np.linalg.solve(k_ii, f[interior])
     scale = np.abs(dense).max()
-    assert op.schur.flags.c_contiguous
-    assert np.abs(op.schur - s).max() <= 1e-9 * scale
-    assert np.abs(op.rhs - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
+    for cond in (op, bordered):
+        assert cond.schur.flags.c_contiguous
+        assert np.abs(cond.schur - s).max() <= 1e-9 * scale
+        assert np.abs(cond.rhs - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
 
     u = np.linalg.solve(dense, f)
     assert np.allclose(expand_interior(op, u[iface]), u,
