@@ -32,9 +32,8 @@ from .async_engine import (AsyncStep, AsyncTrace, DelaySchedule, WindowCell,
                            run_async_simulated, run_sync_concurrent)
 from .spectral import (CertificateReport, CompanionSystem, SpectralBounds,
                        build_companion, certify_paracontraction,
-                       characteristic_value, generalized_alphas,
-                       generalized_spectrum, relaxation_bounds,
-                       spectral_radius)
+                       generalized_alphas, generalized_spectrum,
+                       relaxation_bounds, spectral_radius)
 from .scenarios import (chain_1d, cube_grid_3d, fine_equals_global_2d,
                         imbalanced_grid, two_patch_2d)
 
@@ -60,7 +59,7 @@ __all__ = [
     "partition_by_delay", "run_async_concurrent", "run_async_simulated",
     "run_sync_concurrent",
     "CertificateReport", "CompanionSystem", "SpectralBounds",
-    "build_companion", "certify_paracontraction", "characteristic_value",
+    "build_companion", "certify_paracontraction",
     "generalized_alphas", "generalized_spectrum", "relaxation_bounds",
     "spectral_radius",
     "chain_1d", "cube_grid_3d", "fine_equals_global_2d", "imbalanced_grid",

@@ -17,7 +17,9 @@ stale combination is formed.
 
 ``run_async_simulated`` takes the ages from an explicit
 :class:`DelaySchedule` and reuses cached reactions; it is deterministic
-and is the canonical definition of the iteration.  The threaded executor
+and is the canonical definition of the iteration.  Each step it computes
+every patch product in one batched call and keeps only the rows of the
+patches the schedule refreshes.  The threaded executor
 runs the global model on the calling thread and patch groups on worker
 threads that exchange traces and reactions through one-sided
 :class:`WindowCell` windows.  Free-running (``run_async_concurrent``),
@@ -35,7 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingScenario, interface_reaction
+# interface_reaction stays bound here: perfbench traces it by this name.
+from .coupling import CouplingScenario, patch_reactions, scatter_residual
+from .coupling import interface_reaction  # noqa: F401
 from .errors import LivelockError, ScheduleError
 from .solvers import AsyncStep, AsyncTrace, SolveReport, _iterate, _Reactions
 
@@ -46,6 +50,8 @@ __all__ = ["DelaySchedule", "AsyncStep", "AsyncTrace", "WindowCell",
 
 # ---------------------------------------------------------------------------
 # delay schedules
+
+_BLOCK = 256  # steps of a random-bounded schedule drawn at once
 
 
 @dataclass
@@ -138,44 +144,38 @@ class DelaySchedule:
                 raise ScheduleError(f"table exhausted at step {j}")
             return self.table[j]
         while len(self._rows) <= j:
-            prev = self._rows[-1]
-            fresh = self._rng.random(len(prev)) < self.update_prob
-            aged = prev + 1
-            fresh |= aged > self.max_delay  # forced refresh at the bound
-            self._rows.append(np.where(fresh, 0, aged))
+            # One draw for a block of steps.  An age counts the steps since
+            # the patch's last random refresh, wrapped at D + 1, which is
+            # where the forced refresh restarts it.
+            k = max(_BLOCK, j + 1 - len(self._rows))
+            steps = np.arange(len(self._rows), len(self._rows) + k)[:, None]
+            fresh = self._rng.random((k, len(self.patch_ids))) \
+                < self.update_prob
+            last = np.where(fresh, steps, steps[0] - 1 - self._rows[-1])
+            np.maximum.accumulate(last, axis=0, out=last)
+            self._rows.extend((steps - last) % (self.max_delay + 1))
         return self._rows[j]
 
 
 def partition_by_delay(schedule: DelaySchedule, j: int) -> list[list[int]]:
     """Split subdomain ids by age at step j: slot k holds those with
     sigma = k.  The complement (id 0) sits in slot 0 when present."""
-    ages = schedule.ages(j)
-    slots: list[list[int]] = [[] for _ in range(schedule.max_delay + 1)]
-    if schedule.has_complement:
+    return _age_slots(schedule.patch_ids, schedule.ages(j),
+                      schedule.max_delay, schedule.has_complement)
+
+
+def _age_slots(patch_ids, ages, max_delay: int,
+               has_complement: bool) -> list[list[int]]:
+    slots: list[list[int]] = [[] for _ in range(max_delay + 1)]
+    if has_complement:
         slots[0].append(0)
-    for sid, age in zip(schedule.patch_ids, ages):
+    for sid, age in zip(patch_ids, ages):
         slots[int(age)].append(sid)
     return slots
 
 
 # ---------------------------------------------------------------------------
 # reaction sources
-
-
-def _stale_residual(scenario: CouplingScenario, u: np.ndarray,
-                    reactions) -> np.ndarray:
-    """Residual from the complement at u and the given patch reactions.
-
-    Sums in subdomain order, as :func:`glocal.solvers.compute_residual`
-    does, so fresh reactions give its result bit for bit.
-    """
-    acc = np.zeros(scenario.gamma_dim)
-    for sid in scenario.subdomain_ids:
-        if sid == 0:
-            acc += interface_reaction(scenario, 0, u)
-        else:
-            acc += reactions[sid]
-    return -acc
 
 
 class _ScheduledReactions(_Reactions):
@@ -193,17 +193,17 @@ class _ScheduledReactions(_Reactions):
                                 "complement")
         super().__init__(scenario)
         self.schedule = schedule
-        self.cache: dict[int, np.ndarray] = {}
+        self.cache = np.zeros(scenario.patch_rhs.shape)
 
     def residual(self, j: int, u: np.ndarray):
         ages = self.schedule.ages(j)
-        for sid, age in zip(self.schedule.patch_ids, ages):
-            if age == 0:
-                self.cache[sid] = interface_reaction(self.scenario, sid, u)
-                self.solves[sid] += 1
-        return (_stale_residual(self.scenario, u, self.cache),
-                {sid: int(a) for sid, a in zip(self.schedule.patch_ids,
-                                               ages)})
+        fresh = ages == 0
+        np.copyto(self.cache, patch_reactions(self.scenario, u),
+                  where=fresh[:, None])
+        for sid, refreshed in zip(self.schedule.patch_ids, fresh.tolist()):
+            self.solves[sid] += refreshed
+        return (scatter_residual(self.scenario, u, self.cache),
+                dict(zip(self.schedule.patch_ids, ages.tolist())))
 
 
 def run_async_simulated(scenario: CouplingScenario, omega: float,
@@ -308,6 +308,7 @@ class _WindowRanks(_Reactions):
                                for sid in scenario.patch_ids}
         # Step whose trace each patch's newest reaction was solved at.
         self.latest = dict.fromkeys(scenario.patch_ids, -1)
+        self.rows = {sid: i for i, sid in enumerate(scenario.patch_ids)}
         self.barrier = (threading.Barrier(len(groups) + 1)
                         if synchronized else None)
         self.stop = threading.Event()
@@ -356,7 +357,9 @@ class _WindowRanks(_Reactions):
             _, u, meta = self.trace_cells[sid].read()
             if meta.get("iter", -1) == self.latest[sid]:
                 continue  # no trace yet, or this one is answered
-            reaction = interface_reaction(self.scenario, sid, u)
+            row = self.rows[sid]
+            reaction = patch_reactions(self.scenario, u,
+                                       slice(row, row + 1))[0]
             self.reaction_cells[sid].put(reaction, source_iter=meta["iter"])
             self.solves[sid] += 1
             self.latest[sid] = meta["iter"]
@@ -395,11 +398,12 @@ class _WindowRanks(_Reactions):
         else:
             self._await_reactions(j)
         self._raise_worker_error()
-        reactions, ages = {}, {}
+        reactions, ages = [], {}
         for sid, cell in self.reaction_cells.items():
-            _, reactions[sid], meta = cell.read()
+            _, reaction, meta = cell.read()
+            reactions.append(reaction)
             ages[sid] = max(j - int(meta["source_iter"]), 0)
-        return _stale_residual(self.scenario, u, reactions), ages
+        return scatter_residual(self.scenario, u, np.array(reactions)), ages
 
 
 def run_async_concurrent(scenario: CouplingScenario, omega: float,

@@ -55,6 +55,10 @@ __all__ = ["CondensedOperator", "condense", "dirichlet_to_neumann",
 # a build by about 5 % where the solves did not.
 _BORDERED_WORK = 20_000_000
 
+# Symmetric mode: diagonal pivots on a minimum-degree order of K + K^T.
+_SPD_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+
 
 @dataclass(frozen=True)
 class CondensedOperator:
@@ -83,8 +87,9 @@ class CondensedOperator:
 
     @cached_property
     def _interior_factor(self) -> spla.SuperLU:
-        # condense() has already checked that K_ii is SPD.
-        return _factor_spd(self._k_interior, "interior block")
+        # condense() has already checked that K_ii is SPD.  Reading the
+        # pivots again would leave CSC copies of L and U on the factor.
+        return spla.splu(self._k_interior, **_SPD_OPTIONS)
 
 
 def condense(system: AssembledSystem, interface_dofs,
@@ -191,9 +196,7 @@ def _factor_spd(k_ii: sp.csc_matrix, label: str) -> spla.SuperLU:
     matrix produces, so that is rejected as well.
     """
     try:
-        factor = spla.splu(k_ii, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
+        factor = spla.splu(k_ii, **_SPD_OPTIONS)
     except RuntimeError as err:  # "Factor is exactly singular"
         raise SingularInteriorError(label) from err
     if (np.any(~(factor.U.diagonal() > 0.0))

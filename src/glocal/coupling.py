@@ -24,15 +24,19 @@ The residual of the coupled problem at a trace u is
 
     r(u) = -( sum_s A_s (S_s A_s^T u - b_s) ),
 
-zero exactly at the reference (monolithic) solution.  ``residual_offset``
-is the affine part of -r expressed in the interface load variable, i.e.
-r(p) = -(Q p + offset) with Q = (sum_s A_s S_s A_s^T) S_G^{-1}.
+zero exactly at the reference (monolithic) solution.  The patch blocks
+are stored once, zero-padded into one stack that the records view, so
+:func:`patch_reactions` computes every patch product in one batched call
+and :func:`scatter_residual` sums them with the complement's reaction in
+one pass.  ``residual_offset`` is the affine part of -r expressed in the
+interface load variable, i.e. r(p) = -(Q p + offset) with
+Q = (sum_s A_s S_s A_s^T) S_G^{-1}.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +57,8 @@ __all__ = [
     "embedded_fine_schur",
     "residual_offset",
     "interface_reaction",
+    "patch_reactions",
+    "scatter_residual",
     "build_scenario",
 ]
 
@@ -69,7 +75,8 @@ class Subdomain:
     node ids and ``mesh_interface_nodes`` index into ``mesh``, both
     sorted.  ``amap`` is ``A_s`` as Gamma dof indices, ``transfer`` is
     ``J_s`` (None == identity), and ``schur``/``rhs`` are the compact
-    ``J_s^T S_sF J_s`` and ``J_s^T b_sF`` on those dofs.
+    ``J_s^T S_sF J_s`` and ``J_s^T b_sF`` on those dofs; a patch's are
+    views into the scenario's stack.
     """
 
     sid: int
@@ -91,7 +98,9 @@ class CouplingScenario:
 
     Subdomain id 0 is the complement when present; patches are 1..N.  The
     order of ``subdomains`` fixes the traversal used everywhere, which
-    keeps residual assembly deterministic.
+    keeps residual assembly deterministic.  ``patch_schur`` (P, m, m),
+    ``patch_rhs`` and ``patch_index`` (P, m) stack the patch blocks, loads
+    and Gamma dofs, zero-padded to m; padding is 0 and reads Gamma dof 0.
     """
 
     name: str
@@ -101,6 +110,9 @@ class CouplingScenario:
     subdomains: dict[int, Subdomain]
     schur_global: np.ndarray
     rhs_global: np.ndarray
+    patch_schur: np.ndarray
+    patch_rhs: np.ndarray
+    patch_index: np.ndarray
     _sg_chol: tuple = field(repr=False, default=None)
 
     @property
@@ -122,6 +134,11 @@ class CouplingScenario:
     @cached_property
     def offset(self) -> np.ndarray:
         return residual_offset(self)
+
+    @cached_property
+    def _scatter_index(self) -> np.ndarray:
+        head = [] if self.complement is None else [self.complement.amap]
+        return np.concatenate(head + [self.patch_index.ravel()])
 
     def solve_interface(self, p_gamma: np.ndarray) -> np.ndarray:
         """Global interface solve ``u = S_G^{-1} (b_G + p)``."""
@@ -247,17 +264,46 @@ def embedded_fine_schur(gamma_dim: int, op: CondensedOperator,
     return local, rhs
 
 
+def patch_reactions(scenario: CouplingScenario, u_gamma: np.ndarray,
+                    rows: slice = slice(None)) -> np.ndarray:
+    """Compact reactions ``S_s A_s^T u - b_s`` of the patches in ``rows``
+    of the stack, one zero-padded row each, from one batched product."""
+    u = u_gamma[scenario.patch_index[rows]]
+    return (np.matmul(scenario.patch_schur[rows], u[..., None])[..., 0]
+            - scenario.patch_rhs[rows])
+
+
+def scatter_residual(scenario: CouplingScenario, u_gamma: np.ndarray,
+                     reactions: np.ndarray) -> np.ndarray:
+    """``r = -(complement reaction at u + the stacked patch reactions)``,
+    the rows taken at u or older traces; one ``bincount`` sums them on
+    Gamma in subdomain order."""
+    weights = reactions.ravel()
+    comp = scenario.complement
+    if comp is not None:
+        weights = np.concatenate(
+            [comp.schur @ u_gamma[comp.amap] - comp.rhs, weights])
+    return -np.bincount(scenario._scatter_index, weights,
+                        minlength=scenario.gamma_dim)
+
+
 def interface_reaction(scenario: CouplingScenario, sid: int,
                        u_gamma: np.ndarray) -> np.ndarray:
     """One subdomain's reaction ``A_s (S_s A_s^T u - b_s)`` scattered on Gamma.
 
     This equals ``A_s J_s^T lambda_s`` with ``lambda_s`` the fine-side
     interface reaction under the interpolated trace; summing over
-    subdomains and negating gives the coupling residual.
+    subdomains and negating gives the coupling residual.  A patch's
+    reaction is its one-row slice of :func:`patch_reactions`.
     """
     sub = scenario.subdomains[sid]
     out = np.zeros(scenario.gamma_dim)
-    out[sub.amap] = sub.schur @ u_gamma[sub.amap] - sub.rhs
+    if sid == 0:
+        out[sub.amap] = sub.schur @ u_gamma[sub.amap] - sub.rhs
+    else:
+        row = scenario.patch_ids.index(sid)
+        out[sub.amap] = patch_reactions(scenario, u_gamma,
+                                        slice(row, row + 1))[0, :len(sub.amap)]
     return out
 
 
@@ -268,10 +314,7 @@ def residual_offset(scenario: CouplingScenario) -> np.ndarray:
     ``Q p + offset = 0`` with ``Q = (sum_s A_s S_s A_s^T) S_G^{-1}``.
     """
     u0 = scenario.solve_interface(np.zeros(scenario.gamma_dim))
-    acc = np.zeros(scenario.gamma_dim)
-    for sid in scenario.subdomain_ids:
-        acc += interface_reaction(scenario, sid, u0)
-    return acc
+    return -scatter_residual(scenario, u0, patch_reactions(scenario, u0))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +487,18 @@ def build_scenario(global_model: MeshModel, labels,
             sid=sid, mesh=mesh, global_part=part, interface_nodes=gnodes,
             mesh_interface_nodes=iface, amap=amap, transfer=j_dof,
             system=system, condensed=cond, schur=schur, rhs=rhs)
+    # Patch blocks, loads and Gamma dofs stacked once, zero-padded to the
+    # largest patch interface; each patch record views its row.
+    sizes = [len(subdomains[sid].amap) for sid in patch_ids]
+    patch_schur = np.zeros((len(sizes), max(sizes), max(sizes)))
+    patch_rhs = np.zeros(patch_schur.shape[:2])
+    patch_index = np.zeros(patch_schur.shape[:2], dtype=np.int64)
+    for i, (sid, k) in enumerate(zip(patch_ids, sizes)):
+        sub = subdomains[sid]
+        patch_schur[i, :k, :k], patch_rhs[i, :k], patch_index[i, :k] = \
+            sub.schur, sub.rhs, sub.amap
+        subdomains[sid] = replace(sub, schur=patch_schur[i, :k, :k],
+                                  rhs=patch_rhs[i, :k])
 
     try:
         sg_chol = la.cho_factor(schur_global, lower=True, check_finite=False)
@@ -453,5 +508,7 @@ def build_scenario(global_model: MeshModel, labels,
     return CouplingScenario(
         name=name, global_model=global_model, gamma_nodes=gamma_nodes,
         ndof_per_node=ndpn, subdomains=subdomains,
-        schur_global=schur_global, rhs_global=rhs_global, _sg_chol=sg_chol)
+        schur_global=schur_global, rhs_global=rhs_global,
+        patch_schur=patch_schur, patch_rhs=patch_rhs,
+        patch_index=patch_index, _sg_chol=sg_chol)
 

@@ -52,10 +52,11 @@ from math import isfinite, pi, sin
 import numpy as np
 import scipy.linalg as la
 
+from .async_engine import _age_slots
 from .coupling import CouplingScenario
 
 __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
-           "build_companion", "spectral_radius", "characteristic_value",
+           "build_companion", "spectral_radius",
            "generalized_spectrum", "generalized_alphas", "relaxation_bounds",
            "certify_paracontraction"]
 
@@ -114,18 +115,12 @@ def _validate_partition(scenario: CouplingScenario, partition,
 
 
 def build_companion(scenario: CouplingScenario, partition, omega: float,
-                    max_delay: int, *, symmetrized: bool = False,
-                    p_hat: np.ndarray | None = None) -> CompanionSystem:
+                    max_delay: int) -> CompanionSystem:
     """Companion matrix of the delayed iteration for one age partition.
 
     ``partition`` lists, for each age k = 0..max_delay, the subdomain ids
     whose reaction is k steps old; it must cover all subdomains exactly
     once (empty slots are fine).  The blocks are X_k = S_G^{-1} Shat_k.
-    With ``symmetrized`` they are congruence-transformed by the global
-    Cholesky factor instead, which leaves the spectrum unchanged but makes
-    each block symmetric.  Passing the exact
-    interface load ``p_hat`` verifies the fixed-point property of the
-    affine step as a construction self-check.
     """
     if not (isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
@@ -133,21 +128,9 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
         raise ValueError("max_delay must be non-negative")
     slots = _validate_partition(scenario, partition, max_delay)
     n = scenario.gamma_dim
-
-    if symmetrized:
-        chol_l = np.linalg.cholesky(scenario.schur_global)
-    blocks: list[np.ndarray] = []
-    for slot in slots:
-        shat = _scattered_sum(scenario, slot)
-        if symmetrized:
-            y = la.solve_triangular(chol_l, shat, lower=True,
-                                    check_finite=False)
-            x = la.solve_triangular(chol_l, y.T, lower=True,
-                                    check_finite=False).T
-        else:
-            x = la.cho_solve(scenario._sg_chol, shat, check_finite=False)
-        blocks.append(x)
-
+    blocks = tuple(la.cho_solve(scenario._sg_chol,
+                                _scattered_sum(scenario, slot),
+                                check_finite=False) for slot in slots)
     size = (max_delay + 1) * n
     matrix = np.zeros((size, size))
     matrix[:n, :n] = np.eye(n) - omega * blocks[0]
@@ -155,13 +138,8 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
         matrix[:n, k * n:(k + 1) * n] = -omega * blocks[k]
     for k in range(max_delay):
         matrix[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = np.eye(n)
-
-    system = CompanionSystem(omega=omega, max_delay=max_delay, gamma_dim=n,
-                             blocks=tuple(blocks), matrix=matrix)
-    if p_hat is not None:
-        _verify_fixed_point(scenario, system, np.asarray(p_hat, dtype=float),
-                            symmetrized)
-    return system
+    return CompanionSystem(omega=omega, max_delay=max_delay, gamma_dim=n,
+                           blocks=blocks, matrix=matrix)
 
 
 def _scattered_sum(scenario: CouplingScenario, sids) -> np.ndarray:
@@ -171,28 +149,6 @@ def _scattered_sum(scenario: CouplingScenario, sids) -> np.ndarray:
         sub = scenario.subdomains[sid]
         shat[np.ix_(sub.amap, sub.amap)] += sub.schur
     return shat
-
-
-def _verify_fixed_point(scenario: CouplingScenario, system: CompanionSystem,
-                        p_hat: np.ndarray, symmetrized: bool):
-    n = system.gamma_dim
-    if symmetrized:
-        chol_l = np.linalg.cholesky(scenario.schur_global)
-        p_hat = la.solve_triangular(chol_l, p_hat, lower=True,
-                                    check_finite=False)
-        offset = la.solve_triangular(chol_l, scenario.offset, lower=True,
-                                     check_finite=False)
-    else:
-        p_hat = la.cho_solve(scenario._sg_chol, p_hat, check_finite=False)
-        offset = la.cho_solve(scenario._sg_chol, scenario.offset,
-                              check_finite=False)
-    stacked = np.tile(p_hat, system.max_delay + 1)
-    advanced = system.matrix @ stacked
-    advanced[:n] -= system.omega * offset
-    scale = max(float(np.linalg.norm(stacked)), 1.0)
-    if np.linalg.norm(advanced - stacked) > 1e-8 * scale:
-        raise ValueError("companion construction failed its fixed-point "
-                         "self-check")
 
 
 def spectral_radius(system: CompanionSystem | np.ndarray) -> float:
@@ -211,21 +167,6 @@ def spectral_radius(system: CompanionSystem | np.ndarray) -> float:
         keep = np.concatenate([np.ones(n, dtype=bool), live.ravel()])
         matrix = matrix[np.ix_(keep, keep)]
     return float(np.abs(np.linalg.eigvals(matrix)).max())
-
-
-def characteristic_value(system: CompanionSystem, lam: complex) -> complex:
-    """Evaluate det((1-l) l^D I - w sum_k l^(D-k) X_k) at l = lam.
-
-    Zero (up to roundoff) exactly at the companion eigenvalues; meant for
-    small cross-checks of the block-companion construction.
-    """
-    n = system.gamma_dim
-    d = system.max_delay
-    acc = np.zeros((n, n), dtype=complex)
-    for k, x in enumerate(system.blocks):
-        acc += lam ** (d - k) * x
-    poly = (1 - lam) * lam ** d * np.eye(n) - system.omega * acc
-    return complex(np.linalg.det(poly))
 
 
 def generalized_spectrum(scenario: CouplingScenario) -> np.ndarray:
@@ -305,11 +246,8 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
     partitions: list[tuple[tuple[int, ...], ...]] = []
     solved: dict[tuple[tuple[int, ...], ...], float] = {}
     for assign in assignments:
-        slots: list[list[int]] = [[] for _ in range(max_delay + 1)]
-        if scenario.complement is not None:
-            slots[0].append(0)
-        for sid, age in zip(patches, assign):
-            slots[int(age)].append(sid)
+        slots = _age_slots(patches, assign, max_delay,
+                           scenario.complement is not None)
         partition = tuple(tuple(slot) for slot in slots)
         if partition not in solved:
             system = build_companion(scenario, slots, omega, max_delay)

@@ -1,5 +1,6 @@
 """Schur condensation against hand-worked and dense-algebra oracles."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +56,24 @@ def test_chain_condensation_frozen():
     full = expand_interior(op, trace)
     assert np.allclose(full, [1.5, 2.0], atol=1e-13)
     assert np.allclose(full, solve_direct(system)[1:, 0], atol=1e-13)
+
+
+def test_retained_interior_factor_keeps_no_csc_copies(two_patch_thermal):
+    # scipy's SuperLU builds CSC copies of L and U when .L or .U is first
+    # read and keeps them on the factor.  The factor kept for interior
+    # recovery must not have been read, so reading it now allocates.
+    op = two_patch_thermal.subdomains[1].condensed
+    rng = np.random.default_rng(2)
+    full = expand_interior(op, rng.standard_normal(op.interface_count))
+    assert np.all(np.isfinite(full))
+    factor = op._interior_factor
+    tracemalloc.start()
+    try:
+        factor.L, factor.U
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated >= 8 * factor.nnz
 
 
 def test_condensation_matches_dense_block_algebra():

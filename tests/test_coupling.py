@@ -26,6 +26,8 @@ from glocal import (
     two_patch_2d,
     with_dirichlet,
 )
+from glocal.coupling import patch_reactions
+from reaction_oracle import loop_residual
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,63 @@ def test_operators_are_stored_per_subdomain(name, request):
         value = getattr(scn, f.name)
         if isinstance(value, dict):
             assert f.name == "subdomains"
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_residual_matches_the_reaction_loop_oracle(name, request):
+    scn = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    traces = [np.zeros(scn.gamma_dim), rng.standard_normal(scn.gamma_dim),
+              scn.solve_interface(rng.standard_normal(scn.gamma_dim))]
+    for u in traces:
+        oracle = loop_residual(scn, u)
+        got = compute_residual(scn, u)
+        assert np.linalg.norm(got - oracle) <= 1e-14 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_patch_records_view_the_zero_padded_stack(name, request):
+    scn = request.getfixturevalue(name)
+    n_patches, m = scn.patch_rhs.shape
+    assert scn.patch_schur.shape == (n_patches, m, m)
+    assert scn.patch_index.shape == (n_patches, m)
+    assert m == max(len(scn.subdomains[sid].amap) for sid in scn.patch_ids)
+    u = np.random.default_rng(6).standard_normal(scn.gamma_dim)
+    batch = patch_reactions(scn, u)
+    for i, sid in enumerate(scn.patch_ids):
+        sub = scn.subdomains[sid]
+        k = len(sub.amap)
+        assert np.shares_memory(sub.schur, scn.patch_schur)
+        assert np.shares_memory(sub.rhs, scn.patch_rhs)
+        assert np.array_equal(scn.patch_index[i, :k], sub.amap)
+        # Padded slots are exactly zero and read a valid Gamma dof.
+        assert not scn.patch_schur[i, k:, :].any()
+        assert not scn.patch_schur[i, :, k:].any()
+        assert not scn.patch_rhs[i, k:].any()
+        assert np.all((scn.patch_index[i] >= 0)
+                      & (scn.patch_index[i] < scn.gamma_dim))
+        assert not batch[i, k:].any()
+    # The complement keeps its own block, outside the stack.
+    if scn.complement is not None:
+        assert not np.shares_memory(scn.complement.schur, scn.patch_schur)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_one_patch_reaction_is_its_row_of_the_batch(name, request):
+    scn = request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    for u in (rng.standard_normal(scn.gamma_dim),
+              scn.solve_interface(rng.standard_normal(scn.gamma_dim))):
+        batch = patch_reactions(scn, u)
+        for i, sid in enumerate(scn.patch_ids):
+            sub = scn.subdomains[sid]
+            row = patch_reactions(scn, u, slice(i, i + 1))
+            assert np.array_equal(row[0], batch[i])
+            single = interface_reaction(scn, sid, u)
+            assert np.array_equal(single[sub.amap], batch[i, :len(sub.amap)])
+            outside = np.ones(scn.gamma_dim, dtype=bool)
+            outside[sub.amap] = False
+            assert not single[outside].any()
 
 
 def test_residual_is_affine_in_the_interface_load(two_patch_elastic):

@@ -14,7 +14,6 @@ import scipy.linalg as sla
 from glocal import (
     build_companion,
     certify_paracontraction,
-    characteristic_value,
     compute_residual,
     generalized_alphas,
     generalized_spectrum,
@@ -23,6 +22,9 @@ from glocal import (
     two_patch_2d,
 )
 from glocal import spectral
+
+from companion_oracle import (characteristic_value, symmetrized_companion,
+                              verify_fixed_point)
 
 
 def embedded_sum(scn):
@@ -138,7 +140,7 @@ def test_symmetrized_companion_keeps_the_spectrum(chain):
     omega = 0.05
     partition = [[0, 1], [2]]
     plain = build_companion(chain, partition, omega, 1)
-    symm = build_companion(chain, partition, omega, 1, symmetrized=True)
+    symm = symmetrized_companion(chain, partition, omega, 1)
     for block in symm.blocks:
         assert np.allclose(block, block.T, atol=1e-10)
     ev_plain = np.sort_complex(np.linalg.eigvals(plain.matrix))
@@ -152,11 +154,12 @@ def test_fixed_point_self_check(chain):
     # p_hat really is the coupled load: the residual vanishes there.
     r = compute_residual(scn, scn.solve_interface(p_hat))
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(scn.rhs_global)
-    for symmetrized in (False, True):
-        build_companion(scn, [[0, 1], [2]], 0.1, 1,
-                        symmetrized=symmetrized, p_hat=p_hat)
+    plain = build_companion(scn, [[0, 1], [2]], 0.1, 1)
+    verify_fixed_point(scn, plain, p_hat, symmetrized=False)
+    symm = symmetrized_companion(scn, [[0, 1], [2]], 0.1, 1)
+    verify_fixed_point(scn, symm, p_hat, symmetrized=True)
     with pytest.raises(ValueError):
-        build_companion(scn, [[0, 1], [2]], 0.1, 1, p_hat=p_hat + 1.0)
+        verify_fixed_point(scn, plain, p_hat + 1.0, symmetrized=False)
 
 
 def test_characteristic_value_vanishes_at_eigenvalues(chain):
@@ -282,9 +285,8 @@ def test_reduced_radius_matches_the_full_companion(name, request):
     for max_delay in (1, 2, 4):
         for partition in age_partitions(scn, max_delay, rng):
             radii = []
-            for symmetrized in (False, True):
-                system = build_companion(scn, partition, omega, max_delay,
-                                         symmetrized=symmetrized)
+            for build in (build_companion, symmetrized_companion):
+                system = build(scn, partition, omega, max_delay)
                 full = np.abs(np.linalg.eigvals(system.matrix)).max()
                 radii.append(spectral_radius(system))
                 assert abs(radii[-1] - full) <= 1e-12 * full
