@@ -5,8 +5,9 @@ Configs are INI files with three sections::
     [scenario]
     problem  = thermal            ; or elasticity
     geometry = two-patch-2d       ; or cube-grid-3d, imbalanced-grid
-    size     = 16                 ; base grid width (2d) / cubes per side (3d)
-    refine   = 2
+    size     = 16                 ; base grid width (2d) / cubes per side (3d,
+                                  ; 2..3); not for imbalanced-grid
+    refine   = 2                  ; imbalanced-grid: only when balanced
     contrast = 10.0               ; default 10 thermal, 100 elasticity,
                                   ; 1000 imbalanced-grid
     seed     = 0                  ; imbalanced-grid refinement draw
@@ -26,12 +27,17 @@ Configs are INI files with three sections::
     [output]
     directory = .
 
-Unknown sections or keys are rejected by name.  ``omega = auto`` resolves
-from the certified bounds: 0.9 of the synchronous limit for the fixed
-sweep, 0.9 of the delayed sufficient bound for the simulator (also the
-default of ``glocal certify``), and a quarter of the synchronous limit
-for the concurrent executor, whose effective delays depend on thread
-timing rather than on a declared bound.
+Unknown sections or keys, and keys the geometry ignores, are rejected by
+name.  Cases are capped at ``coupling.MAX_COUPLED_DOFS`` coupled unknowns:
+O(1) bounds on ``size`` and ``refine`` reject configs whose meshes alone
+would be far too large, and ``build_scenario`` checks the exact count
+from the wired meshes before it assembles anything.
+
+``omega = auto`` resolves from the certified bounds: 0.9 of the
+synchronous limit for the fixed sweep, 0.9 of the delayed sufficient
+bound for the simulator (also the default of ``glocal certify``), and a
+quarter of the synchronous limit for the concurrent executor, whose
+effective delays depend on thread timing rather than on a declared bound.
 
 Every run writes ``history.csv`` (one row per global step) and
 ``summary.csv``; the asynchronous variants add ``trace.csv`` with one row
@@ -61,8 +67,8 @@ from .spectral import (certify_paracontraction, generalized_alphas,
                        relaxation_bounds)
 
 __all__ = ["RunConfig", "RunSummary", "load_config", "build_case",
-           "coupled_dof_count", "estimate_coupled_dofs",
-           "resolve_contrast", "resolve_omega", "run_case", "run_suite",
+           "coupled_dof_count", "resolve_contrast", "resolve_omega",
+           "run_case", "run_suite",
            "write_history", "write_trace", "write_summary",
            "write_certificate", "main"]
 
@@ -70,8 +76,18 @@ GEOMETRIES = ("two-patch-2d", "cube-grid-3d", "imbalanced-grid")
 VARIANTS = ("sync-fixed", "sync-aitken", "async-sim", "async-concurrent",
             "sync-concurrent")
 SUITES = ("paper-2d", "weak-scaling", "imbalance")
+# O(1) bounds that keep an oversized config from allocating any mesh;
+# each admits every config under coupling.MAX_COUPLED_DOFS (50k).
 MAX_CUBE_SIDE = 3
-MAX_COUPLED_DOFS = 50_000
+# size·(size//2 + 1) free global nodes, each a coupled unknown or refined
+# into more: 315·158 <= 50k < 316·159.
+MAX_SIZE_2D = 315
+# Size 6 has the smallest default zones, one cell each: 2·(refine - 1)²
+# interior fine nodes pass 50k after refine 159.
+MAX_SIZE_REFINE_2D = 6 * 159
+# Two cubes a side, the smallest grid: 8·(2·refine - 1)³ interior fine
+# nodes pass 50k after refine 9.
+MAX_REFINE_3D = 9
 
 SUMMARY_COLUMNS = ("case", "variant", "iterations", "loc_solves_min",
                    "loc_solves_max", "wall_seconds", "rel_residual",
@@ -209,6 +225,13 @@ def load_config(path: str | Path) -> RunConfig:
                                 f"{err}")
 
     geometry = values.get("geometry", "two-patch-2d")
+    if geometry == "imbalanced-grid":
+        if "size" in values:
+            problems.append("size is not used by imbalanced-grid (a fixed "
+                            "4x2x2 grid)")
+        if "refine" in values and not values.get("balanced", False):
+            problems.append("refine is used by imbalanced-grid only with "
+                            "balanced = true")
     if geometry not in GEOMETRIES:
         problems.append(f"geometry must be one of {GEOMETRIES}, got "
                         f"{geometry!r}")
@@ -225,7 +248,9 @@ def load_config(path: str | Path) -> RunConfig:
         problems.append("problem must be 'thermal' or 'elasticity', got "
                         f"{problem!r}")
 
-    for key, lo in (("size", 1), ("refine", 1), ("max_iter", 0),
+    # One cube has no interface to couple.
+    size_min = 2 if geometry == "cube-grid-3d" else 1
+    for key, lo in (("size", size_min), ("refine", 1), ("max_iter", 0),
                     ("max_delay", 0), ("seed", 0), ("schedule_seed", 0)):
         if key in values and values[key] < lo:
             problems.append(f"{key} must be at least {lo}")
@@ -258,65 +283,6 @@ def coupled_dof_count(scenario: CouplingScenario) -> int:
     return scenario.gamma_dim + interior
 
 
-def _two_patch_dof_estimate(cfg: RunConfig) -> int:
-    from .scenarios import _default_zones_2d
-    nx, r = cfg.size, cfg.refine
-    ny = nx // 2
-    ndpn = 1 if cfg.problem == "thermal" else 2
-    # Complement free nodes: grid minus the clamped column minus the
-    # zone interiors it does not own.
-    free = (nx + 1) * (ny + 1) - (ny + 1)
-    for i0, i1, j0, j1 in _default_zones_2d(nx, ny):
-        w, h = i1 - i0, j1 - j0
-        free -= (w - 1) * (h - 1)
-        free += (w * r + 1) * (h * r + 1) - 2 * (w * r + h * r)
-    return ndpn * free
-
-
-def _cube_dof_estimate(shape, cells_per_side: int, refine_of,
-                       ndpn: int) -> int:
-    m = cells_per_side
-    axes = [s * m + 1 for s in shape]
-    off_plane = [s * m + 1 - (s - 1) for s in shape]  # on no internal plane
-    gamma = int(np.prod(axes)) - int(np.prod(off_plane))
-    gamma -= axes[1] * axes[2] - off_plane[1] * off_plane[2]  # clamped slice
-
-    total = gamma
-    for ci in range(shape[0]):
-        for cj in range(shape[1]):
-            for ck in range(shape[2]):
-                q = m * refine_of(ci, cj, ck) + 1
-                shared = [(ci > 0) + (ci < shape[0] - 1),
-                          (cj > 0) + (cj < shape[1] - 1),
-                          (ck > 0) + (ck < shape[2] - 1)]
-                free = q ** 3 - (q * q if ci == 0 else 0)
-                iface = q ** 3 - int(np.prod([q - e for e in shared]))
-                if ci == 0:  # clamped fine face overlaps the interface
-                    iface -= q * q - (q - shared[1]) * (q - shared[2])
-                total += free - iface
-    return ndpn * total
-
-
-def estimate_coupled_dofs(cfg: RunConfig) -> int:
-    """Coupled unknowns of the configured case, without building it.
-
-    Exact for the structured generators behind the CLI geometries; lets
-    the size cap reject oversized configs before any assembly happens.
-    """
-    if cfg.geometry == "two-patch-2d":
-        return _two_patch_dof_estimate(cfg)
-    ndpn = 1 if cfg.problem == "thermal" else 3
-    if cfg.geometry == "cube-grid-3d":
-        n = cfg.size
-        return _cube_dof_estimate((n, n, n), 2, lambda *_: cfg.refine, ndpn)
-    if cfg.balanced:
-        return _cube_dof_estimate((4, 2, 2), 2, lambda *_: cfg.refine, ndpn)
-    draws = np.random.default_rng(cfg.seed).choice((1, 2, 3, 4),
-                                                   size=(4, 2, 2))
-    return _cube_dof_estimate((4, 2, 2), 2,
-                              lambda ci, cj, ck: int(draws[ci, cj, ck]), ndpn)
-
-
 def resolve_contrast(cfg: RunConfig) -> float:
     """Inclusion coefficient ratio when the config leaves it unset.
 
@@ -331,31 +297,37 @@ def resolve_contrast(cfg: RunConfig) -> float:
 
 
 def build_case(cfg: RunConfig) -> CouplingScenario:
-    """Instantiate the configured scenario, enforcing the size caps."""
-    if cfg.geometry == "cube-grid-3d" and cfg.size > MAX_CUBE_SIDE:
-        raise ConfigError(f"cube-grid-3d supports at most {MAX_CUBE_SIDE} "
-                          f"cubes per side, got {cfg.size}")
-    estimate = estimate_coupled_dofs(cfg)
-    if estimate > MAX_COUPLED_DOFS:
-        raise ConfigError(f"scenario would have {estimate} coupled unknowns, "
-                          f"over the {MAX_COUPLED_DOFS} cap")
+    """Instantiate the configured scenario, enforcing the size caps.
+
+    O(1) bounds on ``size`` and ``refine`` come first, so no oversized
+    mesh is ever allocated; ``build_scenario`` then checks the exact
+    coupled unknown count against its cap before assembling anything.
+    """
+    if cfg.geometry == "two-patch-2d":
+        bounds = [("size", cfg.size, MAX_SIZE_2D),
+                  ("size*refine", cfg.size * cfg.refine, MAX_SIZE_REFINE_2D)]
+    elif cfg.geometry == "cube-grid-3d":
+        bounds = [("size", cfg.size, MAX_CUBE_SIDE),
+                  ("refine", cfg.refine, MAX_REFINE_3D)]
+    elif cfg.balanced:  # the imbalanced grid draws its own refinements
+        bounds = [("refine", cfg.refine, MAX_REFINE_3D)]
+    else:
+        bounds = []
+    for name, value, bound in bounds:
+        if value > bound:
+            raise ConfigError(f"{cfg.geometry} supports {name} up to "
+                              f"{bound}, got {value}")
 
     contrast = resolve_contrast(cfg)
     if cfg.geometry == "two-patch-2d":
-        scenario = two_patch_2d(cfg.problem, nx=cfg.size, refine=cfg.refine,
-                                contrast=contrast)
-    elif cfg.geometry == "cube-grid-3d":
-        scenario = cube_grid_3d(cfg.size, cfg.problem, refine=cfg.refine,
-                                contrast=contrast)
-    else:
-        uniform = cfg.refine if cfg.balanced else None
-        scenario = imbalanced_grid(cfg.problem, contrast=contrast,
-                                   seed=cfg.seed, uniform_refine=uniform)
-    dofs = coupled_dof_count(scenario)
-    if dofs > MAX_COUPLED_DOFS:
-        raise ConfigError(f"scenario has {dofs} coupled unknowns, over the "
-                          f"{MAX_COUPLED_DOFS} cap")
-    return scenario
+        return two_patch_2d(cfg.problem, nx=cfg.size, refine=cfg.refine,
+                            contrast=contrast)
+    if cfg.geometry == "cube-grid-3d":
+        return cube_grid_3d(cfg.size, cfg.problem, refine=cfg.refine,
+                            contrast=contrast)
+    uniform = cfg.refine if cfg.balanced else None
+    return imbalanced_grid(cfg.problem, contrast=contrast, seed=cfg.seed,
+                           uniform_refine=uniform)
 
 
 def resolve_omega(cfg: RunConfig, scenario: CouplingScenario) -> float:
@@ -500,10 +472,6 @@ def write_certificate(path: Path, report) -> None:
 # suites
 
 
-def _suite_case(cfg: RunConfig, out_dir: Path, case_dir: str) -> RunSummary:
-    return run_case(cfg, out_dir=out_dir / case_dir)
-
-
 def run_suite(name: str, sizes: list[int] | None = None,
               out_dir: Path | None = None) -> list[RunSummary]:
     """Run a named batch of cases and write a combined summary.csv."""
@@ -522,8 +490,8 @@ def run_suite(name: str, sizes: list[int] | None = None,
                                    ("async-concurrent", "auto")):
                 cfg = replace(base, problem=problem, variant=variant,
                               omega=omega)
-                summaries.append(_suite_case(cfg, out_dir,
-                                             f"{problem}-{variant}"))
+                summaries.append(run_case(
+                    cfg, out_dir=out_dir / f"{problem}-{variant}"))
 
     elif name == "weak-scaling":
         sizes = sizes or [2, 3]
@@ -535,8 +503,8 @@ def run_suite(name: str, sizes: list[int] | None = None,
                              size=n)
             for variant in ("sync-aitken", "async-sim"):
                 cfg = replace(base, variant=variant)
-                summaries.append(_suite_case(cfg, out_dir,
-                                             f"n{n}-{variant}"))
+                summaries.append(run_case(
+                    cfg, out_dir=out_dir / f"n{n}-{variant}"))
 
     else:  # imbalance
         for tag, balanced in (("balanced", True), ("imbalanced", False)):
@@ -544,8 +512,8 @@ def run_suite(name: str, sizes: list[int] | None = None,
                              balanced=balanced, contrast=1000.0)
             for variant in ("sync-aitken", "async-concurrent"):
                 cfg = replace(base, variant=variant)
-                summaries.append(_suite_case(cfg, out_dir,
-                                             f"{tag}-{variant}"))
+                summaries.append(run_case(
+                    cfg, out_dir=out_dir / f"{tag}-{variant}"))
 
     write_summary(out_dir / "summary.csv", summaries)
     return summaries

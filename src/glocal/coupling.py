@@ -64,6 +64,10 @@ __all__ = [
 
 _POTRS, = la.get_lapack_funcs(("potrs",), dtype=np.float64)
 
+# Coupled unknowns (Gamma plus every subdomain interior) a scenario may
+# have; keeps dense condensation and certificates at desk scale.
+MAX_COUPLED_DOFS = 50_000
+
 
 @dataclass(frozen=True)
 class Subdomain:
@@ -130,10 +134,6 @@ class CouplingScenario:
     @property
     def complement(self) -> Subdomain | None:
         return self.subdomains.get(0)
-
-    @cached_property
-    def offset(self) -> np.ndarray:
-        return residual_offset(self)
 
     @cached_property
     def _scatter_index(self) -> np.ndarray:
@@ -388,7 +388,9 @@ def build_scenario(global_model: MeshModel, labels,
     ``labels`` assigns every global element to a subdomain: 0 is the
     complement (may be absent), positive labels are patch zones and must
     each come with a fine mesh.  The same source/body force is applied on
-    every subdomain, global side and fine side.
+    every subdomain, global side and fine side.  A scenario with more
+    than ``MAX_COUPLED_DOFS`` coupled unknowns raises :class:`ConfigError`
+    once its subdomains are wired, before anything is assembled.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (global_model.element_count,):
@@ -448,14 +450,14 @@ def build_scenario(global_model: MeshModel, labels,
     has_complement = bool(np.any(labels == 0))
     subdomain_ids = ([0] if has_complement else []) + patch_ids
 
+    # Wire every subdomain to Gamma first: the coupled unknown count follows
+    # from the meshes, so an oversized case is rejected before assembly.
     gamma_dim = len(gamma_nodes) * ndpn
-    schur_global = np.zeros((gamma_dim, gamma_dim))
-    rhs_global = np.zeros(gamma_dim)
-    subdomains: dict[int, Subdomain] = {}
+    coupled_dofs = gamma_dim
+    wiring = []
     for sid in subdomain_ids:
         elem_ids = np.nonzero(labels == sid)[0]
         part, node_map = extract_submesh(global_model, elem_ids)
-        system_g = assemble(part, source=source, body_force=body_force)
         pos = np.flatnonzero([sid in node_labels[int(n)]
                               for n in gamma_nodes])
         if pos.size == 0:
@@ -466,19 +468,33 @@ def build_scenario(global_model: MeshModel, labels,
         local_of = -np.ones(global_model.node_count, dtype=np.int64)
         local_of[node_map] = np.arange(len(node_map))
         local_ids = local_of[gnodes]
+        if sid == 0:
+            mesh, iface, j_dof = part, local_ids, None
+        else:
+            mesh = fine_meshes[sid]
+            iface, j_dof = _patch_transfer(sid, global_model, mesh,
+                                           facets_by_sid[sid], gnodes,
+                                           ndpn, tol)
+        coupled_dofs += ndpn * (mesh.node_count - len(mesh.dirichlet)
+                                - len(iface))
+        wiring.append((sid, part, amap, gnodes, local_ids, mesh, iface, j_dof))
+    if coupled_dofs > MAX_COUPLED_DOFS:
+        raise ConfigError(f"scenario has {coupled_dofs} coupled unknowns, "
+                          f"over the {MAX_COUPLED_DOFS} cap")
+
+    schur_global = np.zeros((gamma_dim, gamma_dim))
+    rhs_global = np.zeros(gamma_dim)
+    subdomains: dict[int, Subdomain] = {}
+    for sid, part, amap, gnodes, local_ids, mesh, iface, j_dof in wiring:
+        system_g = assemble(part, source=source, body_force=body_force)
         cond_g = condense(system_g, system_g.node_dofs(local_ids),
                           label=f"subdomain {sid} (global part)")
         schur_global[np.ix_(amap, amap)] += cond_g.schur
         rhs_global[amap] += cond_g.rhs
 
         if sid == 0:
-            mesh, iface, j_dof = part, local_ids, None
             system, cond = system_g, cond_g
         else:
-            mesh = fine_meshes[sid]
-            iface, j_dof = _patch_transfer(sid, global_model, mesh,
-                                           facets_by_sid[sid], gnodes,
-                                           ndpn, tol)
             system = assemble(mesh, source=source, body_force=body_force)
             cond = condense(system, system.node_dofs(iface),
                             label=f"patch {sid} (fine)")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as la
 
+from glocal.coupling import residual_offset
 from glocal.spectral import CompanionSystem, _scattered_sum
 
 
@@ -48,13 +49,14 @@ def verify_fixed_point(scenario, system: CompanionSystem, p_hat,
     the affine step (companion plus the offset in the first block row)."""
     n = system.gamma_dim
     p_hat = np.asarray(p_hat, dtype=float)
+    offset = residual_offset(scenario)
     if symmetrized:
         chol_l = np.linalg.cholesky(scenario.schur_global)
         p_hat = la.solve_triangular(chol_l, p_hat, lower=True)
-        offset = la.solve_triangular(chol_l, scenario.offset, lower=True)
+        offset = la.solve_triangular(chol_l, offset, lower=True)
     else:
         p_hat = la.cho_solve(scenario._sg_chol, p_hat)
-        offset = la.cho_solve(scenario._sg_chol, scenario.offset)
+        offset = la.cho_solve(scenario._sg_chol, offset)
     stacked = np.tile(p_hat, system.max_delay + 1)
     advanced = system.matrix @ stacked
     advanced[:n] -= system.omega * offset

@@ -1,18 +1,18 @@
 """Config parsing, size caps, CSV outputs and the console entry point."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from glocal import (ConfigError, DelaySchedule, generalized_alphas,
-                    relaxation_bounds, run_async_simulated)
+from glocal import (ConfigError, DelaySchedule, cli, coupling,
+                    generalized_alphas, relaxation_bounds,
+                    run_async_simulated)
 from glocal.cli import (
     RunConfig,
     build_case,
-    coupled_dof_count,
-    estimate_coupled_dofs,
     load_config,
     main,
     resolve_contrast,
@@ -133,6 +133,34 @@ def test_out_of_range_values_are_rejected_by_name(tmp_path, section, key,
         load_config(path)
 
 
+@pytest.mark.parametrize("geometry, keys, rules", [
+    ("imbalanced-grid", "size = 99\nrefine = 7\n",
+     ["size is not used by imbalanced-grid",
+      "refine is used by imbalanced-grid only with balanced = true"]),
+    ("imbalanced-grid", "balanced = false\nrefine = 3\n",
+     ["refine is used by imbalanced-grid only with balanced = true"]),
+    ("cube-grid-3d", "size = 1\n", ["size must be at least 2"]),
+])
+def test_keys_the_geometry_cannot_use_are_rejected_by_name(
+        tmp_path, geometry, keys, rules):
+    path = write_config(tmp_path / "c.ini",
+                        f"[scenario]\ngeometry = {geometry}\n{keys}")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    for rule in rules:
+        assert rule in str(excinfo.value)
+
+
+def test_balanced_imbalanced_grid_takes_refine(tmp_path):
+    cfg = load_config(write_config(tmp_path / "c.ini", """
+[scenario]
+geometry = imbalanced-grid
+balanced = true
+refine = 3
+"""))
+    assert cfg.balanced and cfg.refine == 3
+
+
 def test_missing_file_is_an_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.ini")
@@ -142,25 +170,62 @@ def test_missing_file_is_an_error(tmp_path):
 # size caps
 
 
-def test_estimate_matches_built_scenarios():
-    cases = (RunConfig(geometry="two-patch-2d", size=8, refine=1),
-             RunConfig(geometry="two-patch-2d", size=12, refine=3,
-                       problem="elasticity"),
-             RunConfig(geometry="cube-grid-3d", size=2, refine=1),
-             RunConfig(geometry="imbalanced-grid", balanced=True, refine=1))
-    for cfg in cases:
-        assert estimate_coupled_dofs(cfg) == coupled_dof_count(
-            build_case(cfg))
-
-
 def test_caps_reject_before_building():
     with pytest.raises(ConfigError):
         build_case(RunConfig(geometry="cube-grid-3d", size=4))
     with pytest.raises(ConfigError) as excinfo:
         build_case(RunConfig(geometry="cube-grid-3d", size=3, refine=8))
     assert "cap" in str(excinfo.value)
-    assert estimate_coupled_dofs(
-        RunConfig(geometry="cube-grid-3d", size=3, refine=8)) > 50_000
+    count = re.search(r"has (\d+) coupled unknowns", str(excinfo.value))
+    assert int(count.group(1)) > 50_000
+
+
+def test_oversized_config_is_rejected_before_assembly(monkeypatch):
+    # Its zones reach the domain edge; the count comes from the meshes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a case over the cap")
+
+    monkeypatch.setattr(coupling, "assemble", refuse)
+    with pytest.raises(ConfigError, match="over the 50000 cap"):
+        build_case(RunConfig(geometry="two-patch-2d", size=4, refine=120))
+
+
+class GeneratorReached(Exception):
+    pass
+
+
+@pytest.fixture
+def generators_refuse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise GeneratorReached
+
+    for name in ("two_patch_2d", "cube_grid_3d", "imbalanced_grid"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(geometry="two-patch-2d", size=10**6, refine=1),
+    RunConfig(geometry="two-patch-2d", size=16, refine=10**6),
+    RunConfig(geometry="cube-grid-3d", size=10**6),
+    RunConfig(geometry="cube-grid-3d", size=2, refine=10**6),
+    RunConfig(geometry="imbalanced-grid", balanced=True, refine=10**6),
+], ids=["2d-size", "2d-refine", "3d-size", "3d-refine", "balanced-refine"])
+def test_huge_configs_are_rejected_before_meshing(generators_refuse, cfg):
+    with pytest.raises(ConfigError, match="supports"):
+        build_case(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(geometry="two-patch-2d", size=315, refine=1),
+    RunConfig(geometry="two-patch-2d", size=6, refine=159),
+    RunConfig(geometry="cube-grid-3d", size=2, refine=9),
+    RunConfig(geometry="imbalanced-grid", balanced=True, refine=7),
+], ids=["2d-size-315", "2d-size-refine-954", "3d-refine-9",
+        "balanced-refine-7"])
+def test_largest_configs_under_the_cap_reach_the_generator(
+        generators_refuse, cfg):
+    with pytest.raises(GeneratorReached):
+        build_case(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,21 @@ from glocal import (
     GeometryError,
     TopologyError,
     build_scenario,
+    chain_1d,
+    coupling,
+    cube_grid_3d,
+    imbalanced_grid,
     build_structured_mesh,
     build_transfer,
     compute_residual,
     dirichlet_to_neumann,
     interface_reaction,
     nodes_on_plane,
+    residual_offset,
     two_patch_2d,
     with_dirichlet,
 )
+from glocal.cli import coupled_dof_count
 from glocal.coupling import patch_reactions
 from reaction_oracle import loop_residual
 
@@ -248,18 +254,20 @@ def test_one_patch_reaction_is_its_row_of_the_batch(name, request):
 def test_residual_is_affine_in_the_interface_load(two_patch_elastic):
     scn = two_patch_elastic
     shat = embedded_sum(scn)
+    offset = residual_offset(scn)
     rng = np.random.default_rng(21)
     for _ in range(3):
         p = rng.standard_normal(scn.gamma_dim)
         direct = compute_residual(scn, scn.solve_interface(p))
-        affine = -(shat @ np.linalg.solve(scn.schur_global, p) + scn.offset)
+        affine = -(shat @ np.linalg.solve(scn.schur_global, p) + offset)
         assert np.allclose(direct, affine, atol=1e-9 * (1 + abs(direct).max()))
 
 
 def test_offset_is_minus_residual_at_zero_load(two_patch_thermal):
     scn = two_patch_thermal
     u0 = scn.solve_interface(np.zeros(scn.gamma_dim))
-    assert np.allclose(scn.offset, -compute_residual(scn, u0), atol=1e-12)
+    assert np.allclose(residual_offset(scn), -compute_residual(scn, u0),
+                       atol=1e-12)
 
 
 def test_embedded_operators_match_reaction_linearisation(two_patch_thermal):
@@ -278,7 +286,7 @@ def test_identical_fine_model_leaves_no_offset(fine_eq_thermal,
                                                fine_eq_elastic):
     for scn in (fine_eq_thermal, fine_eq_elastic):
         rhs_norm = np.linalg.norm(scn.rhs_global)
-        assert np.linalg.norm(scn.offset) <= 1e-12 * rhs_norm
+        assert np.linalg.norm(residual_offset(scn)) <= 1e-12 * rhs_norm
         shat = embedded_sum(scn)
         assert np.allclose(shat, scn.schur_global,
                            atol=1e-10 * np.abs(scn.schur_global).max())
@@ -408,6 +416,43 @@ def test_cube_edge_node_takes_the_edge_weights(cube2_thermal):
     expected[_row_at(global_x, [0.5, 0.0, 1.0])] = 0.5
     expected[_row_at(global_x, [0.5, 0.5, 1.0])] = 0.5
     assert np.allclose(row, expected, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# coupled unknown cap
+
+
+CAPPED_BUILDS = {
+    "chain": chain_1d,
+    "two_patch_thermal": lambda: two_patch_2d("thermal"),
+    "two_patch_elastic": lambda: two_patch_2d("elasticity"),
+    # nx 4 and 5 put the patch zones on the domain edge.
+    "nx4_r2": lambda: two_patch_2d("thermal", nx=4, refine=2),
+    "nx4_r3": lambda: two_patch_2d("thermal", nx=4, refine=3),
+    "nx5_r2": lambda: two_patch_2d("thermal", nx=5, refine=2),
+    "nx5_r3": lambda: two_patch_2d("thermal", nx=5, refine=3),
+    "cube2_thermal": lambda: cube_grid_3d(2),
+    "imbalanced_thermal": lambda: imbalanced_grid("thermal", seed=0),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED_BUILDS)
+def test_cap_counts_the_coupled_unknowns_exactly(monkeypatch, name):
+    build = CAPPED_BUILDS[name]
+    count = coupled_dof_count(build())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a case over the cap")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(coupling, "MAX_COUPLED_DOFS", count - 1)
+        patched.setattr(coupling, "assemble", refuse)
+        with pytest.raises(ConfigError,
+                           match=f"has {count} coupled unknowns, over the "
+                                 f"{count - 1} cap"):
+            build()
+    monkeypatch.setattr(coupling, "MAX_COUPLED_DOFS", count)
+    assert coupled_dof_count(build()) == count
 
 
 # ---------------------------------------------------------------------------

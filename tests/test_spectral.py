@@ -18,6 +18,7 @@ from glocal import (
     generalized_alphas,
     generalized_spectrum,
     relaxation_bounds,
+    residual_offset,
     spectral_radius,
     two_patch_2d,
 )
@@ -150,7 +151,8 @@ def test_symmetrized_companion_keeps_the_spectrum(chain):
 
 def test_fixed_point_self_check(chain):
     scn = chain
-    p_hat = -scn.schur_global @ np.linalg.solve(embedded_sum(scn), scn.offset)
+    p_hat = -scn.schur_global @ np.linalg.solve(embedded_sum(scn),
+                                                residual_offset(scn))
     # p_hat really is the coupled load: the residual vanishes there.
     r = compute_residual(scn, scn.solve_interface(p_hat))
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(scn.rhs_global)
