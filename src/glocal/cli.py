@@ -10,8 +10,8 @@ Configs are INI files with three sections::
     refine   = 2                  ; imbalanced-grid: only when balanced
     contrast = 10.0               ; default 10 thermal, 100 elasticity,
                                   ; 1000 imbalanced-grid
-    seed     = 0                  ; imbalanced-grid refinement draw
-    balanced = false              ; imbalanced-grid: uniform-refine twin
+    seed     = 0                  ; imbalanced-grid only: refinement draw
+    balanced = false              ; imbalanced-grid only: uniform twin
 
     [solver]
     variant       = sync-aitken   ; sync-fixed, async-sim, async-concurrent,
@@ -193,12 +193,6 @@ _SCHEMA = {
     },
 }
 
-_GEOMETRY_DEFAULTS = {
-    "two-patch-2d": {"size": 16},
-    "cube-grid-3d": {"size": 2},
-    "imbalanced-grid": {"size": 4, "contrast": 1000.0},
-}
-
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate an INI config; every problem is reported by name."""
@@ -225,19 +219,21 @@ def load_config(path: str | Path) -> RunConfig:
                                 f"{err}")
 
     geometry = values.get("geometry", "two-patch-2d")
-    if geometry == "imbalanced-grid":
+    if geometry not in GEOMETRIES:
+        problems.append(f"geometry must be one of {GEOMETRIES}, got "
+                        f"{geometry!r}")
+    elif geometry == "imbalanced-grid":
         if "size" in values:
             problems.append("size is not used by imbalanced-grid (a fixed "
                             "4x2x2 grid)")
         if "refine" in values and not values.get("balanced", False):
             problems.append("refine is used by imbalanced-grid only with "
                             "balanced = true")
-    if geometry not in GEOMETRIES:
-        problems.append(f"geometry must be one of {GEOMETRIES}, got "
-                        f"{geometry!r}")
     else:
-        for key, default in _GEOMETRY_DEFAULTS[geometry].items():
-            values.setdefault(key, default)
+        problems += [f"{key} is used only by imbalanced-grid"
+                     for key in ("seed", "balanced") if key in values]
+        if geometry == "cube-grid-3d":
+            values.setdefault("size", 2)
 
     variant = values.get("variant", "sync-aitken")
     if variant not in VARIANTS:
@@ -509,7 +505,7 @@ def run_suite(name: str, sizes: list[int] | None = None,
     else:  # imbalance
         for tag, balanced in (("balanced", True), ("imbalanced", False)):
             base = RunConfig(problem="thermal", geometry="imbalanced-grid",
-                             balanced=balanced, contrast=1000.0)
+                             balanced=balanced)
             for variant in ("sync-aitken", "async-concurrent"):
                 cfg = replace(base, variant=variant)
                 summaries.append(run_case(

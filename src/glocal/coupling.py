@@ -4,8 +4,9 @@ A scenario starts from one global mesh whose elements are labelled by
 subdomain: label 0 is the complement (optional), labels 1..N are patch
 zones.  Each patch zone has a fine mesh covering the same region.  The
 coupling interface Gamma is the set of free global nodes shared by at
-least two subdomains.  Each subdomain is one :class:`Subdomain` record
-holding everything about it:
+least two subdomains; Gamma and the global facets the subdomains share
+come from one array pass over the element incidences.  Each subdomain is
+one :class:`Subdomain` record holding everything about it:
 
 * its assembly map ``A_s`` (a dof index map) scattering its interface
   dofs into Gamma,
@@ -35,7 +36,6 @@ Q = (sum_s A_s S_s A_s^T) S_G^{-1}.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -160,9 +160,9 @@ class CouplingScenario:
 
 
 # Facet kinds by corner count: a vertex (1D), an edge (2D) and a face with
-# corners in ``_HEX_FACES`` loop order (3D).  Each row places one corner in
-# the facet's local coordinates; the corners listed in ``_AXIS_CORNERS``
-# span them from corner 0.
+# corners in loop order (3D), as ``_FACET_CORNERS`` lists them.  Each row
+# places one corner in the facet's local coordinates; the corners listed
+# in ``_AXIS_CORNERS`` span them from corner 0.
 _REFERENCE_CORNERS = {1: np.zeros((1, 0)),
                       2: np.array([[0.0], [1.0]]),
                       4: np.array([[0.0, 0.0], [1.0, 0.0],
@@ -318,19 +318,54 @@ def residual_offset(scenario: CouplingScenario) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# interface facets
+# interface topology
 
 
-_HEX_FACES = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4),
-              (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7)]
+# Local corner indices of each element facet: the two ends of a rod, the
+# three edges of a triangle, the six faces of a hex with corners in loop
+# order (the order ``build_transfer`` expects).
+_FACET_CORNERS = {1: np.array([[0], [1]]),
+                  2: np.array([[0, 1], [1, 2], [2, 0]]),
+                  3: np.array([[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 5, 4],
+                               [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]])}
 
 
-def _element_facets(dim: int, conn: np.ndarray):
-    if dim == 1:
-        return [(conn[0],), (conn[1],)]
-    if dim == 2:
-        return [(conn[0], conn[1]), (conn[1], conn[2]), (conn[2], conn[0])]
-    return [tuple(conn[i] for i in face) for face in _HEX_FACES]
+def _interface(global_model: MeshModel, labels: np.ndarray):
+    """Subdomain ids and the Gamma nodes and facets they share, found in
+    one array pass over the element incidences.
+
+    Returns ``(sids, gamma_nodes, gamma_touch, facets, facet_touch)``.
+    ``sids`` are the sorted labels; column c of both tables stands for
+    ``sids[c]``.  ``gamma_nodes`` are the free nodes touched by two or
+    more subdomains, sorted, and ``gamma_touch`` marks which subdomains
+    touch each.  ``facets`` are the element facets on two or more
+    subdomains, in the order first met walking the elements and with the
+    corner order of the first element holding them; ``facet_touch`` marks
+    theirs.
+    """
+    sids, column = np.unique(labels, return_inverse=True)
+    elements = global_model.elements
+    node_touch = np.zeros((global_model.node_count, len(sids)), dtype=bool)
+    node_touch[elements, column[:, None]] = True
+    iface = np.flatnonzero(node_touch.sum(axis=1) >= 2)
+    held = np.array(list(global_model.dirichlet), dtype=np.int64)
+    held_values = np.array(list(global_model.dirichlet.values()))
+    nonzero = np.intersect1d(iface, held[held_values != 0.0])
+    if nonzero.size:
+        raise GeometryError("interface nodes with nonzero prescribed values "
+                            f"are not supported (nodes {nonzero.tolist()})")
+    gamma_nodes = np.setdiff1d(iface, held)
+
+    corners = _FACET_CORNERS[global_model.dimension]
+    facets = elements[:, corners].reshape(-1, corners.shape[1])
+    _, first, facet_id = np.unique(np.sort(facets, axis=1), axis=0,
+                                   return_index=True, return_inverse=True)
+    facet_touch = np.zeros((len(first), len(sids)), dtype=bool)
+    facet_touch[facet_id.ravel(), np.repeat(column, len(corners))] = True
+    shared = np.flatnonzero(facet_touch.sum(axis=1) >= 2)
+    shared = shared[np.argsort(first[shared])]
+    return (sids, gamma_nodes, node_touch[gamma_nodes],
+            facets[first[shared]], facet_touch[shared])
 
 
 def _patch_transfer(sid: int, global_model: MeshModel, fine: MeshModel,
@@ -385,19 +420,24 @@ def build_scenario(global_model: MeshModel, labels,
                    name: str = "scenario") -> CouplingScenario:
     """Assemble, condense and wire up a full coupling scenario.
 
-    ``labels`` assigns every global element to a subdomain: 0 is the
-    complement (may be absent), positive labels are patch zones and must
+    ``labels`` assigns every global element an integer subdomain id: 0 is
+    the complement (may be absent), positive ids are patch zones and must
     each come with a fine mesh.  The same source/body force is applied on
     every subdomain, global side and fine side.  A scenario with more
     than ``MAX_COUPLED_DOFS`` coupled unknowns raises :class:`ConfigError`
     once its subdomains are wired, before anything is assembled.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (global_model.element_count,):
         raise TopologyError("labels must assign one subdomain per element")
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+        raise TopologyError("subdomain labels must be integers")
+    labels = labels.astype(np.int64)
     if labels.min() < 0:
         raise TopologyError("subdomain labels must be non-negative")
-    patch_ids = sorted(int(s) for s in np.unique(labels) if s > 0)
+    sids, gamma_nodes, gamma_touch, facets, facet_touch = \
+        _interface(global_model, labels)
+    patch_ids = sids[sids > 0].tolist()
     if not patch_ids:
         raise TopologyError("no patch zones: nothing to couple")
     if set(fine_meshes) != set(patch_ids):
@@ -407,59 +447,22 @@ def build_scenario(global_model: MeshModel, labels,
     if not global_model.dirichlet:
         raise ConfigError("the global model carries no Dirichlet data; the "
                           "assembled interface operator would be singular")
-
-    dim = global_model.dimension
-    ndpn = 1 if global_model.material.kind == "thermal" else dim
-    span = max(np.ptp(global_model.nodes, axis=0).max(), 1.0)
-    tol = 1e-9 * span
-
-    # Which subdomains touch each node; >= 2 makes it an interface node.
-    node_labels: dict[int, set] = defaultdict(set)
-    for conn, lab in zip(global_model.elements, labels):
-        for n in conn:
-            node_labels[int(n)].add(int(lab))
-    interface_all = sorted(n for n, ls in node_labels.items() if len(ls) >= 2)
-    gamma_nodes = np.array([n for n in interface_all
-                            if n not in global_model.dirichlet],
-                           dtype=np.int64)
     if gamma_nodes.size == 0:
         raise TopologyError("the coupling interface has no free nodes")
-    constrained_iface = np.array([n for n in interface_all
-                                  if n in global_model.dirichlet],
-                                 dtype=np.int64)
-    nonzero = [int(n) for n in constrained_iface
-               if global_model.dirichlet[int(n)] != 0.0]
-    if nonzero:
-        raise GeometryError("interface nodes with nonzero prescribed values "
-                            f"are not supported (nodes {nonzero})")
 
-    # Interface facets per subdomain, for locating fine interface nodes.
-    facet_labels: dict[tuple, set] = {}
-    facet_order: dict[tuple, tuple] = {}
-    for conn, lab in zip(global_model.elements, labels):
-        for facet in _element_facets(dim, conn):
-            key = tuple(sorted(int(n) for n in facet))
-            facet_labels.setdefault(key, set()).add(int(lab))
-            facet_order.setdefault(key, facet)
-    facets_by_sid: dict[int, list] = defaultdict(list)
-    for key, ls in facet_labels.items():
-        if len(ls) >= 2:
-            for s in ls:
-                facets_by_sid[s].append(facet_order[key])
-
-    has_complement = bool(np.any(labels == 0))
-    subdomain_ids = ([0] if has_complement else []) + patch_ids
+    ndpn = 1 if global_model.material.kind == "thermal" else \
+        global_model.dimension
+    tol = 1e-9 * max(np.ptp(global_model.nodes, axis=0).max(), 1.0)
 
     # Wire every subdomain to Gamma first: the coupled unknown count follows
     # from the meshes, so an oversized case is rejected before assembly.
     gamma_dim = len(gamma_nodes) * ndpn
     coupled_dofs = gamma_dim
     wiring = []
-    for sid in subdomain_ids:
-        elem_ids = np.nonzero(labels == sid)[0]
-        part, node_map = extract_submesh(global_model, elem_ids)
-        pos = np.flatnonzero([sid in node_labels[int(n)]
-                              for n in gamma_nodes])
+    for c, sid in enumerate(sids.tolist()):
+        part, node_map = extract_submesh(global_model,
+                                         np.flatnonzero(labels == sid))
+        pos = np.flatnonzero(gamma_touch[:, c])
         if pos.size == 0:
             raise TopologyError(f"subdomain {sid} has no free interface "
                                 "nodes (floating patch?)")
@@ -473,7 +476,7 @@ def build_scenario(global_model: MeshModel, labels,
         else:
             mesh = fine_meshes[sid]
             iface, j_dof = _patch_transfer(sid, global_model, mesh,
-                                           facets_by_sid[sid], gnodes,
+                                           facets[facet_touch[:, c]], gnodes,
                                            ndpn, tol)
         coupled_dofs += ndpn * (mesh.node_count - len(mesh.dirichlet)
                                 - len(iface))

@@ -43,12 +43,8 @@ def _zone_cells_2d(nx: int, ny: int, zone: tuple[int, int, int, int]):
     if not (0 < i0 < i1 <= nx and 0 <= j0 < j1 <= ny):
         raise ValueError(f"zone {zone} does not fit a {nx}x{ny} grid "
                          "(zones must stay off the x=0 edge)")
-    ids = []
-    for i in range(i0, i1):
-        for j in range(j0, j1):
-            cell = i * ny + j
-            ids.extend((2 * cell, 2 * cell + 1))
-    return np.asarray(ids, dtype=np.int64)
+    cells = (np.arange(i0, i1)[:, None] * ny + np.arange(j0, j1)).ravel()
+    return (2 * cells[:, None] + np.arange(2)).ravel()
 
 
 def _default_zones_2d(nx: int, ny: int):
@@ -151,12 +147,9 @@ def _cube_scenario(problem: str, shape: tuple[int, int, int],
     glob = build_structured_mesh(3, divisions, extent, kind=kind)
     glob = with_dirichlet(glob, nodes_on_plane(glob, 0, 0.0))
 
-    labels = np.zeros(glob.element_count, dtype=np.int64)
-    for i in range(divisions[0]):
-        for j in range(divisions[1]):
-            for k in range(divisions[2]):
-                sid = 1 + ((i // m) * sy + (j // m)) * sz + (k // m)
-                labels[(i * divisions[1] + j) * divisions[2] + k] = sid
+    # Element (i*ny + j)*nz + k is cell (i, j, k) of cube (i, j, k) // m.
+    cube = np.indices(divisions).reshape(3, -1) // m
+    labels = 1 + (cube[0] * sy + cube[1]) * sz + cube[2]
 
     fine = {}
     scale = contrast if stiff else 1.0 / contrast

@@ -73,7 +73,7 @@ def test_geometry_defaults_applied(tmp_path):
 [scenario]
 geometry = imbalanced-grid
 """))
-    assert cfg.size == 4 and cfg.contrast == 1000.0
+    assert resolve_contrast(cfg) == 1000.0
     cube = load_config(write_config(tmp_path / "d.ini", """
 [scenario]
 geometry = cube-grid-3d
@@ -140,6 +140,12 @@ def test_out_of_range_values_are_rejected_by_name(tmp_path, section, key,
     ("imbalanced-grid", "balanced = false\nrefine = 3\n",
      ["refine is used by imbalanced-grid only with balanced = true"]),
     ("cube-grid-3d", "size = 1\n", ["size must be at least 2"]),
+    ("two-patch-2d", "seed = 5\nbalanced = true\n",
+     ["seed is used only by imbalanced-grid",
+      "balanced is used only by imbalanced-grid"]),
+    ("cube-grid-3d", "seed = 0\n", ["seed is used only by imbalanced-grid"]),
+    ("cube-grid-3d", "balanced = false\n",
+     ["balanced is used only by imbalanced-grid"]),
 ])
 def test_keys_the_geometry_cannot_use_are_rejected_by_name(
         tmp_path, geometry, keys, rules):

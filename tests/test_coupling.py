@@ -20,6 +20,7 @@ from glocal import (
     chain_1d,
     coupling,
     cube_grid_3d,
+    fine_equals_global_2d,
     imbalanced_grid,
     build_structured_mesh,
     build_transfer,
@@ -28,12 +29,14 @@ from glocal import (
     interface_reaction,
     nodes_on_plane,
     residual_offset,
+    scenarios,
     two_patch_2d,
     with_dirichlet,
 )
 from glocal.cli import coupled_dof_count
 from glocal.coupling import patch_reactions
 from reaction_oracle import loop_residual
+from topology_oracle import interface_topology
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +458,64 @@ def test_cap_counts_the_coupled_unknowns_exactly(monkeypatch, name):
     assert coupled_dof_count(build()) == count
 
 
+class _Captured(Exception):
+    pass
+
+
+def scenario_inputs(monkeypatch, build):
+    """The arguments a generator hands to ``build_scenario``, taken before
+    anything is assembled."""
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Captured
+
+    with monkeypatch.context() as patched:
+        patched.setattr(scenarios, "build_scenario", capture)
+        with pytest.raises(_Captured):
+            build()
+    return seen[0]
+
+
+INTERFACE_BUILDS = dict(
+    CAPPED_BUILDS,
+    fine_equals_global=lambda: fine_equals_global_2d("thermal"))
+
+
+@pytest.mark.parametrize("name", INTERFACE_BUILDS)
+def test_interface_matches_the_element_loop_oracle(monkeypatch, name):
+    (glob, labels, _), _ = scenario_inputs(monkeypatch, INTERFACE_BUILDS[name])
+    sids, gamma, touch, facets, facet_touch = \
+        coupling._interface(glob, labels)
+    ids, gamma_ref, positions, facets_ref = interface_topology(glob, labels)
+    assert sids.tolist() == ids
+    assert np.array_equal(gamma, gamma_ref)
+    assert touch.shape == (len(gamma), len(ids))
+    for c, sid in enumerate(ids):
+        assert np.array_equal(np.flatnonzero(touch[:, c]), positions[sid])
+        # Same facets, in the same order and with the same corner order.
+        assert np.array_equal(facets[facet_touch[:, c]], facets_ref[sid])
+
+
+def test_non_contiguous_patch_labels_build_the_same_scenario(monkeypatch):
+    (glob, labels, fine), kwargs = scenario_inputs(
+        monkeypatch, lambda: two_patch_2d("elasticity", nx=8))
+    ref = build_scenario(glob, labels, fine, **kwargs)
+    sparse_ids = np.array([0, 2, 5])
+    scn = build_scenario(glob, sparse_ids[labels],
+                         {2: fine[1], 5: fine[2]}, **kwargs)
+    assert scn.subdomain_ids == (0, 2, 5)
+    for name in ("gamma_nodes", "schur_global", "rhs_global", "patch_schur",
+                 "patch_rhs", "patch_index"):
+        assert np.array_equal(getattr(scn, name), getattr(ref, name))
+    for old, new in zip(ref.subdomain_ids, scn.subdomain_ids):
+        assert np.array_equal(scn.subdomains[new].amap,
+                              ref.subdomains[old].amap)
+        assert np.array_equal(scn.subdomains[new].schur,
+                              ref.subdomains[old].schur)
+
+
 # ---------------------------------------------------------------------------
 # construction errors
 
@@ -469,6 +530,11 @@ def test_build_scenario_validation():
         build_scenario(glob, np.zeros_like(labels), {})
     with pytest.raises(TopologyError):
         build_scenario(glob, labels, {2: fine})
+    with pytest.raises(TopologyError, match="integers"):
+        build_scenario(glob, labels + 0.7, {1: fine})
+    whole = build_scenario(glob, labels.astype(float), {1: fine})
+    assert np.array_equal(whole.schur_global,
+                          build_scenario(glob, labels, {1: fine}).schur_global)
     free = build_structured_mesh(2, (4, 2), (2.0, 1.0))
     with pytest.raises(ConfigError):
         build_scenario(free, labels, {1: fine})
