@@ -20,13 +20,16 @@ stale combination is formed.
 and is the canonical definition of the iteration.  Each step it computes
 every patch product in one batched call and keeps only the rows of the
 patches the schedule refreshes.  The threaded executor
-runs the global model on the calling thread and patch groups on worker
-threads that exchange traces and reactions through one-sided
-:class:`WindowCell` windows.  Free-running (``run_async_concurrent``),
-delays come from real scheduling, are observed rather than prescribed,
-and the iterate sequence is not reproducible run to run, only its limit
-is.  Behind barriers (``run_sync_concurrent``) every reaction is fresh
-and the iterates are those of :func:`glocal.solvers.richardson_sync`.
+runs the global model on the calling thread and patch ranks on worker
+threads, each holding a contiguous slice of the patch stack; they
+exchange traces and reactions through one-sided :class:`WindowCell`
+windows and wake each other through one condition.  Free-running
+(``run_async_concurrent``), delays come from real scheduling, are
+observed rather than prescribed, and the iterate sequence is not
+reproducible run to run, only its limit is.  Synchronized
+(``run_sync_concurrent``), the global rank waits for every rank's answer
+to each trace, so every reaction is fresh and the iterates are those of
+:func:`glocal.solvers.richardson_sync`.
 """
 
 from __future__ import annotations
@@ -264,33 +267,34 @@ class WindowCell:
 
 
 def _patch_groups(patch_ids: tuple[int, ...],
-                  rank_count: int | None) -> list[list[int]]:
+                  rank_count: int | None) -> list[slice]:
+    """Contiguous slices of the patch stack, one per patch rank."""
     if rank_count is None:
         rank_count = 1 + len(patch_ids)
     if rank_count < 2:
         raise ValueError("need at least one global and one patch rank")
     workers = min(rank_count - 1, len(patch_ids))
-    groups: list[list[int]] = [[] for _ in range(workers)]
-    for i, sid in enumerate(patch_ids):
-        groups[i % workers].append(sid)
-    return groups
+    cuts = [len(patch_ids) * k // workers for k in range(workers + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 class _WindowRanks(_Reactions):
     """Patch ranks on threads, exchanging through window cells.
 
-    The global rank (the kernel's thread) puts each trace in every patch's
-    trace window; a patch rank solves the reaction of each patch of its
-    group at the trace in that patch's window and puts it in the patch's
-    reaction window, tagged with the step the trace came from.  A patch
-    whose trace window still holds the step it last answered is skipped.
-    ``synchronized`` runs every step behind two barriers (trace published,
-    reactions published), so all reactions are fresh.  Otherwise patch
-    ranks answer each new trace as they reach it and the global rank sums
-    whatever reactions the windows hold as soon as one patch has answered
-    the current trace; ``patch_sleep`` adds a per-solve delay to some
-    patches, and the run aborts with :class:`LivelockError` when no patch
-    answers within ``watchdog`` seconds.
+    The global rank (the kernel's thread) puts each step's trace in one
+    trace window.  Each patch rank owns a contiguous slice of the patch
+    stack: it answers every new trace once, with one batched product for
+    all its patches, and puts the block in its own reaction window,
+    tagged with the step the trace came from.  A rank holding several
+    patches then sleeps the sum of their ``patch_sleep``.
+
+    One condition carries every wake-up: each put is announced on it, a
+    patch rank waits for a new trace (or the stop), and the global rank
+    waits until every rank has answered the current trace
+    (``synchronized``, and step 0 of any run) or at least one has, so
+    stale reactions enter only a free-running run.  That wait also ends
+    when a worker has raised, and aborts with :class:`LivelockError`
+    after ``watchdog`` seconds.
     """
 
     def __init__(self, scenario: CouplingScenario, rank_count: int | None,
@@ -298,24 +302,22 @@ class _WindowRanks(_Reactions):
                  patch_sleep: dict[int, float] | None = None,
                  watchdog: float = 10.0):
         super().__init__(scenario)
-        groups = _patch_groups(scenario.patch_ids, rank_count)
+        self.groups = _patch_groups(scenario.patch_ids, rank_count)
+        self.synchronized = synchronized
         self.traced = not synchronized
         self.patch_sleep = patch_sleep or {}
         self.watchdog = watchdog
-        self.trace_cells = {sid: WindowCell(f"trace[{sid}]")
-                            for sid in scenario.patch_ids}
-        self.reaction_cells = {sid: WindowCell(f"reaction[{sid}]")
-                               for sid in scenario.patch_ids}
-        # Step whose trace each patch's newest reaction was solved at.
-        self.latest = dict.fromkeys(scenario.patch_ids, -1)
-        self.rows = {sid: i for i, sid in enumerate(scenario.patch_ids)}
-        self.barrier = (threading.Barrier(len(groups) + 1)
-                        if synchronized else None)
-        self.stop = threading.Event()
+        self.trace = WindowCell("trace")
+        self.reaction_cells = [WindowCell(f"reaction[{g.start}:{g.stop}]")
+                               for g in self.groups]
+        # Step whose trace each rank's newest reaction block was solved at.
+        self.answered = [-1] * len(self.groups)
+        self.changed = threading.Condition()
+        self.stopped = False
         self.errors: list[Exception] = []
         self.threads = [threading.Thread(target=self._patch_rank,
-                                         args=(group,), daemon=True)
-                        for group in groups]
+                                         args=(k,), daemon=True)
+                        for k in range(len(self.groups))]
 
     def __enter__(self):
         for t in self.threads:
@@ -323,9 +325,9 @@ class _WindowRanks(_Reactions):
         return self
 
     def __exit__(self, *exc_info):
-        self.stop.set()
-        if self.barrier is not None:
-            self.barrier.abort()
+        with self.changed:
+            self.stopped = True
+            self.changed.notify_all()
         for t in self.threads:
             t.join(timeout=5.0)
         self._raise_worker_error()
@@ -334,76 +336,58 @@ class _WindowRanks(_Reactions):
         if self.errors:
             raise self.errors[0]
 
-    def _patch_rank(self, group: list[int]):
+    def _patch_rank(self, k: int):
+        rows = self.groups[k]
+        sids = self.scenario.patch_ids[rows]
+        delay = sum(self.patch_sleep.get(sid, 0.0) for sid in sids)
+        seen = 0
         try:
-            while not self.stop.is_set():
-                if self.barrier is not None:
-                    self.barrier.wait()  # trace published
-                did_work = self._solve(group)
-                if self.barrier is not None:
-                    self.barrier.wait()  # reactions published
-                else:
-                    time.sleep(0 if did_work else 5e-5)
-        except threading.BrokenBarrierError:
-            return  # the global rank has stopped
+            while True:
+                with self.changed:
+                    self.changed.wait_for(
+                        lambda: self.stopped or self.trace.version != seen)
+                    if self.stopped:
+                        return
+                seen, u, meta = self.trace.read()
+                reactions = patch_reactions(self.scenario, u, rows)
+                with self.changed:
+                    for sid in sids:
+                        self.solves[sid] += 1
+                    self.reaction_cells[k].put(reactions,
+                                               source_iter=meta["iter"])
+                    self.answered[k] = meta["iter"]
+                    self.changed.notify_all()
+                if delay:
+                    time.sleep(delay)
         except Exception as err:  # re-raised on the global rank
-            self.errors.append(err)
-            if self.barrier is not None:
-                self.barrier.abort()
-
-    def _solve(self, group: list[int]) -> bool:
-        did_work = False
-        for sid in group:
-            _, u, meta = self.trace_cells[sid].read()
-            if meta.get("iter", -1) == self.latest[sid]:
-                continue  # no trace yet, or this one is answered
-            row = self.rows[sid]
-            reaction = patch_reactions(self.scenario, u,
-                                       slice(row, row + 1))[0]
-            self.reaction_cells[sid].put(reaction, source_iter=meta["iter"])
-            self.solves[sid] += 1
-            self.latest[sid] = meta["iter"]
-            did_work = True
-            delay = self.patch_sleep.get(sid, 0.0)
-            if delay:
-                time.sleep(delay)
-        return did_work
-
-    def _await_reactions(self, j: int):
-        """Wait until every patch (step 0) or at least one patch (later
-        steps) has put a reaction solved at the trace of step j.
-
-        Any reaction not seen before would not do: a global rank that
-        steps quickly would then outrun the patch ranks, and the ages, and
-        with them whether the run converges, would depend on how cheap a
-        global step is.
-        """
-        enough = all if j == 0 else any
-        deadline = time.monotonic() + self.watchdog
-        while not enough(source >= j for source in self.latest.values()):
-            self._raise_worker_error()
-            if time.monotonic() > deadline:
-                raise LivelockError(f"no patch answered trace {j} within "
-                                    f"{self.watchdog} s")
-            time.sleep(2e-5)
+            with self.changed:
+                self.errors.append(err)
+                self.changed.notify_all()
 
     def residual(self, j: int, u: np.ndarray):
-        if self.barrier is None and j:
-            time.sleep(0)  # yield so patch ranks keep pace
-        for cell in self.trace_cells.values():
-            cell.put(u, iter=j)
-        if self.barrier is not None:
-            self.barrier.wait()  # trace published
-            self.barrier.wait()  # reactions published
-        else:
-            self._await_reactions(j)
+        # Waiting for any reaction not seen before would not do: a global
+        # rank that steps quickly would then outrun the patch ranks, and
+        # the ages, and with them whether the run converges, would depend
+        # on how cheap a global step is.
+        enough = all if self.synchronized or j == 0 else any
+        with self.changed:
+            self.trace.put(u, iter=j)
+            self.changed.notify_all()
+            if not self.changed.wait_for(
+                    lambda: self.errors or enough(
+                        step >= j for step in self.answered),
+                    timeout=self.watchdog):
+                raise LivelockError(f"patch ranks did not answer trace {j} "
+                                    f"within {self.watchdog} s")
         self._raise_worker_error()
-        reactions, ages = [], {}
-        for sid, cell in self.reaction_cells.items():
-            _, reaction, meta = cell.read()
-            reactions.append(reaction)
-            ages[sid] = max(j - int(meta["source_iter"]), 0)
-        return scatter_residual(self.scenario, u, np.array(reactions)), ages
+        blocks, ages = [], {}
+        for rows, cell in zip(self.groups, self.reaction_cells):
+            _, block, meta = cell.read()
+            blocks.append(block)
+            age = j - int(meta["source_iter"])
+            ages.update(dict.fromkeys(self.scenario.patch_ids[rows], age))
+        return (scatter_residual(self.scenario, u, np.concatenate(blocks)),
+                ages)
 
 
 def run_async_concurrent(scenario: CouplingScenario, omega: float,
@@ -414,12 +398,13 @@ def run_async_concurrent(scenario: CouplingScenario, omega: float,
     """Threaded asynchronous run exchanging data through window cells.
 
     The global rank publishes the interface trace and, once at least one
-    patch has answered that trace, iterates on whatever reactions the
-    patch ranks have put back, fresh or not; patch ranks answer each new
-    trace once.  ``patch_sleep`` injects an artificial per-solve delay
-    for a subset of patches, which is how tests model rank imbalance.  A
-    watchdog aborts with :class:`LivelockError` when no patch answers
-    within ``watchdog`` seconds.
+    patch rank has answered that trace, iterates on whatever reactions
+    the patch ranks have put back, fresh or not; patch ranks answer each
+    new trace once.  ``patch_sleep`` injects an artificial delay after
+    each product for a subset of patches, which is how tests model rank
+    imbalance; a rank holding several patches sleeps the sum of theirs.
+    A watchdog aborts with :class:`LivelockError` when no patch rank
+    answers within ``watchdog`` seconds.
     """
     ranks = _WindowRanks(scenario, rank_count, synchronized=False,
                          patch_sleep=patch_sleep, watchdog=watchdog)
@@ -431,12 +416,14 @@ def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
                         tol: float = 1e-8, max_iter: int = 10000,
                         rank_count: int | None = None,
                         relaxation: str = "fixed") -> SolveReport:
-    """Barrier-synchronized threaded run.
+    """Synchronized threaded run.
 
-    Every iteration runs the three phases publish-trace / patch-solve /
-    reduce behind barriers, so the iterate sequence coincides with
-    :func:`glocal.solvers.richardson_sync` operation for operation; it
-    exists to show the window plumbing does not perturb the numbers.
+    Every iteration publishes the trace and waits until every patch rank
+    has put its reaction block at that trace, so the iterate sequence
+    coincides with :func:`glocal.solvers.richardson_sync` operation for
+    operation; it exists to show the window plumbing does not perturb
+    the numbers.  A patch rank that does not answer within 10 s aborts
+    the run with :class:`LivelockError`.
     """
     ranks = _WindowRanks(scenario, rank_count, synchronized=True)
     return _iterate(scenario, ranks, omega, tol, max_iter, relaxation,

@@ -36,7 +36,7 @@ Q = (sum_s A_s S_s A_s^T) S_G^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -485,6 +485,12 @@ def build_scenario(global_model: MeshModel, labels,
         raise ConfigError(f"scenario has {coupled_dofs} coupled unknowns, "
                           f"over the {MAX_COUPLED_DOFS} cap")
 
+    # Patch blocks, loads and Gamma dofs are stacked once, zero-padded to
+    # the largest patch interface; each patch record views its row.
+    m = max(len(amap) for sid, _, amap, *_ in wiring if sid != 0)
+    patch_schur = np.zeros((len(patch_ids), m, m))
+    patch_rhs = np.zeros((len(patch_ids), m))
+    patch_index = np.zeros((len(patch_ids), m), dtype=np.int64)
     schur_global = np.zeros((gamma_dim, gamma_dim))
     rhs_global = np.zeros(gamma_dim)
     subdomains: dict[int, Subdomain] = {}
@@ -502,22 +508,15 @@ def build_scenario(global_model: MeshModel, labels,
             cond = condense(system, system.node_dofs(iface),
                             label=f"patch {sid} (fine)")
         schur, rhs = embedded_fine_schur(gamma_dim, cond, amap, j_dof)
+        if sid != 0:
+            i, k = patch_ids.index(sid), len(amap)
+            patch_schur[i, :k, :k], patch_rhs[i, :k], patch_index[i, :k] = \
+                schur, rhs, amap
+            schur, rhs = patch_schur[i, :k, :k], patch_rhs[i, :k]
         subdomains[sid] = Subdomain(
             sid=sid, mesh=mesh, global_part=part, interface_nodes=gnodes,
             mesh_interface_nodes=iface, amap=amap, transfer=j_dof,
             system=system, condensed=cond, schur=schur, rhs=rhs)
-    # Patch blocks, loads and Gamma dofs stacked once, zero-padded to the
-    # largest patch interface; each patch record views its row.
-    sizes = [len(subdomains[sid].amap) for sid in patch_ids]
-    patch_schur = np.zeros((len(sizes), max(sizes), max(sizes)))
-    patch_rhs = np.zeros(patch_schur.shape[:2])
-    patch_index = np.zeros(patch_schur.shape[:2], dtype=np.int64)
-    for i, (sid, k) in enumerate(zip(patch_ids, sizes)):
-        sub = subdomains[sid]
-        patch_schur[i, :k, :k], patch_rhs[i, :k], patch_index[i, :k] = \
-            sub.schur, sub.rhs, sub.amap
-        subdomains[sid] = replace(sub, schur=patch_schur[i, :k, :k],
-                                  rhs=patch_rhs[i, :k])
 
     try:
         sg_chol = la.cho_factor(schur_global, lower=True, check_finite=False)

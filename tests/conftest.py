@@ -1,8 +1,20 @@
+import threading
+
 import numpy as np
 import pytest
 
 from glocal import (chain_1d, cube_grid_3d, fine_equals_global_2d,
                     imbalanced_grid, monolithic_reference, two_patch_2d)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    """Fail a test that leaves Python threads running after it ends."""
+    before = set(threading.enumerate())
+    yield
+    stray = [t.name for t in threading.enumerate() if t not in before]
+    if stray:
+        pytest.fail(f"threads still running after the test: {stray}")
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ exact agreement with the sequential driver (synchronized) and for
 convergence to the monolithic reference (free-running).
 """
 
+import sys
 import threading
 import time
 
@@ -28,7 +29,7 @@ from glocal import (
     run_sync_concurrent,
     stop_threshold,
 )
-from glocal.async_engine import _WindowRanks
+from glocal.async_engine import _patch_groups, _WindowRanks
 
 
 def rel_err(u, u_ref):
@@ -236,12 +237,27 @@ def test_synchronized_threads_match_the_sequential_driver(two_patch_thermal):
         assert np.array_equal(par.final_u_gamma, seq.final_u_gamma)
 
 
-def test_synchronized_threads_with_grouped_patches(two_patch_thermal):
-    scn = two_patch_thermal
-    seq = richardson_sync(scn, omega=1.0, tol=1e-8)
-    par = run_sync_concurrent(scn, omega=1.0, tol=1e-8, rank_count=2)
-    assert np.array_equal(par.final_u_gamma, seq.final_u_gamma)
-    assert par.patch_solves == seq.patch_solves
+def test_synchronized_threads_with_grouped_patches(imbalanced_thermal):
+    scn = imbalanced_thermal
+    seq = richardson_sync(scn, omega=0.5, tol=1e-8)
+    # More patch ranks than cores and a short switch interval, so a lost
+    # wake-up or solve count would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for rank_count in (2, 4, 17):
+            groups = _patch_groups(scn.patch_ids, rank_count)
+            assert len(groups) == min(rank_count - 1, len(scn.patch_ids))
+            assert [i for g in groups for i in range(g.start, g.stop)] \
+                == list(range(len(scn.patch_ids)))
+            par = run_sync_concurrent(scn, omega=0.5, tol=1e-8,
+                                      rank_count=rank_count)
+            assert [h.residual_norm for h in par.history] \
+                == [h.residual_norm for h in seq.history]
+            assert np.array_equal(par.final_u_gamma, seq.final_u_gamma)
+            assert par.patch_solves == seq.patch_solves
+    finally:
+        sys.setswitchinterval(interval)
     with pytest.raises(ValueError):
         run_sync_concurrent(scn, rank_count=1)
 
@@ -288,4 +304,12 @@ def test_threaded_runs_end_their_threads(two_patch_thermal):
     assert threading.active_count() == start
     with pytest.raises(DivergenceError):
         run_sync_concurrent(scn, omega=5.0)
+    assert threading.active_count() == start
+    # A stalled rank ends a synchronized run too.
+    ranks = _WindowRanks(scn, None, synchronized=True, patch_sleep=sleeps,
+                         watchdog=0.1)
+    u = scn.solve_interface(np.zeros(scn.gamma_dim))
+    with pytest.raises(LivelockError), ranks:
+        for j in range(3):
+            ranks.residual(j, u)
     assert threading.active_count() == start
