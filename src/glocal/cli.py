@@ -5,8 +5,9 @@ Configs are INI files with three sections::
     [scenario]
     problem  = thermal            ; or elasticity
     geometry = two-patch-2d       ; or cube-grid-3d, imbalanced-grid
-    size     = 16                 ; base grid width (2d) / cubes per side (3d,
-                                  ; 2..3); not for imbalanced-grid
+    size     = 16                 ; base grid width (2d, at least 4) / cubes
+                                  ; per side (3d, 2..3); not for
+                                  ; imbalanced-grid
     refine   = 2                  ; imbalanced-grid: only when balanced
     contrast = 10.0               ; default 10 thermal, 100 elasticity,
                                   ; 1000 imbalanced-grid
@@ -244,8 +245,9 @@ def load_config(path: str | Path) -> RunConfig:
         problems.append("problem must be 'thermal' or 'elasticity', got "
                         f"{problem!r}")
 
-    # One cube has no interface to couple.
-    size_min = 2 if geometry == "cube-grid-3d" else 1
+    # One cube has no interface to couple; below width 4 the default 2D
+    # zones do not fit the grid.
+    size_min = {"cube-grid-3d": 2, "two-patch-2d": 4}.get(geometry, 1)
     for key, lo in (("size", size_min), ("refine", 1), ("max_iter", 0),
                     ("max_delay", 0), ("seed", 0), ("schedule_seed", 0)):
         if key in values and values[key] < lo:
@@ -473,6 +475,12 @@ def run_suite(name: str, sizes: list[int] | None = None,
     """Run a named batch of cases and write a combined summary.csv."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; pick from {SUITES}")
+    if name == "weak-scaling":
+        sizes = sizes or [2, 3]
+        bad = [n for n in sizes if not 2 <= n <= MAX_CUBE_SIDE]
+        if bad:
+            raise ConfigError(f"weak-scaling sizes must lie in "
+                              f"[2, {MAX_CUBE_SIDE}], got {bad}")
     out_dir = Path(out_dir) if out_dir is not None else Path(f"suite-{name}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary] = []
@@ -490,11 +498,7 @@ def run_suite(name: str, sizes: list[int] | None = None,
                     cfg, out_dir=out_dir / f"{problem}-{variant}"))
 
     elif name == "weak-scaling":
-        sizes = sizes or [2, 3]
         for n in sizes:
-            if n > MAX_CUBE_SIDE:
-                raise ConfigError(f"weak-scaling caps at n={MAX_CUBE_SIDE}, "
-                                  f"got {n}")
             base = RunConfig(problem="thermal", geometry="cube-grid-3d",
                              size=n)
             for variant in ("sync-aitken", "async-sim"):

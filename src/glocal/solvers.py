@@ -25,10 +25,12 @@ when recomputed from fresh ones at the same trace, so "converged" always
 means a fresh residual passed.  A residual above 1e6 * ||r_0||, or a
 non-finite one, aborts with the history attached.
 
-``monolithic_reference`` assembles the coupled problem directly (all fine
-patches plus the complement, glued by the transfer maps) and solves it
-sparsely in one shot.  It shares no code with the condensation path, which
-makes it the oracle the iterative variants are checked against.
+``monolithic_reference`` solves the coupled problem directly, read as a
+primal domain decomposition: one sparse prolongation P takes the
+unknowns [u_Gamma; every subdomain interior] to all subdomain dofs
+(interface rows through the transfer maps J_s A_s^T), and P^T K P is
+factored once.  It shares no code or data with the condensation path,
+which makes it the oracle the iterative variants are checked against.
 """
 
 from __future__ import annotations
@@ -303,67 +305,45 @@ class ReferenceSolution:
 
 
 def monolithic_reference(scenario: CouplingScenario) -> ReferenceSolution:
-    """Assemble and solve the coupled system in one sparse solve.
+    """Assemble and solve the coupled problem as one primal system.
 
-    Unknowns are the interface trace on Gamma plus every subdomain's
-    non-interface dofs; fine interface dofs are constrained to the
-    interpolated trace, which eliminates them through the transfer maps.
-    Builds straight from the assembled subdomain stiffnesses, bypassing
-    condensation entirely.
+    The unknowns are x = [u_Gamma; every subdomain's interior dofs].  One
+    sparse prolongation P maps x to all subdomain dofs: a subdomain's
+    interface rows hold ``J_s A_s^T`` (``A_s^T`` on the complement) and its
+    interior rows pick its own block of x.  With K the block diagonal of
+    the assembled stiffnesses and f the stacked loads, ``P^T K P x =
+    P^T f`` is SPD and is factored once in symmetric mode; every field is
+    read off ``P x``.  The interface/interior split comes from the mesh
+    interface nodes, so nothing here touches condensation.
     """
     ng = scenario.gamma_dim
-    blocks_interior: list = []
-    coupling_rows: list = []
-    rhs_gamma = np.zeros(ng)
-    rhs_interior: list[np.ndarray] = []
-    k_gamma = sp.csr_matrix((ng, ng))
-
-    subdomains = scenario.subdomains.values()
+    subdomains = list(scenario.subdomains.values())
+    rows, cols, vals = [], [], []
+    row0, col0 = 0, ng
     for sub in subdomains:
-        system = sub.system
-        iface = sub.condensed.interface_dofs
-        interior = sub.condensed.interior_dofs
-        k = system.stiffness
-        # Map local interface dofs to the Gamma trace: C = J A^T as a
-        # sparse rectangular operator (|iface_local| x |Gamma|).
-        amap = sub.amap
-        a_op = sp.csr_matrix((np.ones(len(amap)),
-                              (np.arange(len(amap)), amap)),
-                             shape=(len(amap), ng))
-        j = sub.transfer
-        c = a_op if j is None else (j @ a_op).tocsr()
-
-        k_gg = k[iface][:, iface]
-        k_gi = k[iface][:, interior]
-        k_ii = k[interior][:, interior]
-        k_gamma = k_gamma + c.T @ k_gg @ c
-        coupling_rows.append(c.T @ k_gi)
-        blocks_interior.append(k_ii)
-        rhs_gamma += c.T @ system.load[iface]
-        rhs_interior.append(system.load[interior])
-
-    n_sub = len(subdomains)
-    grid: list[list] = [[None] * (n_sub + 1) for _ in range(n_sub + 1)]
-    grid[0][0] = k_gamma
-    for i in range(n_sub):
-        grid[0][i + 1] = coupling_rows[i]
-        grid[i + 1][0] = coupling_rows[i].T
-        grid[i + 1][i + 1] = blocks_interior[i]
-    big = sp.bmat(grid, format="csc")
-    rhs = np.concatenate([rhs_gamma] + rhs_interior)
-    x = spla.spsolve(big, rhs)
-
-    u_gamma = x[:ng]
-    fields: dict[int, np.ndarray] = {}
-    offset = ng
-    for sub in subdomains:
-        interior = sub.condensed.interior_dofs
-        trace = u_gamma[sub.amap]
+        n, m = sub.system.dof_count, len(sub.amap)
+        iface = sub.system.node_dofs(sub.mesh_interface_nodes)
+        interior = np.setdiff1d(np.arange(n), iface, assume_unique=True)
+        trace = sp.csr_matrix((np.ones(m), (np.arange(m), sub.amap)),
+                              shape=(m, ng))
         if sub.transfer is not None:
             trace = sub.transfer @ trace
-        u_local = np.empty(sub.system.dof_count)
-        u_local[sub.condensed.interface_dofs] = trace
-        u_local[interior] = x[offset:offset + len(interior)]
-        offset += len(interior)
-        fields[sub.sid] = sub.system.full_field(u_local)
-    return ReferenceSolution(u_gamma=u_gamma, fields=fields)
+        trace = trace.tocoo()
+        rows += [row0 + iface[trace.row], row0 + interior]
+        cols += [trace.col, col0 + np.arange(len(interior))]
+        vals += [trace.data, np.ones(len(interior))]
+        row0, col0 = row0 + n, col0 + len(interior)
+    p = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(row0, col0))
+    k = sp.block_diag([sub.system.stiffness for sub in subdomains],
+                      format="csr")
+    f = np.concatenate([sub.system.load for sub in subdomains])
+    # Symmetric mode: diagonal pivots on a minimum-degree order of A + A^T.
+    lu = spla.splu((p.T @ k @ p).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    x = lu.solve(p.T @ f)
+    splits = np.cumsum([sub.system.dof_count for sub in subdomains])[:-1]
+    fields = {sub.sid: sub.system.full_field(u_local)
+              for sub, u_local in zip(subdomains, np.split(p @ x, splits))}
+    return ReferenceSolution(u_gamma=x[:ng], fields=fields)

@@ -146,6 +146,7 @@ def test_out_of_range_values_are_rejected_by_name(tmp_path, section, key,
     ("cube-grid-3d", "seed = 0\n", ["seed is used only by imbalanced-grid"]),
     ("cube-grid-3d", "balanced = false\n",
      ["balanced is used only by imbalanced-grid"]),
+    ("two-patch-2d", "size = 3\n", ["size must be at least 4"]),
 ])
 def test_keys_the_geometry_cannot_use_are_rejected_by_name(
         tmp_path, geometry, keys, rules):
@@ -461,8 +462,10 @@ directory = {out}
 
 
 def test_suite_name_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        run_suite("weak-scaling", sizes=[5], out_dir=tmp_path)
+    for sizes in ([5], [0], [1], [2, 5]):
+        with pytest.raises(ConfigError):
+            run_suite("weak-scaling", sizes=sizes, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError):
         run_suite("everything", out_dir=tmp_path)
 

@@ -31,6 +31,9 @@ from glocal import (
     stop_threshold,
 )
 
+from conftest import rel_err
+from reference_oracle import block_reference
+
 CHAIN_INTERFACE = np.array([14.0, 19.0, 22.5, 24.5])
 
 
@@ -73,6 +76,34 @@ def test_reference_matches_glued_rod_everywhere(chain):
         for node, x in enumerate(part.nodes[:, 0]):
             assert np.isclose(field[node, 0], value_at(mesh, glued, x),
                               atol=1e-10)
+
+
+REFERENCE_FIXTURES = ("chain", "two_patch_thermal", "two_patch_elastic",
+                      "cube2_thermal", "imbalanced_thermal",
+                      "fine_eq_thermal", "fine_eq_elastic")
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIXTURES)
+def test_reference_matches_the_block_oracle(name, request):
+    scenario = request.getfixturevalue(name)
+    ref = monolithic_reference(scenario)
+    u_gamma, fields = block_reference(scenario)
+    assert rel_err(ref.u_gamma, u_gamma) <= 1e-10
+    assert ref.fields.keys() == fields.keys()
+    for sid, field in fields.items():
+        assert rel_err(ref.fields[sid], field) <= 1e-10
+
+
+def test_reference_reads_no_condensed_data(two_patch_elastic,
+                                           oracle_elastic):
+    stripped = replace(two_patch_elastic, subdomains={
+        sid: replace(sub, condensed=None)
+        for sid, sub in two_patch_elastic.subdomains.items()})
+    bare = monolithic_reference(stripped)
+    assert np.array_equal(bare.u_gamma, oracle_elastic.u_gamma)
+    assert bare.fields.keys() == oracle_elastic.fields.keys()
+    for sid, field in oracle_elastic.fields.items():
+        assert np.array_equal(bare.fields[sid], field)
 
 
 def test_residual_vanishes_at_the_reference(two_patch_thermal,
