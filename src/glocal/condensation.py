@@ -1,20 +1,25 @@
-"""Static condensation of assembled systems onto interface dofs.
+"""Static condensation of assembled systems onto an interface trace.
 
-For a reduced system ``K u = f`` and a split of its dofs into interface
-and interior blocks, the condensed operator is the Schur complement
+For a reduced system ``K u = f``, a split of its dofs into interface and
+interior blocks, and a transfer J that gives the interface dofs the trace
+``J u`` of m unknowns (J = I by default), the condensed operator is
 
-    S = K_gg - K_gi K_ii^{-1} K_ig,      b = f_g - K_gi K_ii^{-1} f_i,
+    S = J^T K_gg J - (K_ig J)^T K_ii^{-1} (K_ig J),
+    b = J^T f_g - (K_ig J)^T K_ii^{-1} f_i,
 
 so that the interface reaction (discrete Dirichlet-to-Neumann map) of the
-subdomain under an interface trace ``u_g`` is ``S u_g - b``.  The interior
-block stays sparse and is factorized with SuperLU in symmetric mode
-(diagonal pivots on a minimum-degree ordering P of K_ii + K_ii^T), which is
-a sparse LDL^T; a pivot that is not positive rejects the block as not SPD.
-That factor also gives b with one solve.  K_gi stays sparse too.  Only S
-is dense: it is n_g x n_g and is what every interface reaction multiplies.
+subdomain under a trace ``u`` is ``S u - b``.  J is folded in before
+elimination, so nothing dense is formed on the n_g fine interface dofs.
+The interior block stays sparse and is factorized with SuperLU in
+symmetric mode (diagonal pivots on a minimum-degree ordering P of
+K_ii + K_ii^T), which is a sparse LDL^T; a pivot that is not positive
+rejects the block as not SPD.  That factor also gives b with one solve.
+K_gi stays sparse too.  Only S is dense: it is m x m and is what every
+interface reaction multiplies.
 
 S comes from a second, bordered factorization, as in the Schur option of
-sparse direct solvers: the LU factor of
+sparse direct solvers.  With K_gi and K_gg standing for J^T K_gi and
+J^T K_gg J, the LU factor of
 
     [[P K_ii P^T, 0],
      [K_gi P^T,   I]]
@@ -22,10 +27,10 @@ sparse direct solvers: the LU factor of
 in that order has the leading block L11 U11 = P K_ii P^T with
 U11 = D L11^T, and the border row block L21 = K_gi P^T U11^{-1}.  So
 K_gi K_ii^{-1} K_ig = L21 D L21^T and S = K_gg - (L21 D) L21^T, one GEMM
-over the columns of L21 that hold any entry.  For a small interior this
-second factorization costs more, in time or in peak memory, than pushing
-the n_g columns of K_ig through the first factor, so below a work
-estimate (factor entries times n_g) S comes from those solves instead.
+over the columns of L21 that hold any entry.  For a small interior or a
+short trace this second factorization costs more, in time or in peak
+memory, than pushing the m columns of K_ig through the first factor, so
+below a work estimate S comes from those solves instead.
 
 No factor outlives the call: SuperLU keeps its whole fill-estimate
 workspace alive, and a scenario holds one operator per subdomain.
@@ -48,11 +53,13 @@ from .model_problems import AssembledSystem
 __all__ = ["CondensedOperator", "condense", "dirichlet_to_neumann",
            "expand_interior"]
 
-# Work estimate (K_ii factor entries times n_g) from which S comes from the
-# bordered factorization.  On a 2-vCPU Xeon with one OpenBLAS thread that
-# is faster from about 3e6, but up to 1e7 it saves at most a few ms per
-# subdomain, and on the imbalanced 3D grid it then raised the peak RSS of
-# a build by about 5 % where the solves did not.
+# Work estimate (m times the K_ii factor's entries, or times the n_i m
+# entries of the solves' block K_ii^{-1} K_ig when fewer) from which S comes
+# from the bordered factorization.  On a 2-vCPU Xeon with one OpenBLAS
+# thread that is faster from about 3e6, but up to 1e7 it saves at most a
+# few ms per subdomain, and on the imbalanced 3D grid it then raised the
+# peak RSS of a build by about 5 % where the solves did not.  A 3D patch on
+# 19 trace dofs (block < factor) takes 0.23 s by solves, 0.40 s bordered.
 _BORDERED_WORK = 20_000_000
 
 # Symmetric mode: diagonal pivots on a minimum-degree order of K + K^T.
@@ -62,14 +69,16 @@ _SPD_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 
 @dataclass(frozen=True)
 class CondensedOperator:
-    """Schur complement of one subdomain on its interface dofs.
+    """Schur complement of one subdomain on its interface trace.
 
     ``interface_dofs`` and ``interior_dofs`` index into the reduced dof
     numbering of the originating :class:`AssembledSystem`; together they
-    cover it exactly.  ``schur`` is a dense C-contiguous array and inherits
-    symmetry and, for meshes with enough Dirichlet data or a nonempty
-    interface complement, positive definiteness from the stiffness.  The
-    sparse K_ii and K_gi are kept for :func:`expand_interior`.
+    cover it exactly.  ``schur``/``rhs`` act on the trace u, ``J u`` on
+    the interface dofs, with J = ``transfer`` (None == identity).  ``schur``
+    is a dense C-contiguous array and inherits symmetry and, for meshes
+    with enough Dirichlet data or a nonempty interface complement,
+    positive definiteness from the stiffness.  The sparse K_ii and K_gi
+    are kept for :func:`expand_interior`.
     """
 
     schur: np.ndarray
@@ -77,13 +86,15 @@ class CondensedOperator:
     interface_dofs: np.ndarray
     interior_dofs: np.ndarray
     dof_count: int
+    transfer: sp.csr_matrix | None
     _k_interior: sp.csc_matrix
     _k_interface_interior: sp.csr_matrix
     _f_interior: np.ndarray
 
     @property
     def interface_count(self) -> int:
-        return len(self.interface_dofs)
+        """Length of the trace the operator takes: m, or n_g without J."""
+        return len(self.rhs)
 
     @cached_property
     def _interior_factor(self) -> spla.SuperLU:
@@ -93,12 +104,14 @@ class CondensedOperator:
 
 
 def condense(system: AssembledSystem, interface_dofs,
-             label: str = "interior block") -> CondensedOperator:
+             label: str = "interior block",
+             transfer: sp.spmatrix | None = None) -> CondensedOperator:
     """Condense a reduced system onto the given interface dofs.
 
     ``interface_dofs`` must be unique, in range, and may not cover all dofs
-    unless the interior is genuinely empty (then S is just K_gg).  ``label``
-    names the subdomain in the singular-interior error.
+    unless the interior is genuinely empty (then S is just K_gg).
+    ``transfer`` is J (n_g x m, rows in ``interface_dofs`` order, None for
+    I); ``label`` names the subdomain in the singular-interior error.
     """
     iface = np.asarray(interface_dofs, dtype=np.int64)
     n = system.dof_count
@@ -109,61 +122,54 @@ def condense(system: AssembledSystem, interface_dofs,
     if iface.size and (iface.min() < 0 or iface.max() >= n):
         raise ValueError("interface dof out of range")
 
-    mask = np.ones(n, dtype=bool)
-    mask[iface] = False
-    interior = np.nonzero(mask)[0]
-
-    k = system.stiffness
-    f = system.load
+    interior = np.setdiff1d(np.arange(n), iface)
+    k, f = system.stiffness, system.load
     k_g = k[iface]
-    k_gg = k_g[:, iface].toarray()
     k_gi = k_g[:, interior].tocsr()
     k_ii = k[interior][:, interior].tocsc()
-    if interior.size == 0:
-        return CondensedOperator(schur=k_gg, rhs=f[iface].copy(),
-                                 interface_dofs=iface, interior_dofs=interior,
-                                 dof_count=n, _k_interior=k_ii,
-                                 _k_interface_interior=k_gi,
-                                 _f_interior=np.zeros(0))
-
-    factor = _factor_spd(k_ii, label)
-    rhs = f[iface] - k_gi @ factor.solve(f[interior])
-    schur = None
-    if factor.nnz * iface.size >= _BORDERED_WORK:
-        schur = _bordered_schur(k, iface, interior, factor.perm_c, k_gg)
-    if schur is None:
-        # K_ii^{-1} K_ig as one multi-rhs sweep through the sparse factor.
-        schur = k_gg - k_gi @ factor.solve(k_gi.T.toarray())
+    # J is applied as a dense array: sparse-sparse products cost more at
+    # these sizes, so only the bordered path forms the sparse J^T K_gi.
+    jd = None if transfer is None else transfer.toarray()
+    k_gg = k_g[:, iface].toarray() if jd is None \
+        else jd.T @ (k_g[:, iface] @ jd)
+    schur, rhs = k_gg, f[iface]
+    if interior.size:
+        factor = _factor_spd(k_ii, label)
+        rhs = rhs - k_gi @ factor.solve(f[interior])
+        m = len(k_gg)
+        schur = None
+        if m * min(factor.nnz, m * interior.size) >= _BORDERED_WORK:
+            border = k_gi if jd is None else (transfer.T @ k_gi).tocsr()
+            schur = _bordered_schur(k_ii, border, factor.perm_c, k_gg)
+        if schur is None:
+            # K_ii^{-1} K_ig J as one multi-rhs sweep through the factor.
+            k_igj = k_gi.T.toarray() if jd is None else k_gi.T @ jd
+            k_gix = k_gi @ factor.solve(k_igj)
+            schur = k_gg - (k_gix if jd is None else jd.T @ k_gix)
+    if jd is not None:
+        rhs = jd.T @ rhs
     return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=rhs,
-                             interface_dofs=iface,
-                             interior_dofs=interior, dof_count=n,
-                             _k_interior=k_ii, _k_interface_interior=k_gi,
-                             _f_interior=f[interior].copy())
+                             interface_dofs=iface, interior_dofs=interior,
+                             dof_count=n, transfer=transfer, _k_interior=k_ii,
+                             _k_interface_interior=k_gi,
+                             _f_interior=f[interior])
 
 
-def _bordered_schur(k: sp.csr_matrix, iface: np.ndarray,
-                    interior: np.ndarray, perm: np.ndarray,
-                    k_gg: np.ndarray) -> np.ndarray | None:
+def _bordered_schur(k_ii: sp.csc_matrix, k_gi: sp.csr_matrix,
+                    perm: np.ndarray, k_gg: np.ndarray) -> np.ndarray | None:
     """``K_gg - (L21 D) L21^T`` from one LU of the bordered matrix.
 
-    ``perm`` is the K_ii factor's ``perm_c``: interior dof ``interior[i]``
-    becomes bordered row and column ``perm[i]``, and interface dof
-    ``iface[a]`` becomes ``n_i + a``.  SuperLU may still reorder the
-    natural order it is given, so the factor is read through its own
-    ``perm_c``; None when that order does not eliminate every interior dof
-    before the interface, where the border rows of L are not L21.
+    ``perm`` is the K_ii factor's ``perm_c``: interior dof i becomes
+    bordered row and column ``perm[i]``, and border row a (row a of K_gi)
+    becomes ``n_i + a``.  SuperLU may still reorder the natural order it
+    is given, so the factor is read through its own ``perm_c``; None when
+    that order does not eliminate every interior dof before the border,
+    where the border rows of L are not L21.
     """
-    ni, ng = interior.size, iface.size
-    n = ni + ng
-    place = np.empty(n, dtype=np.int64)
-    place[interior] = perm
-    place[iface] = np.arange(ni, n)
-    cols = k.tocsc()[:, interior[np.argsort(perm)]]
-    bordered = sp.csc_matrix(
-        (np.concatenate([cols.data, np.ones(ng)]),
-         np.concatenate([place[cols.indices], np.arange(ni, n)]),
-         np.concatenate([cols.indptr, cols.nnz + np.arange(1, ng + 1)])),
-        shape=(n, n))
+    ni, m = k_gi.shape[::-1]
+    order = np.concatenate([np.argsort(perm), np.arange(ni, ni + m)])
+    bordered = sp.bmat([[k_ii, None], [k_gi, sp.identity(m)]],
+                       format="csc")[order][:, order]
     lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     at = lu.perm_c
@@ -172,18 +178,15 @@ def _bordered_schur(k: sp.csr_matrix, iface: np.ndarray,
     lower = lu.L
     pivots = lu.U.diagonal()[:ni]
     del lu
-    # L21 is what the first n_i columns of L hold below row n_i; interface
-    # dof a sits in row at[n_i + a].
+    # L21 is what the first n_i columns of L hold below row n_i; border
+    # row a sits in row at[n_i + a].
     stop = lower.indptr[ni]
     hit = np.flatnonzero(lower.indices[:stop] >= ni)
     col = np.searchsorted(lower.indptr, hit, side="right") - 1
-    row = np.empty(ng, dtype=np.int64)
-    row[at[ni:] - ni] = np.arange(ng)
-    live = np.zeros(ni, dtype=bool)
-    live[col] = True
-    l21 = np.zeros((ng, np.count_nonzero(live)))
-    l21[row[lower.indices[hit] - ni], (np.cumsum(live) - 1)[col]] = \
-        lower.data[hit]
+    row = np.argsort(at[ni:])
+    live, col = np.unique(col, return_inverse=True)
+    l21 = np.zeros((m, len(live)))
+    l21[row[lower.indices[hit] - ni], col] = lower.data[hit]
     return k_gg - (l21 * pivots[live]) @ l21.T
 
 
@@ -218,16 +221,17 @@ def expand_interior(op: CondensedOperator,
                     u_interface: np.ndarray) -> np.ndarray:
     """Recover the full reduced-dof vector from an interface trace.
 
-    Interior values solve ``K_ii u_i = f_i - K_ig u_g`` with a sparse factor
-    of K_ii, made on the operator's first recovery and reused after; the
-    result is laid out in the original reduced numbering.
+    Interface dofs take ``J u`` and interior ones solve
+    ``K_ii u_i = f_i - K_ig J u`` with a sparse factor of K_ii, made on the
+    first recovery and reused after; the result is in reduced numbering.
     """
     u = np.asarray(u_interface, dtype=float)
     if u.shape != (op.interface_count,):
         raise ValueError("trace length does not match the interface")
     full = np.empty(op.dof_count)
-    full[op.interface_dofs] = u
+    trace = u if op.transfer is None else op.transfer @ u
+    full[op.interface_dofs] = trace
     if op.interior_dofs.size:
-        rhs = op._f_interior - op._k_interface_interior.T @ u
+        rhs = op._f_interior - op._k_interface_interior.T @ trace
         full[op.interior_dofs] = op._interior_factor.solve(rhs)
     return full

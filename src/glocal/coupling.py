@@ -14,10 +14,10 @@ one :class:`Subdomain` record holding everything about it:
   fine interface nodes: each fine node takes the weights of the global
   interface facet it lies on (vertex, edge or parallelogram face), which
   is a permutation when the meshes match (none on the complement),
-* its fine model, assembled and condensed by :mod:`.condensation`, and
-  the compact fine operator on its own Gamma dofs, stored once:
-  ``S_s = J_s^T S_sF J_s`` and ``b_s = J_s^T b_sF`` (J = I on the
-  complement).
+* its fine model, assembled and condensed by :mod:`.condensation`
+  straight onto its own Gamma dofs: the compact operator
+  ``S_s = J_s^T S_sF J_s``, ``b_s = J_s^T b_sF`` (J = I on the
+  complement), stored once, with no S_sF on the fine interface formed.
 
 The assembled global interface operator is ``S_G = sum A_s S_sG A_s^T``
 (with its load ``b_G``), summed from the global-side Schur complements.
@@ -74,13 +74,13 @@ class Subdomain:
     """One subdomain of the coupling: the complement (sid 0) or a patch.
 
     ``mesh`` is the fine mesh of a patch, or the global part itself for
-    the complement; ``system`` and ``condensed`` are its assembled and
-    condensed model.  ``interface_nodes`` are free parent (global-mesh)
-    node ids and ``mesh_interface_nodes`` index into ``mesh``, both
-    sorted.  ``amap`` is ``A_s`` as Gamma dof indices, ``transfer`` is
-    ``J_s`` (None == identity), and ``schur``/``rhs`` are the compact
-    ``J_s^T S_sF J_s`` and ``J_s^T b_sF`` on those dofs; a patch's are
-    views into the scenario's stack.
+    the complement; ``system`` is its assembled model and ``condensed``
+    that model condensed onto the trace of its Gamma dofs.
+    ``interface_nodes`` are free parent (global-mesh) node ids and
+    ``mesh_interface_nodes`` index into ``mesh``, both sorted.  ``amap`` is
+    ``A_s`` as Gamma dof indices, ``transfer`` is ``J_s`` (None ==
+    identity), and ``schur``/``rhs`` are ``condensed``'s compact
+    ``J_s^T S_sF J_s`` and ``J_s^T b_sF``, a patch's viewed in the stack.
     """
 
     sid: int
@@ -246,22 +246,14 @@ def _expand_transfer(j_node: sp.csr_matrix, ndpn: int) -> sp.csr_matrix:
 
 
 def embedded_fine_schur(gamma_dim: int, op: CondensedOperator,
-                        amap: np.ndarray, transfer: sp.csr_matrix | None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Compact fine operator ``(J^T S_F J, J^T b_F)`` on one Gamma_s; its
-    block scatter-added at ``(amap, amap)`` embeds it."""
-    if transfer is None:
-        local, rhs = op.schur, op.rhs
-    else:
-        jd = transfer.toarray()
-        if jd.shape[0] != op.interface_count:
-            raise TopologyError("transfer rows do not match the fine interface")
-        local, rhs = jd.T @ op.schur @ jd, jd.T @ op.rhs
-    if local.shape[0] != len(amap):
+                        amap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compact fine operator ``(J^T S_F J, J^T b_F)`` on one Gamma_s, as
+    condensed onto the trace; scatter-added at ``(amap, amap)`` it embeds."""
+    if op.interface_count != len(amap):
         raise TopologyError("assembly map does not match the transfer")
     if np.any((amap < 0) | (amap >= gamma_dim)):
         raise TopologyError("assembly map points outside the interface")
-    return local, rhs
+    return op.schur, op.rhs
 
 
 def patch_reactions(scenario: CouplingScenario, u_gamma: np.ndarray,
@@ -506,8 +498,8 @@ def build_scenario(global_model: MeshModel, labels,
         else:
             system = assemble(mesh, source=source, body_force=body_force)
             cond = condense(system, system.node_dofs(iface),
-                            label=f"patch {sid} (fine)")
-        schur, rhs = embedded_fine_schur(gamma_dim, cond, amap, j_dof)
+                            label=f"patch {sid} (fine)", transfer=j_dof)
+        schur, rhs = embedded_fine_schur(gamma_dim, cond, amap)
         if sid != 0:
             i, k = patch_ids.index(sid), len(amap)
             patch_schur[i, :k, :k], patch_rhs[i, :k], patch_index[i, :k] = \

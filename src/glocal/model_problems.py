@@ -342,11 +342,11 @@ def _element_geometry(mesh: MeshModel):
         c = x[:, [2, 0, 1], 0] - x[:, [1, 2, 0], 0]
         grads = np.stack([b, c], axis=2) / det[:, None, None]
         return area[:, None], grads[:, None], np.full((1, 3), 1.0 / 3.0)
-    jac = np.einsum("gna,enb->egab", _HEX_DSHAPE, x)
+    jac = np.matmul(_HEX_DSHAPE.swapaxes(1, 2), x[:, None])
     det = np.linalg.det(jac)
     if np.any(~(det > 0)):
         raise MeshError("inverted hexahedron")
-    grads = np.einsum("gna,egab->egnb", _HEX_DSHAPE, np.linalg.inv(jac))
+    grads = np.matmul(_HEX_DSHAPE, np.linalg.inv(jac))
     return det, grads, _HEX_SHAPE
 
 
@@ -407,7 +407,11 @@ def assemble_poisson(mesh: MeshModel, source: float = 1.0) -> AssembledSystem:
     if not np.isfinite(source):
         raise MeshError(f"source {source} is not finite")
     weights, grads, shape = _element_geometry(mesh)
-    ke = np.einsum("egid,egjd->eij", grads * weights[:, :, None, None], grads)
+    # ke[e, i, j]: sum over points and axes of w * dphi_i/dx_d * dphi_j/dx_d.
+    n_el, n_pt, n_nodes, dim = grads.shape
+    flat = grads.swapaxes(1, 2).reshape(n_el, n_nodes, n_pt * dim)
+    ke = np.matmul(flat * np.repeat(weights, dim, axis=1)[:, None],
+                   flat.swapaxes(1, 2))
     ke *= mesh.material.coeff[:, None, None]
     fe = source * (weights @ shape)
     n = mesh.node_count

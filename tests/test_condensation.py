@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import glocal.condensation as condensation
+import glocal.coupling as coupling
 from condensation_oracle import solve_condense
 from glocal import (
     AssembledSystem,
@@ -148,11 +149,20 @@ def test_interface_dof_validation():
         condense(system, np.array([0, 0]))
     with pytest.raises(ValueError):
         condense(system, np.array([0, 5]))
+    with pytest.raises(ValueError):
+        condense(system, np.array([0, 1]), transfer=sp.identity(3))
     op = condense(system, np.array([0, 1]))
     with pytest.raises(ValueError):
         dirichlet_to_neumann(op, np.zeros(3))
     with pytest.raises(ValueError):
         expand_interior(op, np.zeros(3))
+    # With a transfer onto one unknown the trace has length one.
+    op = condense(system, np.array([0, 1]), transfer=sp.csr_matrix(
+        np.ones((2, 1))))
+    with pytest.raises(ValueError):
+        dirichlet_to_neumann(op, np.zeros(2))
+    with pytest.raises(ValueError):
+        expand_interior(op, np.zeros(2))
 
 
 def test_indefinite_interior_with_zero_diagonal_is_rejected():
@@ -201,18 +211,66 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_every_subdomain_matches_the_multi_rhs_oracle(name, monkeypatch):
-    scn = SCENARIOS[name]()
-    cases = [(sub.system, sub.condensed.interface_dofs)
-             for sub in scn.subdomains.values()]
-    for system, iface in cases:
-        assert_matches_oracle(system, iface)
+# The session fixtures of conftest.py that the workloads above do not cover.
+FIXTURES = ["two_patch_thermal", "two_patch_elastic", "cube2_thermal",
+            "fine_eq_thermal", "fine_eq_elastic"]
+
+
+def assert_patch_matches_oracle(sub, schur, rhs):
+    """A patch's compact block and load against J^T S_F J and J^T b_F,
+    with S_F and b_F the oracle's condensation on the fine interface."""
+    s_f, b_f = solve_condense(sub.system, sub.condensed.interface_dofs)
+    j = sub.transfer.toarray()
+    assert rel_diff(schur, j.T @ s_f @ j) <= 1e-12
+    assert rel_diff(rhs, j.T @ b_f) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*SCENARIOS, *FIXTURES])
+def test_every_subdomain_matches_the_multi_rhs_oracle(name, request,
+                                                      monkeypatch):
+    scn = (SCENARIOS[name]() if name in SCENARIOS
+           else request.getfixturevalue(name))
+    subs = list(scn.subdomains.values())
+    patches = [sub for sub in subs if sub.transfer is not None]
+    for sub in subs:
+        assert_matches_oracle(sub.system, sub.condensed.interface_dofs)
+    for sub in patches:
+        assert_patch_matches_oracle(sub, sub.schur, sub.rhs)
     # Once more with the bordered factorization on every subdomain, not
     # only on those whose work estimate selects it.
     monkeypatch.setattr(condensation, "_BORDERED_WORK", 0)
-    for system, iface in cases:
-        assert_matches_oracle(system, iface)
+    for sub in subs:
+        assert_matches_oracle(sub.system, sub.condensed.interface_dofs)
+    for sub in patches:
+        op = condense(sub.system, sub.condensed.interface_dofs,
+                      transfer=sub.transfer)
+        assert op.schur.flags.c_contiguous
+        assert_patch_matches_oracle(sub, op.schur, op.rhs)
+
+
+def test_patch_condensation_holds_no_fine_interface_block(monkeypatch):
+    # Condensing a patch2d-condense patch onto its coarse trace must not
+    # hold a dense block on its fine interface: the n_i x n_g block
+    # K_ii^{-1} K_ig alone (4 977 x 288 dofs) takes 11.5 MB.
+    real = coupling.condense
+    peaks = {}
+
+    def measured(system, iface, label="", **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        op = real(system, iface, label, **kwargs)
+        peaks[label] = (tracemalloc.get_traced_memory()[1] - before, op)
+        return op
+
+    monkeypatch.setattr(coupling, "condense", measured)
+    tracemalloc.start()
+    try:
+        two_patch_2d("thermal", nx=40, refine=8)
+    finally:
+        tracemalloc.stop()
+    peak, op = peaks["patch 1 (fine)"]
+    assert (len(op.interior_dofs), len(op.interface_dofs)) == (4977, 288)
+    assert peak < 8 * 4977 * 288
 
 
 def chain_matrix(n, shift=0.1):

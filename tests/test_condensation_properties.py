@@ -57,14 +57,22 @@ def spd_splits(draw):
 
 
 @PROPERTY
-@given(spd_splits())
-def test_condensation_matches_dense_solves(case):
+@given(spd_splits(), st.integers(0, 2**32 - 1))
+def test_condensation_matches_dense_solves(case, seed):
     k, f, iface = case
     dense = k.toarray()
     interior = np.setdiff1d(np.arange(len(f)), iface)
+    # A random transfer J onto m <= n_g trace unknowns.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, len(iface) + 1))
+    j = sp.random_array((len(iface), m), density=0.5, rng=rng,
+                        data_sampler=rng.standard_normal).tocsr()
     op = condense(unconstrained(k, f), iface)
+    projected = condense(unconstrained(k, f), iface, transfer=j)
     with mock.patch.object(condensation, "_BORDERED_WORK", 0):
         bordered = condense(unconstrained(k, f), iface)
+        projected_bordered = condense(unconstrained(k, f), iface,
+                                      transfer=j)
 
     k_ii = dense[np.ix_(interior, interior)]
     k_gi = dense[np.ix_(iface, interior)]
@@ -76,12 +84,35 @@ def test_condensation_matches_dense_solves(case):
         assert np.abs(cond.schur - s).max() <= 1e-9 * scale
         assert np.abs(cond.rhs - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
 
+    # On the trace J u the operator is J^T S J and J^T b: |S_ab| <= scale
+    # for SPD K, so entries are bounded by scale times J's column sums.
+    jd = j.toarray()
+    width = max(np.abs(jd).sum(axis=0).max(), 1.0)
+    for cond in (projected, projected_bordered):
+        assert cond.interface_count == m
+        assert np.abs(cond.schur - jd.T @ s @ jd).max() \
+            <= 1e-9 * scale * width**2
+        assert np.abs(cond.rhs - jd.T @ b).max() \
+            <= 1e-9 * width * max(np.abs(b).max(), 1.0)
+
     u = np.linalg.solve(dense, f)
     assert np.allclose(expand_interior(op, u[iface]), u,
                        rtol=1e-8, atol=1e-8 * np.abs(u).max())
     reaction = dirichlet_to_neumann(op, u[iface])
     assert np.abs(reaction).max() <= 1e-8 * (scale * np.abs(u).max()
                                              + np.abs(b).max())
+
+    # Expanding a coarse trace puts J u on the interface and leaves no
+    # interior residual; its fine reaction, taken back through J^T, is the
+    # coarse one.
+    u_c = rng.standard_normal(m)
+    full = expand_interior(projected, u_c)
+    assert np.allclose(full[iface], jd @ u_c, rtol=0.0, atol=1e-12)
+    residual = dense @ full - f
+    bound = 1e-8 * (scale * np.abs(full).max() + np.abs(f).max())
+    assert np.abs(residual[interior]).max() <= bound
+    assert np.abs(dirichlet_to_neumann(projected, u_c)
+                  - jd.T @ residual[iface]).max() <= width * bound
 
 
 @PROPERTY

@@ -25,6 +25,7 @@ from glocal import (
     build_structured_mesh,
     build_transfer,
     compute_residual,
+    condense,
     dirichlet_to_neumann,
     interface_reaction,
     nodes_on_plane,
@@ -150,9 +151,14 @@ def embedded_sum(scn):
 
 
 def fine_side_reaction(scn, sid, u):
-    """A_s J_s^T DtN_sF(J_s A_s^T u), the reaction via the fine interface."""
+    """A_s J_s^T DtN_sF(J_s A_s^T u), the reaction via the fine interface.
+
+    The fine side is condensed afresh onto its whole fine interface: the
+    scenario's own operator already takes the coarse trace.
+    """
     sub = scn.subdomains[sid]
-    amap, op, j = sub.amap, sub.condensed, sub.transfer
+    amap, j = sub.amap, sub.transfer
+    op = condense(sub.system, sub.condensed.interface_dofs)
     out = np.zeros(scn.gamma_dim)
     if j is None:
         out[amap] = dirichlet_to_neumann(op, u[amap])
