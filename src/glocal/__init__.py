@@ -27,7 +27,7 @@ from .solvers import (IterationRecord, ReferenceSolution, SolveReport,
                       aitken_update, compute_residual,
                       monolithic_reference, richardson_sync,
                       stop_threshold)
-from .async_engine import (AsyncStep, AsyncTrace, DelaySchedule, WindowCell,
+from .async_engine import (AsyncStep, AsyncTrace, DelaySchedule,
                            partition_by_delay, run_async_concurrent,
                            run_async_simulated, run_sync_concurrent)
 from .spectral import (CertificateReport, CompanionSystem, SpectralBounds,
@@ -55,7 +55,7 @@ __all__ = [
     "compute_residual", "monolithic_reference",
     "stop_threshold",
     "richardson_sync",
-    "AsyncStep", "AsyncTrace", "DelaySchedule", "WindowCell",
+    "AsyncStep", "AsyncTrace", "DelaySchedule",
     "partition_by_delay", "run_async_concurrent", "run_async_simulated",
     "run_sync_concurrent",
     "CertificateReport", "CompanionSystem", "SpectralBounds",

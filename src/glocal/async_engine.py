@@ -21,9 +21,11 @@ and is the canonical definition of the iteration.  Each step it computes
 every patch product in one batched call and keeps only the rows of the
 patches the schedule refreshes.  The threaded executor
 runs the global model on the calling thread and patch ranks on worker
-threads, each holding a contiguous slice of the patch stack; they
-exchange traces and reactions through one-sided :class:`WindowCell`
-windows and wake each other through one condition.  Free-running
+threads, each holding a contiguous slice of the patch stack.  The
+global rank leaves each step's trace in one field, each patch rank its
+newest reaction block and the step it answered in fields of its own,
+all read and written under one condition that also carries every
+wake-up; no array is copied on the way.  Free-running
 (``run_async_concurrent``), delays come from real scheduling, are
 observed rather than prescribed, and the iterate sequence is not
 reproducible run to run, only its limit is.  Synchronized
@@ -35,7 +37,6 @@ to each trace, so every reaction is fresh and the iterates are those of
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ from .coupling import interface_reaction  # noqa: F401
 from .errors import LivelockError, ScheduleError
 from .solvers import AsyncStep, AsyncTrace, SolveReport, _iterate, _Reactions
 
-__all__ = ["DelaySchedule", "AsyncStep", "AsyncTrace", "WindowCell",
+__all__ = ["DelaySchedule", "AsyncStep", "AsyncTrace",
            "partition_by_delay", "run_async_simulated",
            "run_async_concurrent", "run_sync_concurrent"]
 
@@ -224,46 +225,10 @@ def run_async_simulated(scenario: CouplingScenario, omega: float,
 
 
 # ---------------------------------------------------------------------------
-# one-sided windows
-
-
-class WindowCell:
-    """Versioned single-writer cell emulating a one-sided RMA window.
-
-    ``put`` swaps in a read-only copy of the payload under a lock and bumps
-    the version; ``read`` returns the current (version, payload, meta)
-    triple.  A reader holds a payload that no later ``put`` can change,
-    so a torn read cannot happen.  Versions are strictly monotone.
-    """
-
-    def __init__(self, name: str = "window"):
-        self.name = name
-        self._lock = threading.Lock()
-        self._version = 0
-        self._payload: np.ndarray | None = None
-        self._meta: dict = {}
-
-    def put(self, payload: np.ndarray, **meta) -> int:
-        arr = np.array(payload, dtype=float, copy=True)
-        arr.setflags(write=False)
-        with self._lock:
-            self._version += 1
-            self._payload = arr
-            self._meta = meta
-            return self._version
-
-    def read(self) -> tuple[int, np.ndarray | None, dict]:
-        with self._lock:
-            return self._version, self._payload, self._meta
-
-    @property
-    def version(self) -> int:
-        with self._lock:
-            return self._version
-
-
-# ---------------------------------------------------------------------------
 # the threaded executor
+
+
+WATCHDOG_S = 10.0  # seconds a global step waits for the patch ranks
 
 
 def _patch_groups(patch_ids: tuple[int, ...],
@@ -279,40 +244,34 @@ def _patch_groups(patch_ids: tuple[int, ...],
 
 
 class _WindowRanks(_Reactions):
-    """Patch ranks on threads, exchanging through window cells.
+    """Patch ranks on threads, exchanging through fields under one condition.
 
-    The global rank (the kernel's thread) puts each step's trace in one
-    trace window.  Each patch rank owns a contiguous slice of the patch
+    The global rank (the kernel's thread) sets ``trace`` to each step's
+    ``(step, u)``.  Each patch rank owns a contiguous slice of the patch
     stack: it answers every new trace once, with one batched product for
-    all its patches, and puts the block in its own reaction window,
-    tagged with the step the trace came from.  A rank holding several
-    patches then sleeps the sum of their ``patch_sleep``.
+    all its patches, and stores the block in ``blocks[k]`` and the step it
+    answered in ``answered[k]``.  These fields are read and written only
+    under ``changed``; the arrays are not copied, since every step's u and
+    every block is a new array that nobody writes once handed over.
 
-    One condition carries every wake-up: each put is announced on it, a
-    patch rank waits for a new trace (or the stop), and the global rank
-    waits until every rank has answered the current trace
-    (``synchronized``, and step 0 of any run) or at least one has, so
-    stale reactions enter only a free-running run.  That wait also ends
-    when a worker has raised, and aborts with :class:`LivelockError`
-    after ``watchdog`` seconds.
+    ``changed`` carries every wake-up: a patch rank waits for a trace newer
+    than its answer (or the stop), and the global rank waits until every
+    rank has answered the current trace (``synchronized``, and step 0 of
+    any run) or at least one has, so stale reactions enter only a
+    free-running run.  That wait also ends when a worker has raised, and
+    aborts with :class:`LivelockError` after ``WATCHDOG_S`` seconds.
     """
 
     def __init__(self, scenario: CouplingScenario, rank_count: int | None,
-                 synchronized: bool,
-                 patch_sleep: dict[int, float] | None = None,
-                 watchdog: float = 10.0):
+                 synchronized: bool):
         super().__init__(scenario)
         self.groups = _patch_groups(scenario.patch_ids, rank_count)
         self.synchronized = synchronized
         self.traced = not synchronized
-        self.patch_sleep = patch_sleep or {}
-        self.watchdog = watchdog
-        self.trace = WindowCell("trace")
-        self.reaction_cells = [WindowCell(f"reaction[{g.start}:{g.stop}]")
-                               for g in self.groups]
-        # Step whose trace each rank's newest reaction block was solved at.
-        self.answered = [-1] * len(self.groups)
         self.changed = threading.Condition()
+        self.trace: tuple[int, np.ndarray | None] = (-1, None)
+        self.blocks: list[np.ndarray | None] = [None] * len(self.groups)
+        self.answered = [-1] * len(self.groups)
         self.stopped = False
         self.errors: list[Exception] = []
         self.threads = [threading.Thread(target=self._patch_rank,
@@ -339,26 +298,22 @@ class _WindowRanks(_Reactions):
     def _patch_rank(self, k: int):
         rows = self.groups[k]
         sids = self.scenario.patch_ids[rows]
-        delay = sum(self.patch_sleep.get(sid, 0.0) for sid in sids)
-        seen = 0
         try:
             while True:
                 with self.changed:
                     self.changed.wait_for(
-                        lambda: self.stopped or self.trace.version != seen)
+                        lambda: self.stopped
+                        or self.trace[0] > self.answered[k])
                     if self.stopped:
                         return
-                seen, u, meta = self.trace.read()
-                reactions = patch_reactions(self.scenario, u, rows)
+                    step, u = self.trace
+                block = patch_reactions(self.scenario, u, rows)
                 with self.changed:
                     for sid in sids:
                         self.solves[sid] += 1
-                    self.reaction_cells[k].put(reactions,
-                                               source_iter=meta["iter"])
-                    self.answered[k] = meta["iter"]
+                    self.blocks[k] = block
+                    self.answered[k] = step
                     self.changed.notify_all()
-                if delay:
-                    time.sleep(delay)
         except Exception as err:  # re-raised on the global rank
             with self.changed:
                 self.errors.append(err)
@@ -371,43 +326,35 @@ class _WindowRanks(_Reactions):
         # on how cheap a global step is.
         enough = all if self.synchronized or j == 0 else any
         with self.changed:
-            self.trace.put(u, iter=j)
+            self.trace = (j, u)
             self.changed.notify_all()
             if not self.changed.wait_for(
                     lambda: self.errors or enough(
                         step >= j for step in self.answered),
-                    timeout=self.watchdog):
+                    timeout=WATCHDOG_S):
                 raise LivelockError(f"patch ranks did not answer trace {j} "
-                                    f"within {self.watchdog} s")
-        self._raise_worker_error()
-        blocks, ages = [], {}
-        for rows, cell in zip(self.groups, self.reaction_cells):
-            _, block, meta = cell.read()
-            blocks.append(block)
-            age = j - int(meta["source_iter"])
-            ages.update(dict.fromkeys(self.scenario.patch_ids[rows], age))
+                                    f"within WATCHDOG_S = {WATCHDOG_S} s")
+            self._raise_worker_error()
+            blocks, answered = list(self.blocks), list(self.answered)
+        ages = {sid: j - step for rows, step in zip(self.groups, answered)
+                for sid in self.scenario.patch_ids[rows]}
         return (scatter_residual(self.scenario, u, np.concatenate(blocks)),
                 ages)
 
 
 def run_async_concurrent(scenario: CouplingScenario, omega: float,
                          tol: float = 1e-8, max_iter: int = 10000,
-                         rank_count: int | None = None, *,
-                         patch_sleep: dict[int, float] | None = None,
-                         watchdog: float = 10.0) -> SolveReport:
-    """Threaded asynchronous run exchanging data through window cells.
+                         rank_count: int | None = None) -> SolveReport:
+    """Threaded free-running run.
 
     The global rank publishes the interface trace and, once at least one
-    patch rank has answered that trace, iterates on whatever reactions
-    the patch ranks have put back, fresh or not; patch ranks answer each
-    new trace once.  ``patch_sleep`` injects an artificial delay after
-    each product for a subset of patches, which is how tests model rank
-    imbalance; a rank holding several patches sleeps the sum of theirs.
-    A watchdog aborts with :class:`LivelockError` when no patch rank
-    answers within ``watchdog`` seconds.
+    patch rank has answered that trace, iterates on whatever reaction
+    blocks the patch ranks have left, fresh or not; patch ranks answer
+    each new trace once.  The ages are observed, not prescribed.  The run
+    aborts with :class:`LivelockError` when no patch rank answers within
+    ``WATCHDOG_S`` seconds.
     """
-    ranks = _WindowRanks(scenario, rank_count, synchronized=False,
-                         patch_sleep=patch_sleep, watchdog=watchdog)
+    ranks = _WindowRanks(scenario, rank_count, synchronized=False)
     return _iterate(scenario, ranks, omega, tol, max_iter, "fixed",
                     "async-concurrent")
 
@@ -419,11 +366,11 @@ def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
     """Synchronized threaded run.
 
     Every iteration publishes the trace and waits until every patch rank
-    has put its reaction block at that trace, so the iterate sequence
-    coincides with :func:`glocal.solvers.richardson_sync` operation for
-    operation; it exists to show the window plumbing does not perturb
-    the numbers.  A patch rank that does not answer within 10 s aborts
-    the run with :class:`LivelockError`.
+    has answered it, so the iterate sequence coincides with
+    :func:`glocal.solvers.richardson_sync` operation for operation; it
+    exists to show the threaded exchange does not perturb the numbers.
+    A patch rank that does not answer within ``WATCHDOG_S`` seconds
+    aborts the run with :class:`LivelockError`.
     """
     ranks = _WindowRanks(scenario, rank_count, synchronized=True)
     return _iterate(scenario, ranks, omega, tol, max_iter, relaxation,

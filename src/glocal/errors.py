@@ -53,4 +53,5 @@ class StagnationError(GlocalError):
 
 
 class LivelockError(GlocalError):
-    """Concurrent run made no observable progress within the watchdog period."""
+    """Concurrent run made no progress within
+    ``glocal.async_engine.WATCHDOG_S`` seconds."""

@@ -300,9 +300,14 @@ def scale_coefficient_in_ball(mesh: MeshModel, center, radius: float,
     This is how inclusions are modelled: element-wise contrast, assigned by
     centroid, no remeshing.
     """
-    if scale <= 0:
-        raise MeshError("coefficient scale must be positive")
-    center = np.asarray(center, dtype=float)
+    if not (math.isfinite(scale) and scale > 0):
+        raise MeshError(f"coefficient scale {scale} is not finite and > 0")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise MeshError(f"ball radius {radius} is not finite and >= 0")
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (mesh.dimension,) or not np.all(np.isfinite(center)):
+        raise MeshError(f"ball center must be a finite "
+                        f"{mesh.dimension}-vector")
     inside = np.linalg.norm(element_centroids(mesh) - center, axis=1) <= radius
     coeff = mesh.material.coeff.copy()
     coeff[inside] *= scale

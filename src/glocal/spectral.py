@@ -176,7 +176,7 @@ def generalized_spectrum(scenario: CouplingScenario) -> np.ndarray:
     global interface operator is L L^T.
     """
     shat = _scattered_sum(scenario, scenario.subdomain_ids)
-    chol_l = np.linalg.cholesky(scenario.schur_global)
+    chol_l = scenario._sg_chol[0]  # solve_triangular reads its lower half
     y = la.solve_triangular(chol_l, shat, lower=True, check_finite=False)
     m = la.solve_triangular(chol_l, y.T, lower=True, check_finite=False).T
     return np.linalg.eigvalsh(0.5 * (m + m.T))

@@ -1,4 +1,4 @@
-"""Delay schedules, window cells and the asynchronous executors.
+"""Delay schedules and the asynchronous executors.
 
 The virtual-time runs are compared operation for operation against an
 independently written reference loop; the threaded runs are checked for
@@ -9,16 +9,17 @@ convergence to the monolithic reference (free-running).
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import glocal.async_engine as async_engine
 from glocal import (
     DelaySchedule,
     DivergenceError,
     LivelockError,
     ScheduleError,
-    WindowCell,
     compute_residual,
     generalized_alphas,
     interface_reaction,
@@ -198,27 +199,22 @@ def test_simulated_run_validates_inputs(chain):
 
 
 # ---------------------------------------------------------------------------
-# window cells
-
-
-def test_window_cell_versioning_and_isolation():
-    cell = WindowCell("q")
-    assert cell.version == 0
-    assert cell.read() == (0, None, {})
-    src = np.array([1.0, 2.0])
-    v1 = cell.put(src, iter=4)
-    src[0] = 99.0  # the cell must have copied
-    version, payload, meta = cell.read()
-    assert (v1, version) == (1, 1)
-    assert np.array_equal(payload, [1.0, 2.0])
-    assert meta == {"iter": 4}
-    assert not payload.flags.writeable
-    v2 = cell.put(np.zeros(2))
-    assert v2 == 2 and cell.version == 2
-
-
-# ---------------------------------------------------------------------------
 # threaded executors
+
+
+@contextmanager
+def stalled_patch_ranks():
+    """Patch products that take 0.5 s, against a 0.1 s watchdog."""
+    fast = async_engine.patch_reactions
+
+    def slow(*args):
+        time.sleep(0.5)
+        return fast(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(async_engine, "patch_reactions", slow)
+        mp.setattr(async_engine, "WATCHDOG_S", 0.1)
+        yield
 
 
 def test_synchronized_threads_match_the_sequential_driver(two_patch_thermal):
@@ -280,16 +276,14 @@ def test_free_running_ranks_answer_each_trace_once(two_patch_thermal):
     ranks = _WindowRanks(scn, None, synchronized=False)
     with ranks:
         ranks.residual(0, scn.solve_interface(np.zeros(scn.gamma_dim)))
-        time.sleep(0.05)  # the trace windows do not move meanwhile
+        time.sleep(0.05)  # the trace does not move meanwhile
     assert ranks.solves == dict.fromkeys(scn.patch_ids, 1)
 
 
 def test_starved_run_is_reported_as_livelock(two_patch_thermal):
     scn = two_patch_thermal
-    sleeps = {sid: 0.5 for sid in scn.patch_ids}
-    with pytest.raises(LivelockError):
-        run_async_concurrent(scn, omega=0.5, tol=1e-12,
-                             patch_sleep=sleeps, watchdog=0.1)
+    with stalled_patch_ranks(), pytest.raises(LivelockError):
+        run_async_concurrent(scn, omega=0.5, tol=1e-12)
 
 
 def test_threaded_runs_end_their_threads(two_patch_thermal):
@@ -297,19 +291,30 @@ def test_threaded_runs_end_their_threads(two_patch_thermal):
     start = threading.active_count()
     assert run_async_concurrent(scn, omega=0.5, tol=1e-8).converged
     assert threading.active_count() == start
-    sleeps = {sid: 0.5 for sid in scn.patch_ids}
-    with pytest.raises(LivelockError):
-        run_async_concurrent(scn, omega=0.5, tol=1e-12,
-                             patch_sleep=sleeps, watchdog=0.1)
+    with stalled_patch_ranks(), pytest.raises(LivelockError):
+        run_async_concurrent(scn, omega=0.5, tol=1e-12)
     assert threading.active_count() == start
     with pytest.raises(DivergenceError):
         run_sync_concurrent(scn, omega=5.0)
     assert threading.active_count() == start
     # A stalled rank ends a synchronized run too.
-    ranks = _WindowRanks(scn, None, synchronized=True, patch_sleep=sleeps,
-                         watchdog=0.1)
+    ranks = _WindowRanks(scn, None, synchronized=True)
     u = scn.solve_interface(np.zeros(scn.gamma_dim))
-    with pytest.raises(LivelockError), ranks:
+    with stalled_patch_ranks(), pytest.raises(LivelockError), ranks:
         for j in range(3):
             ranks.residual(j, u)
     assert threading.active_count() == start
+
+
+def test_a_raising_patch_rank_fails_the_run(two_patch_thermal, monkeypatch):
+    # The autouse no_stray_threads fixture checks that no rank outlives it.
+    error = RuntimeError("patch solve failed")
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(async_engine, "patch_reactions", broken)
+    for run in (run_async_concurrent, run_sync_concurrent):
+        with pytest.raises(RuntimeError) as raised:
+            run(two_patch_thermal, omega=0.5)
+        assert raised.value is error

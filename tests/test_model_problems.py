@@ -330,8 +330,15 @@ def test_assembly_validation():
         assemble_poisson(inverted)
     with pytest.raises(MeshError):
         extract_submesh(thermal, np.array([], dtype=np.int64))
-    with pytest.raises(MeshError):
-        scale_coefficient_in_ball(thermal, (0.5, 0.5), 0.1, -1.0)
+    # The ball at (5, 5) holds no element, so only the checks can object.
+    for center, radius, scale in [
+            ((0.5, 0.5), 0.1, -1.0), ((5.0, 5.0), 0.1, float("nan")),
+            ((5.0, 5.0), 0.1, float("inf")),
+            ((0.5, 0.5), float("nan"), 2.0), ((0.5, 0.5), -1.0, 2.0),
+            ((0.5, 0.5), float("inf"), 2.0), ((float("nan"), 0.5), 0.1, 2.0),
+            ((0.5,), 0.1, 2.0), ((0.5, 0.5, 0.5), 0.1, 2.0)]:
+        with pytest.raises(MeshError):
+            scale_coefficient_in_ball(thermal, center, radius, scale)
 
 
 # ---------------------------------------------------------------------------
