@@ -84,18 +84,21 @@ class DelaySchedule:
         if self.kind not in ("all-zero", "deterministic-table",
                              "random-bounded"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        if self.max_delay < 0:
-            raise ScheduleError("max_delay must be non-negative")
+        if not isinstance(self.max_delay, (int, np.integer)) \
+                or self.max_delay < 0:
+            raise ScheduleError("max_delay must be a non-negative integer")
         if not self.patch_ids:
             raise ScheduleError("schedule needs at least one patch")
         if self.kind == "deterministic-table":
             if self.table is None:
                 raise ScheduleError("deterministic-table needs a table")
-            table = np.asarray(self.table, dtype=np.int64)
+            table = np.asarray(self.table)
             if table.ndim != 2 or table.shape[1] != len(self.patch_ids):
                 raise ScheduleError("table must be (steps, n_patches)")
-            self._validate_table(table)
-            self.table = table
+            if not np.all(np.isfinite(table) & (table == np.round(table))):
+                raise ScheduleError("table ages must be integers")
+            self.table = table.astype(np.int64)
+            self._validate_table(self.table)
         if self.kind == "random-bounded":
             if self.seed is None:
                 raise ScheduleError("random-bounded needs a seed")

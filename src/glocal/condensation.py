@@ -74,11 +74,11 @@ class CondensedOperator:
     ``interface_dofs`` and ``interior_dofs`` index into the reduced dof
     numbering of the originating :class:`AssembledSystem`; together they
     cover it exactly.  ``schur``/``rhs`` act on the trace u, ``J u`` on
-    the interface dofs, with J = ``transfer`` (None == identity).  ``schur``
-    is a dense C-contiguous array and inherits symmetry and, for meshes
-    with enough Dirichlet data or a nonempty interface complement,
-    positive definiteness from the stiffness.  The sparse K_ii and K_gi
-    are kept for :func:`expand_interior`.
+    the interface dofs, with J = ``transfer`` (I on a global part or the
+    complement).  ``schur`` is a dense C-contiguous array and inherits
+    symmetry and, for meshes with enough Dirichlet data or a nonempty
+    interface complement, positive definiteness from the stiffness.  The
+    sparse K_ii and K_gi are kept for :func:`expand_interior`.
     """
 
     schur: np.ndarray
@@ -86,14 +86,14 @@ class CondensedOperator:
     interface_dofs: np.ndarray
     interior_dofs: np.ndarray
     dof_count: int
-    transfer: sp.csr_matrix | None
+    transfer: sp.csr_matrix
     _k_interior: sp.csc_matrix
     _k_interface_interior: sp.csr_matrix
     _f_interior: np.ndarray
 
     @property
     def interface_count(self) -> int:
-        """Length of the trace the operator takes: m, or n_g without J."""
+        """Length of the trace the operator takes: m, the columns of J."""
         return len(self.rhs)
 
     @cached_property
@@ -110,8 +110,8 @@ def condense(system: AssembledSystem, interface_dofs,
 
     ``interface_dofs`` must be unique, in range, and may not cover all dofs
     unless the interior is genuinely empty (then S is just K_gg).
-    ``transfer`` is J (n_g x m, rows in ``interface_dofs`` order, None for
-    I); ``label`` names the subdomain in the singular-interior error.
+    ``transfer`` is J (n_g x m, rows in ``interface_dofs`` order; None is
+    I, built here); ``label`` names the subdomain in SingularInteriorError.
     """
     iface = np.asarray(interface_dofs, dtype=np.int64)
     n = system.dof_count
@@ -121,6 +121,8 @@ def condense(system: AssembledSystem, interface_dofs,
         raise ValueError("interface dofs contain duplicates")
     if iface.size and (iface.min() < 0 or iface.max() >= n):
         raise ValueError("interface dof out of range")
+    if transfer is None:
+        transfer = sp.identity(len(iface), format="csr")
 
     interior = np.setdiff1d(np.arange(n), iface)
     k, f = system.stiffness, system.load
@@ -129,26 +131,20 @@ def condense(system: AssembledSystem, interface_dofs,
     k_ii = k[interior][:, interior].tocsc()
     # J is applied as a dense array: sparse-sparse products cost more at
     # these sizes, so only the bordered path forms the sparse J^T K_gi.
-    jd = None if transfer is None else transfer.toarray()
-    k_gg = k_g[:, iface].toarray() if jd is None \
-        else jd.T @ (k_g[:, iface] @ jd)
+    jd = transfer.toarray()
+    k_gg = jd.T @ (k_g[:, iface] @ jd)
     schur, rhs = k_gg, f[iface]
     if interior.size:
         factor = _factor_spd(k_ii, label)
         rhs = rhs - k_gi @ factor.solve(f[interior])
-        m = len(k_gg)
-        schur = None
+        m, schur = len(k_gg), None
         if m * min(factor.nnz, m * interior.size) >= _BORDERED_WORK:
-            border = k_gi if jd is None else (transfer.T @ k_gi).tocsr()
-            schur = _bordered_schur(k_ii, border, factor.perm_c, k_gg)
+            schur = _bordered_schur(k_ii, (transfer.T @ k_gi).tocsr(),
+                                    factor.perm_c, k_gg)
         if schur is None:
             # K_ii^{-1} K_ig J as one multi-rhs sweep through the factor.
-            k_igj = k_gi.T.toarray() if jd is None else k_gi.T @ jd
-            k_gix = k_gi @ factor.solve(k_igj)
-            schur = k_gg - (k_gix if jd is None else jd.T @ k_gix)
-    if jd is not None:
-        rhs = jd.T @ rhs
-    return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=rhs,
+            schur = k_gg - jd.T @ (k_gi @ factor.solve(k_gi.T @ jd))
+    return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=jd.T @ rhs,
                              interface_dofs=iface, interior_dofs=interior,
                              dof_count=n, transfer=transfer, _k_interior=k_ii,
                              _k_interface_interior=k_gi,
@@ -229,7 +225,7 @@ def expand_interior(op: CondensedOperator,
     if u.shape != (op.interface_count,):
         raise ValueError("trace length does not match the interface")
     full = np.empty(op.dof_count)
-    trace = u if op.transfer is None else op.transfer @ u
+    trace = op.transfer @ u
     full[op.interface_dofs] = trace
     if op.interior_dofs.size:
         rhs = op._f_interior - op._k_interface_interior.T @ trace

@@ -11,13 +11,13 @@ one :class:`Subdomain` record holding everything about it:
 * its assembly map ``A_s`` (a dof index map) scattering its interface
   dofs into Gamma,
 * its transfer map ``J_s``, the trace of the coarse global field at the
-  fine interface nodes: each fine node takes the weights of the global
-  interface facet it lies on (vertex, edge or parallelogram face), which
-  is a permutation when the meshes match (none on the complement),
+  fine interface nodes: each free fine boundary node on a global interface
+  facet (vertex, edge or parallelogram face) takes that facet's weights;
+  a permutation when the meshes match, the identity on the complement,
 * its fine model, assembled and condensed by :mod:`.condensation`
   straight onto its own Gamma dofs: the compact operator
-  ``S_s = J_s^T S_sF J_s``, ``b_s = J_s^T b_sF`` (J = I on the
-  complement), stored once, with no S_sF on the fine interface formed.
+  ``S_s = J_s^T S_sF J_s``, ``b_s = J_s^T b_sF``, stored once, with no
+  S_sF on the fine interface formed.
 
 The assembled global interface operator is ``S_G = sum A_s S_sG A_s^T``
 (with its load ``b_G``), summed from the global-side Schur complements.
@@ -78,8 +78,8 @@ class Subdomain:
     that model condensed onto the trace of its Gamma dofs.
     ``interface_nodes`` are free parent (global-mesh) node ids and
     ``mesh_interface_nodes`` index into ``mesh``, both sorted.  ``amap`` is
-    ``A_s`` as Gamma dof indices, ``transfer`` is ``J_s`` (None ==
-    identity), and ``schur``/``rhs`` are ``condensed``'s compact
+    ``A_s`` as Gamma dof indices, ``transfer`` is ``J_s`` (the identity
+    on the complement), and ``schur``/``rhs`` are ``condensed``'s compact
     ``J_s^T S_sF J_s`` and ``J_s^T b_sF``, a patch's viewed in the stack.
     """
 
@@ -89,7 +89,7 @@ class Subdomain:
     interface_nodes: np.ndarray
     mesh_interface_nodes: np.ndarray
     amap: np.ndarray
-    transfer: sp.csr_matrix | None
+    transfer: sp.csr_matrix
     system: AssembledSystem
     condensed: CondensedOperator
     schur: np.ndarray
@@ -181,8 +181,10 @@ def build_transfer(global_coords: np.ndarray, fine_coords: np.ndarray,
     (1-t, t) on an edge, the four bilinear weights on a face.  Rows sum
     to one and reproduce linear fields.  A node on several facets takes
     the first; the weights agree there.  Rows of fine nodes on no facet
-    store no entries.  :class:`GeometryError` is raised when no fine node
-    lies on a facet, or a facet is degenerate or not a parallelogram.
+    store no entries.  Every node meets every facet in one batched pass,
+    so pass only candidates.  :class:`GeometryError` is raised when no
+    fine node lies on a facet, or a facet is degenerate or not a
+    parallelogram.
     """
     gc = np.atleast_2d(np.asarray(global_coords, dtype=float))
     fc = np.atleast_2d(np.asarray(fine_coords, dtype=float))
@@ -199,46 +201,37 @@ def build_transfer(global_coords: np.ndarray, fine_coords: np.ndarray,
     if tol is None:
         tol = 1e-9 * max(np.ptp(gc, axis=0).max(), 1.0)
 
-    n_fine, k = len(fc), facets.shape[1]
+    k = facets.shape[1]
     ref = _REFERENCE_CORNERS[k]
-    cols = np.zeros((n_fine, k), dtype=np.int64)
-    vals = np.zeros((n_fine, k))
-    placed = np.zeros(n_fine, dtype=bool)
-    for facet in facets:
-        corners = gc[facet]
-        basis = corners[_AXIS_CORNERS[k]] - corners[0]
-        misfit = np.linalg.norm(corners[0] + ref @ basis - corners, axis=1)
-        if misfit.max() > tol:
-            raise GeometryError(f"facet at {corners.tolist()} is not a "
-                                "parallelogram")
-        if basis.size and np.linalg.svd(basis, compute_uv=False).min() <= tol:
-            raise GeometryError(f"facet at {corners.tolist()} is degenerate")
-        todo = np.flatnonzero(~placed)
-        w = fc[todo] - corners[0]
-        xi = np.linalg.solve(basis @ basis.T, basis @ w.T).T
-        off = np.linalg.norm(w - xi @ basis, axis=1)
-        slack = tol / np.linalg.norm(basis, axis=1)
-        on = (off <= tol) & np.all((xi >= -slack) & (xi <= 1.0 + slack),
-                                   axis=1)
-        # Nodes within tol outside the facet take the trace at its edge.
-        xi = np.clip(xi[on], 0.0, 1.0)[:, None, :]
-        hit = todo[on]
-        cols[hit] = facet
-        vals[hit] = np.prod(np.where(ref == 1.0, xi, 1.0 - xi), axis=2)
-        placed[hit] = True
+    corners = gc[facets]                                     # (F, k, d)
+    basis = corners[:, _AXIS_CORNERS[k]] - corners[:, :1]    # (F, a, d)
+    skew = np.linalg.norm(corners[:, :1] + ref @ basis - corners,
+                          axis=2).max(axis=1) > tol
+    flat = np.any(np.linalg.svd(basis, compute_uv=False) <= tol, axis=1)
+    bad = np.flatnonzero(skew | flat)
+    if bad.size:
+        what = "not a parallelogram" if skew[bad[0]] else "degenerate"
+        raise GeometryError(f"facet at {corners[bad[0]].tolist()} is {what}")
+
+    # Local coordinates of every node on every facet: (F, n, a).
+    w = fc - corners[:, :1]
+    xi = np.linalg.solve(basis @ basis.transpose(0, 2, 1),
+                         basis @ w.transpose(0, 2, 1)).transpose(0, 2, 1)
+    off = np.linalg.norm(w - xi @ basis, axis=2)
+    slack = (tol / np.linalg.norm(basis, axis=2))[:, None, :]
+    on = (off <= tol) & np.all((xi >= -slack) & (xi <= 1.0 + slack), axis=2)
+    placed = on.any(axis=0)
     if not placed.any():
         raise GeometryError(
             "no fine node lies on the global interface (geometry mismatch "
             "or inconsistent Dirichlet data)")
+    first = on.argmax(axis=0)[placed]
+    # Nodes within tol outside the facet take the trace at its edge.
+    xi = np.clip(xi[first, np.flatnonzero(placed)], 0.0, 1.0)[:, None, :]
+    vals = np.prod(np.where(ref == 1.0, xi, 1.0 - xi), axis=2)
     indptr = np.concatenate([[0], np.cumsum(np.where(placed, k, 0))])
-    return sp.csr_matrix((vals[placed].ravel(), cols[placed].ravel(), indptr),
-                         shape=(n_fine, len(gc)))
-
-
-def _expand_transfer(j_node: sp.csr_matrix, ndpn: int) -> sp.csr_matrix:
-    if ndpn == 1:
-        return j_node.tocsr()
-    return sp.kron(j_node, sp.identity(ndpn, format="csr"), format="csr")
+    return sp.csr_matrix((vals.ravel(), facets[first].ravel(), indptr),
+                         shape=(len(fc), len(gc)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +315,25 @@ _FACET_CORNERS = {1: np.array([[0], [1]]),
                                [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]])}
 
 
+def _facets(mesh: MeshModel):
+    """Every element facet of ``mesh``, element by element, then
+    ``np.unique``'s first index, inverse and counts of their names.  A
+    facet's name is the index of its (up to) three smallest corners,
+    sorted: two faces of a hex mesh share at most an edge."""
+    corners = _FACET_CORNERS[mesh.dimension]
+    facets = mesh.elements[:, corners].reshape(-1, corners.shape[1])
+    head = np.sort(facets, axis=1)[:, :3]
+    names = np.ravel_multi_index(head.T, (mesh.node_count,) * head.shape[1])
+    return (facets, *np.unique(names, return_index=True, return_inverse=True,
+                               return_counts=True)[1:])
+
+
+def _free_boundary(mesh: MeshModel) -> np.ndarray:
+    """Sorted free nodes on the facets that belong to one element only."""
+    facets, first, _, count = _facets(mesh)
+    return np.setdiff1d(facets[first[count == 1]], list(mesh.dirichlet))
+
+
 def _interface(global_model: MeshModel, labels: np.ndarray):
     """Subdomain ids and the Gamma nodes and facets they share, found in
     one array pass over the element incidences.
@@ -348,12 +360,9 @@ def _interface(global_model: MeshModel, labels: np.ndarray):
                             f"are not supported (nodes {nonzero.tolist()})")
     gamma_nodes = np.setdiff1d(iface, held)
 
-    corners = _FACET_CORNERS[global_model.dimension]
-    facets = elements[:, corners].reshape(-1, corners.shape[1])
-    _, first, facet_id = np.unique(np.sort(facets, axis=1), axis=0,
-                                   return_index=True, return_inverse=True)
+    facets, first, facet_id, _ = _facets(global_model)
     facet_touch = np.zeros((len(first), len(sids)), dtype=bool)
-    facet_touch[facet_id.ravel(), np.repeat(column, len(corners))] = True
+    facet_touch[facet_id, column.repeat(len(facets) // len(column))] = True
     shared = np.flatnonzero(facet_touch.sum(axis=1) >= 2)
     shared = shared[np.argsort(first[shared])]
     return (sids, gamma_nodes, node_touch[gamma_nodes],
@@ -365,41 +374,35 @@ def _patch_transfer(sid: int, global_model: MeshModel, fine: MeshModel,
                     ) -> tuple[np.ndarray, sp.csr_matrix]:
     """Fine interface nodes of one patch and its dof-level transfer J_s.
 
-    One pass over the patch's global interface facets places every free
-    fine node that lies on one and gives its trace weights; the columns
-    are the patch's free global interface nodes ``gnodes``.
+    One batched pass over the patch's global interface facets places the
+    free nodes of the fine mesh's own boundary that lie on one and gives
+    their trace weights; the columns are the patch's free global
+    interface nodes ``gnodes``.
     """
-    dim = global_model.dimension
-    if fine.dimension != dim or fine.material.kind != \
-            global_model.material.kind:
+    if fine.dimension != global_model.dimension or \
+            fine.material.kind != global_model.material.kind:
         raise TopologyError(f"patch {sid}: fine mesh dimension or "
                             "material kind differs from the global model")
     facets = np.array(facets, dtype=np.int64)
     corner_nodes, local = np.unique(facets, return_inverse=True)
-    free = np.ones(fine.node_count, dtype=bool)
-    free[list(fine.dirichlet)] = False
-    free_nodes = np.flatnonzero(free)
+    candidates = _free_boundary(fine)
     j_all = build_transfer(global_model.nodes[corner_nodes],
-                           fine.nodes[free_nodes],
+                           fine.nodes[candidates],
                            local.reshape(facets.shape), tol)
     on = j_all.getnnz(axis=1) > 0
-    fine_iface = free_nodes[on]
-    j_all = j_all[on]
-    # Nested-refinement check: every free global interface node must
-    # have a fine node on the facet corner it sits at, otherwise the
-    # two interface discretizations cannot represent the same trace.
-    nearest = np.asarray(j_all.argmax(axis=1)).ravel()
-    twin = np.linalg.norm(fine.nodes[fine_iface]
-                          - global_model.nodes[corner_nodes[nearest]],
-                          axis=1) <= tol
-    missing = np.setdiff1d(gnodes, corner_nodes[nearest[twin]])
+    fine_iface = candidates[on]
+    # Nested-refinement check: every free global interface node needs a
+    # fine interface node within tol, or the two traces cannot agree.
+    gap = np.linalg.norm(global_model.nodes[gnodes][:, None]
+                         - fine.nodes[fine_iface], axis=2).min(axis=1)
+    missing = gnodes[gap > tol]
     if missing.size:
         raise GeometryError(
             f"patch {sid}: global interface node {int(missing[0])} has "
             "no matching fine node (interfaces differ geometrically)")
     # Columns of constrained corners multiply zero prescribed values.
-    j_node = j_all[:, np.searchsorted(corner_nodes, gnodes)]
-    return fine_iface, _expand_transfer(j_node, ndpn)
+    j_node = j_all[on][:, np.searchsorted(corner_nodes, gnodes)]
+    return fine_iface, sp.kron(j_node, sp.identity(ndpn), format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +467,8 @@ def build_scenario(global_model: MeshModel, labels,
         local_of[node_map] = np.arange(len(node_map))
         local_ids = local_of[gnodes]
         if sid == 0:
-            mesh, iface, j_dof = part, local_ids, None
+            mesh, iface = part, local_ids
+            j_dof = sp.identity(len(amap), format="csr")
         else:
             mesh = fine_meshes[sid]
             iface, j_dof = _patch_transfer(sid, global_model, mesh,

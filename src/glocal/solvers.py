@@ -309,7 +309,7 @@ def monolithic_reference(scenario: CouplingScenario) -> ReferenceSolution:
 
     The unknowns are x = [u_Gamma; every subdomain's interior dofs].  One
     sparse prolongation P maps x to all subdomain dofs: a subdomain's
-    interface rows hold ``J_s A_s^T`` (``A_s^T`` on the complement) and its
+    interface rows hold ``J_s A_s^T`` (J_s = I on the complement) and its
     interior rows pick its own block of x.  With K the block diagonal of
     the assembled stiffnesses and f the stacked loads, ``P^T K P x =
     P^T f`` is SPD and is factored once in symmetric mode; every field is
@@ -324,11 +324,8 @@ def monolithic_reference(scenario: CouplingScenario) -> ReferenceSolution:
         n, m = sub.system.dof_count, len(sub.amap)
         iface = sub.system.node_dofs(sub.mesh_interface_nodes)
         interior = np.setdiff1d(np.arange(n), iface, assume_unique=True)
-        trace = sp.csr_matrix((np.ones(m), (np.arange(m), sub.amap)),
-                              shape=(m, ng))
-        if sub.transfer is not None:
-            trace = sub.transfer @ trace
-        trace = trace.tocoo()
+        trace = (sub.transfer @ sp.csr_matrix(
+            (np.ones(m), (np.arange(m), sub.amap)), shape=(m, ng))).tocoo()
         rows += [row0 + iface[trace.row], row0 + interior]
         cols += [trace.col, col0 + np.arange(len(interior))]
         vals += [trace.data, np.ones(len(interior))]

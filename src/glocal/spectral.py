@@ -198,8 +198,8 @@ def relaxation_bounds(alpha_min: float, alpha_max: float,
     """
     if not 0 < alpha_min <= alpha_max:
         raise ValueError("need 0 < alpha_min <= alpha_max")
-    if max_delay < 0:
-        raise ValueError("max_delay must be non-negative")
+    if not isinstance(max_delay, (int, np.integer)) or max_delay < 0:
+        raise ValueError("max_delay must be a non-negative integer")
     omega_sync = 2.0 / alpha_max
     if max_delay == 0:
         return SpectralBounds(alpha_min=alpha_min, alpha_max=alpha_max,

@@ -9,6 +9,7 @@ convergence to the monolithic reference (free-running).
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -52,6 +53,13 @@ def test_schedule_validation():
         DelaySchedule(kind="random-bounded", max_delay=1, patch_ids=(1,))
     with pytest.raises(ScheduleError):
         DelaySchedule.random_bounded((1,), 1, seed=0, update_prob=0.0)
+    # A fractional bound would let ages of 3.0 through a bound of 2.5.
+    with pytest.raises(ScheduleError):
+        DelaySchedule.random_bounded((1, 2), 2.5, seed=0)
+    with pytest.raises(ScheduleError):
+        DelaySchedule(kind="all-zero", max_delay=1.0, patch_ids=(1,))
+    ages = DelaySchedule.random_bounded((1, 2), np.int64(2), seed=0).ages(5)
+    assert ages.dtype == np.int64 and np.all(ages <= 2)
 
 
 def test_table_rules():
@@ -61,6 +69,16 @@ def test_table_rules():
         DelaySchedule.from_table((1, 2), 1, [[0, 0], [0, 2]])
     with pytest.raises(ScheduleError):  # age jumped instead of growing by 1
         DelaySchedule.from_table((1, 2), 2, [[0, 0], [2, 0]])
+    # Fractional or NaN ages are rejected before any cast truncates them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1.7, np.nan):
+            with pytest.raises(ScheduleError):
+                DelaySchedule.from_table((1, 2), 2,
+                                         [[0, 0], [bad, 0], [2.9, 1]])
+    floats = DelaySchedule.from_table((1, 2), np.int64(2),
+                                      [[0.0, 0.0], [1.0, 0.0]])
+    assert floats.table.dtype == np.int64
     sched = DelaySchedule.from_table((1, 2), 2, [[0, 0], [1, 0], [2, 1]])
     assert np.array_equal(sched.ages(2), [2, 1])
     with pytest.raises(ScheduleError):

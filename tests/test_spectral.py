@@ -69,6 +69,9 @@ def test_relaxation_bounds_validation():
         relaxation_bounds(2.0, 1.0, 1)
     with pytest.raises(ValueError):
         relaxation_bounds(1.0, 1.0, -1)
+    with pytest.raises(ValueError):
+        relaxation_bounds(0.5, 1.0, 1.5)
+    assert relaxation_bounds(0.5, 1.0, np.int64(2)).max_delay == 2
 
 
 # ---------------------------------------------------------------------------
