@@ -62,10 +62,11 @@ _BLOCK = 256  # steps of a random-bounded schedule drawn at once
 class DelaySchedule:
     """Ages sigma(s, j) for every patch, bounded by ``max_delay``.
 
-    Kinds: "all-zero" (degenerates to the synchronous iteration),
-    "deterministic-table" (explicit age table, validated), and
+    Kinds: "deterministic-table" (explicit age table, validated) and
     "random-bounded" (per-step Bernoulli refresh with probability
     ``update_prob``, forced whenever the age would exceed the bound).
+    At max_delay = 0 every age is zero and the schedule degenerates to
+    the synchronous iteration; ``all_zero`` builds that one.
     The complement, when the scenario has one, is always fresh and is not
     part of the table.
     """
@@ -81,8 +82,7 @@ class DelaySchedule:
     _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("all-zero", "deterministic-table",
-                             "random-bounded"):
+        if self.kind not in ("deterministic-table", "random-bounded"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
         if not isinstance(self.max_delay, (int, np.integer)) \
                 or self.max_delay < 0:
@@ -122,8 +122,8 @@ class DelaySchedule:
     @classmethod
     def all_zero(cls, patch_ids, has_complement: bool = False
                  ) -> "DelaySchedule":
-        return cls(kind="all-zero", max_delay=0,
-                   patch_ids=tuple(patch_ids), has_complement=has_complement)
+        return cls.random_bounded(patch_ids, 0, seed=0,
+                                  has_complement=has_complement)
 
     @classmethod
     def random_bounded(cls, patch_ids, max_delay: int, seed: int,
@@ -144,8 +144,6 @@ class DelaySchedule:
         """Ages of all patches at step j (row of the sigma table)."""
         if j < 0:
             raise ScheduleError("negative step")
-        if self.kind == "all-zero" or j == 0:
-            return np.zeros(len(self.patch_ids), dtype=np.int64)
         if self.kind == "deterministic-table":
             if j >= len(self.table):
                 raise ScheduleError(f"table exhausted at step {j}")

@@ -355,14 +355,10 @@ def _dispatch(cfg: RunConfig, scenario: CouplingScenario,
         return richardson_sync(scenario, tol=cfg.tol, max_iter=cfg.max_iter,
                                relaxation="aitken")
     if cfg.variant == "async-sim":
-        has_comp = scenario.complement is not None
-        if cfg.max_delay == 0:
-            schedule = DelaySchedule.all_zero(scenario.patch_ids,
-                                              has_complement=has_comp)
-        else:
-            schedule = DelaySchedule.random_bounded(
-                scenario.patch_ids, cfg.max_delay, cfg.schedule_seed,
-                cfg.update_prob, has_complement=has_comp)
+        # At max_delay = 0 ages wrap at 1, so every one of them is zero.
+        schedule = DelaySchedule.random_bounded(
+            scenario.patch_ids, cfg.max_delay, cfg.schedule_seed,
+            cfg.update_prob, has_complement=scenario.complement is not None)
         return run_async_simulated(scenario, omega, schedule, tol=cfg.tol,
                                    max_iter=cfg.max_iter)
     if cfg.variant == "async-concurrent":

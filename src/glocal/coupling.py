@@ -140,6 +140,14 @@ class CouplingScenario:
         head = [] if self.complement is None else [self.complement.amap]
         return np.concatenate(head + [self.patch_index.ravel()])
 
+    @cached_property
+    def _sg_inverse(self) -> np.ndarray:
+        """Shared, read-only S_G^{-1}: one solve on the identity."""
+        inv = la.cho_solve(self._sg_chol, np.eye(self.gamma_dim),
+                           check_finite=False)
+        inv.flags.writeable = False
+        return inv
+
     def solve_interface(self, p_gamma: np.ndarray) -> np.ndarray:
         """Global interface solve ``u = S_G^{-1} (b_G + p)``."""
         p = np.asarray(p_gamma, dtype=float)

@@ -397,7 +397,10 @@ def _reduce_system(mesh: MeshModel, k_coo: sp.coo_matrix, f: np.ndarray,
         uf = fixed_values.reshape(-1)[fixed_idx]
         if np.any(uf != 0.0):
             load = load - k[free_idx][:, fixed_idx] @ uf
-    return AssembledSystem(stiffness=k_ff.tocsr(), load=load,
+    # Element blocks carry exact zeros (e.g. between the two acute corners
+    # of a right triangle); dropping them keeps factors and products lean.
+    k_ff.eliminate_zeros()
+    return AssembledSystem(stiffness=k_ff, load=load,
                            dof_map=dof_map, fixed_values=fixed_values,
                            ndof_per_node=ndpn)
 

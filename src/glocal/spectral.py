@@ -10,9 +10,11 @@ the affine map with block companion matrix
         [    ...                      ... ]
 
 where X_k = S_G^{-1} Shat_k, with Shat_k = sum_s A_s S_s A_s^T over the
-subdomains whose data is k steps old (each compact S_s = J_s^T S_sF J_s
-scatter-added at its Gamma dofs) and S_G the assembled global interface
-operator.  These displacement-space blocks are similar to the load-space
+subdomains whose data is k steps old and S_G the assembled global
+interface operator.  X_k is read straight off the scenario's cached
+S_G^{-1}: each age-k subdomain adds (S_G^{-1})[:, amap_s] S_s to the
+columns amap_s, so no partition, slot or omega needs a linear solve.
+These displacement-space blocks are similar to the load-space
 Shat_k S_G^{-1} through blockdiag(S_G), so the spectrum is the same, and
 X_k is exactly zero outside the interface columns of the age-k
 subdomains.  The eigenvalues of B are the roots of
@@ -36,8 +38,8 @@ enters the first block row, so B[K, K^c] = 0 and B[K^c, K^c] is a
 nilpotent shift; hence rho(B) = rho(B[K, K]).
 
 The relaxation bounds come from the generalized eigenvalues alpha of the
-pencil (sum_s A_s S_s A_s^T, S_G), computed through the Cholesky
-congruence that keeps the problem symmetric.  ``2 / alpha_max``
+pencil (sum_s A_s S_s A_s^T, S_G), computed from the same X as the
+symmetric L^T X L^{-T}, where S_G = L L^T.  ``2 / alpha_max``
 is sharp for the synchronous iteration; the delayed factor
 ``(1-eps)^D alpha_min / ((1+eps)^(2D) alpha_max^2)`` with
 ``eps = min(sin(pi/(3D)), 1/2)`` is sufficient, not sharp, so the
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 from math import isfinite, pi, sin
 
 import numpy as np
-import scipy.linalg as la
 
 from .async_engine import _age_slots
 from .coupling import CouplingScenario
@@ -128,27 +129,22 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
         raise ValueError("max_delay must be non-negative")
     slots = _validate_partition(scenario, partition, max_delay)
     n = scenario.gamma_dim
-    blocks = tuple(la.cho_solve(scenario._sg_chol,
-                                _scattered_sum(scenario, slot),
-                                check_finite=False) for slot in slots)
-    size = (max_delay + 1) * n
-    matrix = np.zeros((size, size))
-    matrix[:n, :n] = np.eye(n) - omega * blocks[0]
-    for k in range(1, max_delay + 1):
-        matrix[:n, k * n:(k + 1) * n] = -omega * blocks[k]
-    for k in range(max_delay):
-        matrix[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = np.eye(n)
+    blocks = tuple(_scattered_sum(scenario, slot) for slot in slots)
+    matrix = np.eye((max_delay + 1) * n, k=-n)
+    matrix[:n] = -omega * np.hstack(blocks)
+    matrix[:n, :n] += np.eye(n)
     return CompanionSystem(omega=omega, max_delay=max_delay, gamma_dim=n,
                            blocks=blocks, matrix=matrix)
 
 
 def _scattered_sum(scenario: CouplingScenario, sids) -> np.ndarray:
-    """``sum_s A_s S_s A_s^T`` over ``sids`` as one Gamma x Gamma array."""
-    shat = np.zeros((scenario.gamma_dim, scenario.gamma_dim))
+    """``X = S_G^{-1} sum_s A_s S_s A_s^T`` over ``sids``, Gamma x Gamma."""
+    inv = scenario._sg_inverse
+    x = np.zeros_like(inv)
     for sid in sids:
         sub = scenario.subdomains[sid]
-        shat[np.ix_(sub.amap, sub.amap)] += sub.schur
-    return shat
+        x[:, sub.amap] += inv[:, sub.amap] @ sub.schur
+    return x
 
 
 def spectral_radius(system: CompanionSystem | np.ndarray) -> float:
@@ -172,13 +168,12 @@ def spectral_radius(system: CompanionSystem | np.ndarray) -> float:
 def generalized_spectrum(scenario: CouplingScenario) -> np.ndarray:
     """All generalized eigenvalues of (sum_s A_s S_s A_s^T, S_G).
 
-    Computed as the symmetric eigenvalues of L^{-1} (sum) L^{-T} where the
-    global interface operator is L L^T.
+    Computed as the symmetric eigenvalues of L^T X L^{-T} = L^T X S_G^{-1} L,
+    with X over all subdomains and the global interface operator L L^T.
     """
-    shat = _scattered_sum(scenario, scenario.subdomain_ids)
-    chol_l = scenario._sg_chol[0]  # solve_triangular reads its lower half
-    y = la.solve_triangular(chol_l, shat, lower=True, check_finite=False)
-    m = la.solve_triangular(chol_l, y.T, lower=True, check_finite=False).T
+    x = _scattered_sum(scenario, scenario.subdomain_ids)
+    chol_l = np.tril(scenario._sg_chol[0])
+    m = chol_l.T @ x @ scenario._sg_inverse @ chol_l
     return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 

@@ -18,7 +18,17 @@ import numpy as np
 import scipy.linalg as la
 
 from glocal.coupling import residual_offset
-from glocal.spectral import CompanionSystem, _scattered_sum
+from glocal.spectral import CompanionSystem
+
+
+def scattered_schur(scenario, sids) -> np.ndarray:
+    """``Shat = sum_s A_s S_s A_s^T`` over ``sids`` as one Gamma x Gamma
+    array, each compact block scatter-added at its Gamma dofs."""
+    shat = np.zeros((scenario.gamma_dim, scenario.gamma_dim))
+    for sid in sids:
+        sub = scenario.subdomains[sid]
+        shat[np.ix_(sub.amap, sub.amap)] += sub.schur
+    return shat
 
 
 def symmetrized_companion(scenario, partition, omega: float,
@@ -28,7 +38,7 @@ def symmetrized_companion(scenario, partition, omega: float,
     chol_l = np.linalg.cholesky(scenario.schur_global)
     blocks = []
     for slot in partition:
-        y = la.solve_triangular(chol_l, _scattered_sum(scenario, slot),
+        y = la.solve_triangular(chol_l, scattered_schur(scenario, slot),
                                 lower=True)
         blocks.append(la.solve_triangular(chol_l, y.T, lower=True).T)
     n = scenario.gamma_dim

@@ -46,9 +46,11 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         DelaySchedule(kind="adaptive", max_delay=1, patch_ids=(1,))
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="all-zero", max_delay=-1, patch_ids=(1,))
+        DelaySchedule(kind="random-bounded", max_delay=-1, patch_ids=(1,),
+                      seed=0)
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="all-zero", max_delay=0, patch_ids=())
+        DelaySchedule(kind="random-bounded", max_delay=0, patch_ids=(),
+                      seed=0)
     with pytest.raises(ScheduleError):
         DelaySchedule(kind="random-bounded", max_delay=1, patch_ids=(1,))
     with pytest.raises(ScheduleError):
@@ -57,7 +59,8 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         DelaySchedule.random_bounded((1, 2), 2.5, seed=0)
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="all-zero", max_delay=1.0, patch_ids=(1,))
+        DelaySchedule(kind="random-bounded", max_delay=1.0, patch_ids=(1,),
+                      seed=0)
     ages = DelaySchedule.random_bounded((1, 2), np.int64(2), seed=0).ages(5)
     assert ages.dtype == np.int64 and np.all(ages <= 2)
 
@@ -117,15 +120,20 @@ def test_partition_by_delay_frozen():
 def test_all_zero_schedule_reproduces_the_synchronous_run(two_patch_thermal):
     scn = two_patch_thermal
     sync = richardson_sync(scn, omega=0.8, tol=1e-10)
-    sched = DelaySchedule.all_zero(scn.patch_ids, has_complement=True)
-    asyn = run_async_simulated(scn, 0.8, sched, tol=1e-10)
-    assert asyn.converged and sync.converged
-    assert len(asyn.history) == len(sync.history)
-    for a, b in zip(asyn.history, sync.history):
-        # Identical operation sequence: bitwise equality, not approximation.
-        assert np.array_equal(a.p_gamma, b.p_gamma)
-        assert a.residual_norm == b.residual_norm
-    assert np.array_equal(asyn.final_u_gamma, sync.final_u_gamma)
+    # Any random-bounded schedule at max_delay = 0 ages nothing.
+    for sched in (DelaySchedule.all_zero(scn.patch_ids, has_complement=True),
+                  DelaySchedule.random_bounded(scn.patch_ids, 0, seed=7,
+                                               update_prob=0.3,
+                                               has_complement=True)):
+        asyn = run_async_simulated(scn, 0.8, sched, tol=1e-10)
+        assert asyn.converged and sync.converged
+        assert len(asyn.history) == len(sync.history)
+        for a, b in zip(asyn.history, sync.history):
+            # Identical operation sequence: bitwise equality, not
+            # approximation.
+            assert np.array_equal(a.p_gamma, b.p_gamma)
+            assert a.residual_norm == b.residual_norm
+        assert np.array_equal(asyn.final_u_gamma, sync.final_u_gamma)
 
 
 def make_valid_table(rng, n_patches, max_delay, steps):

@@ -83,6 +83,17 @@ def test_nonzero_dirichlet_moves_into_load():
     assert np.allclose(u[:, 0], [1.0, 0.5, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("dimension, kind", [(2, "thermal"), (2, "elastic"),
+                                             (3, "thermal"), (3, "elastic")])
+def test_assembled_stiffness_stores_no_zeros(dimension, kind):
+    # Right triangles couple their two acute corners by an exact zero.
+    mesh = build_structured_mesh(dimension, 3, 1.0, kind=kind)
+    mesh = with_dirichlet(mesh, nodes_on_plane(mesh, 0, 0.0))
+    stiffness = assemble(mesh).stiffness
+    assert stiffness.nnz > 0
+    assert np.count_nonzero(stiffness.data == 0.0) == 0
+
+
 # ---------------------------------------------------------------------------
 # patch tests: exact reproduction of linear fields
 

@@ -24,17 +24,8 @@ from glocal import (
 )
 from glocal import spectral
 
-from companion_oracle import (characteristic_value, symmetrized_companion,
-                              verify_fixed_point)
-
-
-def embedded_sum(scn):
-    """sum_s A_s S_s A_s^T, scattered from the compact per-subdomain blocks."""
-    total = np.zeros((scn.gamma_dim, scn.gamma_dim))
-    for sid in scn.subdomain_ids:
-        amap = scn.subdomains[sid].amap
-        total[np.ix_(amap, amap)] += scn.subdomains[sid].schur
-    return total
+from companion_oracle import (characteristic_value, scattered_schur,
+                              symmetrized_companion, verify_fixed_point)
 
 
 def full_partition(scn, max_delay):
@@ -87,7 +78,8 @@ def test_chain_alphas_frozen(chain):
 def test_spectrum_matches_generalized_eig_oracle(two_patch_thermal):
     scn = two_patch_thermal
     spectrum = generalized_spectrum(scn)
-    vals = sla.eig(embedded_sum(scn), scn.schur_global, right=False)
+    vals = sla.eig(scattered_schur(scn, scn.subdomain_ids),
+                   scn.schur_global, right=False)
     assert np.abs(vals.imag).max() < 1e-10
     assert np.allclose(np.sort(vals.real), spectrum, atol=1e-8)
     assert spectrum[0] > 0
@@ -154,8 +146,8 @@ def test_symmetrized_companion_keeps_the_spectrum(chain):
 
 def test_fixed_point_self_check(chain):
     scn = chain
-    p_hat = -scn.schur_global @ np.linalg.solve(embedded_sum(scn),
-                                                residual_offset(scn))
+    shat = scattered_schur(scn, scn.subdomain_ids)
+    p_hat = -scn.schur_global @ np.linalg.solve(shat, residual_offset(scn))
     # p_hat really is the coupled load: the residual vanishes there.
     r = compute_residual(scn, scn.solve_interface(p_hat))
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(scn.rhs_global)
@@ -250,6 +242,24 @@ def test_certificate_solves_each_partition_once(two_patch_thermal,
         assert rho == spectral_radius(direct)
 
 
+def test_certificates_share_one_interface_solve(monkeypatch):
+    # A fresh scenario: the session fixtures may hold S_G^{-1} already.
+    scn = two_patch_2d("thermal")
+    calls = []
+    original = sla.cho_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "cho_solve", counting)
+    amin, amax = generalized_alphas(scn)
+    first = certify_paracontraction(scn, 0.5 / amax, 2, trials=20, seed=1)
+    second = certify_paracontraction(scn, 0.3 / amax, 4, trials=20, seed=2)
+    assert len(set(first.partitions)) > 1 and len(set(second.partitions)) > 1
+    assert len(calls) <= 1
+
+
 def test_certificate_repeats_bit_for_bit(two_patch_elastic):
     amin, amax = generalized_alphas(two_patch_elastic)
     omega = 0.9 * relaxation_bounds(amin, amax, 4).omega_async_factor
@@ -314,7 +324,8 @@ def dense_embedded_sum(scn, sids):
 
 
 @pytest.mark.parametrize("name", ["chain", "two_patch_thermal",
-                                  "two_patch_elastic", "cube2_thermal"])
+                                  "two_patch_elastic", "cube2_thermal",
+                                  "imbalanced_thermal"])
 def test_compact_blocks_match_the_dense_embedded_path(name, request):
     scn = request.getfixturevalue(name)
     chol_l = np.linalg.cholesky(scn.schur_global)
