@@ -68,7 +68,8 @@ class DelaySchedule:
     At max_delay = 0 every age is zero and the schedule degenerates to
     the synchronous iteration; ``all_zero`` builds that one.
     The complement, when the scenario has one, is always fresh and is not
-    part of the table.
+    part of the table.  A random-bounded schedule keeps its draws in
+    ``table`` too, appended a block of steps at a time.
     """
 
     kind: str
@@ -78,7 +79,6 @@ class DelaySchedule:
     table: np.ndarray | None = None
     seed: int | None = None
     update_prob: float = 0.5
-    _rows: list[np.ndarray] = field(default_factory=list, repr=False)
     _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -93,8 +93,10 @@ class DelaySchedule:
             if self.table is None:
                 raise ScheduleError("deterministic-table needs a table")
             table = np.asarray(self.table)
-            if table.ndim != 2 or table.shape[1] != len(self.patch_ids):
-                raise ScheduleError("table must be (steps, n_patches)")
+            if table.ndim != 2 or table.shape[1] != len(self.patch_ids) \
+                    or len(table) == 0:
+                raise ScheduleError("table must be (steps, n_patches) with "
+                                    "at least one step")
             if not np.all(np.isfinite(table) & (table == np.round(table))):
                 raise ScheduleError("table ages must be integers")
             self.table = table.astype(np.int64)
@@ -105,7 +107,7 @@ class DelaySchedule:
             if not 0.0 < self.update_prob <= 1.0:
                 raise ScheduleError("update_prob must lie in (0, 1]")
             self._rng = np.random.default_rng(self.seed)
-            self._rows.append(np.zeros(len(self.patch_ids), dtype=np.int64))
+            self.table = np.zeros((1, len(self.patch_ids)), dtype=np.int64)
 
     def _validate_table(self, table: np.ndarray):
         if np.any(table[0] != 0):
@@ -144,22 +146,21 @@ class DelaySchedule:
         """Ages of all patches at step j (row of the sigma table)."""
         if j < 0:
             raise ScheduleError("negative step")
-        if self.kind == "deterministic-table":
-            if j >= len(self.table):
-                raise ScheduleError(f"table exhausted at step {j}")
-            return self.table[j]
-        while len(self._rows) <= j:
+        if j >= len(self.table) and self._rng is not None:
             # One draw for a block of steps.  An age counts the steps since
             # the patch's last random refresh, wrapped at D + 1, which is
             # where the forced refresh restarts it.
-            k = max(_BLOCK, j + 1 - len(self._rows))
-            steps = np.arange(len(self._rows), len(self._rows) + k)[:, None]
-            fresh = self._rng.random((k, len(self.patch_ids))) \
+            n = len(self.table)
+            steps = np.arange(n, n + max(_BLOCK, j + 1 - n))[:, None]
+            fresh = self._rng.random((len(steps), len(self.patch_ids))) \
                 < self.update_prob
-            last = np.where(fresh, steps, steps[0] - 1 - self._rows[-1])
+            last = np.where(fresh, steps, steps[0] - 1 - self.table[-1])
             np.maximum.accumulate(last, axis=0, out=last)
-            self._rows.extend((steps - last) % (self.max_delay + 1))
-        return self._rows[j]
+            self.table = np.concatenate(
+                [self.table, (steps - last) % (self.max_delay + 1)])
+        if j >= len(self.table):
+            raise ScheduleError(f"table exhausted at step {j}")
+        return self.table[j]
 
 
 def partition_by_delay(schedule: DelaySchedule, j: int) -> list[list[int]]:
@@ -205,10 +206,8 @@ class _ScheduledReactions(_Reactions):
         fresh = ages == 0
         np.copyto(self.cache, patch_reactions(self.scenario, u),
                   where=fresh[:, None])
-        for sid, refreshed in zip(self.schedule.patch_ids, fresh.tolist()):
-            self.solves[sid] += refreshed
-        return (scatter_residual(self.scenario, u, self.cache),
-                dict(zip(self.schedule.patch_ids, ages.tolist())))
+        self.solves += fresh
+        return scatter_residual(self.scenario, u, self.cache), ages
 
 
 def run_async_simulated(scenario: CouplingScenario, omega: float,
@@ -251,9 +250,10 @@ class _WindowRanks(_Reactions):
     ``(step, u)``.  Each patch rank owns a contiguous slice of the patch
     stack: it answers every new trace once, with one batched product for
     all its patches, and stores the block in ``blocks[k]`` and the step it
-    answered in ``answered[k]``.  These fields are read and written only
-    under ``changed``; the arrays are not copied, since every step's u and
-    every block is a new array that nobody writes once handed over.
+    answered in ``answered[k]``, an int array over the ranks.  These fields
+    are read and written only under ``changed``; u and the blocks are not
+    copied, since every step's u and every block is a new array that
+    nobody writes once handed over.
 
     ``changed`` carries every wake-up: a patch rank waits for a trace newer
     than its answer (or the stop), and the global rank waits until every
@@ -267,12 +267,13 @@ class _WindowRanks(_Reactions):
                  synchronized: bool):
         super().__init__(scenario)
         self.groups = _patch_groups(scenario.patch_ids, rank_count)
+        self.sizes = [g.stop - g.start for g in self.groups]
         self.synchronized = synchronized
         self.traced = not synchronized
         self.changed = threading.Condition()
         self.trace: tuple[int, np.ndarray | None] = (-1, None)
         self.blocks: list[np.ndarray | None] = [None] * len(self.groups)
-        self.answered = [-1] * len(self.groups)
+        self.answered = np.full(len(self.groups), -1)
         self.stopped = False
         self.errors: list[Exception] = []
         self.threads = [threading.Thread(target=self._patch_rank,
@@ -298,7 +299,6 @@ class _WindowRanks(_Reactions):
 
     def _patch_rank(self, k: int):
         rows = self.groups[k]
-        sids = self.scenario.patch_ids[rows]
         try:
             while True:
                 with self.changed:
@@ -310,8 +310,7 @@ class _WindowRanks(_Reactions):
                     step, u = self.trace
                 block = patch_reactions(self.scenario, u, rows)
                 with self.changed:
-                    for sid in sids:
-                        self.solves[sid] += 1
+                    self.solves[rows] += 1
                     self.blocks[k] = block
                     self.answered[k] = step
                     self.changed.notify_all()
@@ -325,22 +324,19 @@ class _WindowRanks(_Reactions):
         # rank that steps quickly would then outrun the patch ranks, and
         # the ages, and with them whether the run converges, would depend
         # on how cheap a global step is.
-        enough = all if self.synchronized or j == 0 else any
+        enough = np.all if self.synchronized or j == 0 else np.any
         with self.changed:
             self.trace = (j, u)
             self.changed.notify_all()
             if not self.changed.wait_for(
-                    lambda: self.errors or enough(
-                        step >= j for step in self.answered),
+                    lambda: self.errors or enough(self.answered >= j),
                     timeout=WATCHDOG_S):
                 raise LivelockError(f"patch ranks did not answer trace {j} "
                                     f"within WATCHDOG_S = {WATCHDOG_S} s")
             self._raise_worker_error()
-            blocks, answered = list(self.blocks), list(self.answered)
-        ages = {sid: j - step for rows, step in zip(self.groups, answered)
-                for sid in self.scenario.patch_ids[rows]}
+            blocks, answered = list(self.blocks), self.answered.copy()
         return (scatter_residual(self.scenario, u, np.concatenate(blocks)),
-                ages)
+                np.repeat(j - answered, self.sizes))
 
 
 def run_async_concurrent(scenario: CouplingScenario, omega: float,

@@ -21,7 +21,11 @@ one :class:`Subdomain` record holding everything about it:
 
 The assembled global interface operator is ``S_G = sum A_s S_sG A_s^T``
 (with its load ``b_G``), summed from the global-side Schur complements.
-The residual of the coupled problem at a trace u is
+The build checks S_G is SPD by its Cholesky factor, and S_G^{-1} is
+formed from it once, on first use; the global solve
+``u = S_G^{-1} (b_G + p)``, the companions and the spectrum all apply it
+as one product with that cached inverse.  The residual of the coupled
+problem at a trace u is
 
     r(u) = -( sum_s A_s (S_s A_s^T u - b_s) ),
 
@@ -61,8 +65,6 @@ __all__ = [
     "scatter_residual",
     "build_scenario",
 ]
-
-_POTRS, = la.get_lapack_funcs(("potrs",), dtype=np.float64)
 
 # Coupled unknowns (Gamma plus every subdomain interior) a scenario may
 # have; keeps dense condensation and certificates at desk scale.
@@ -149,18 +151,12 @@ class CouplingScenario:
         return inv
 
     def solve_interface(self, p_gamma: np.ndarray) -> np.ndarray:
-        """Global interface solve ``u = S_G^{-1} (b_G + p)``."""
+        """Global interface solve ``u = S_G^{-1} (b_G + p)``: one product
+        with the cached :attr:`_sg_inverse`, as the spectrum applies it."""
         p = np.asarray(p_gamma, dtype=float)
         if p.shape != (self.gamma_dim,):
             raise ValueError("interface load has the wrong length")
-        # LAPACK directly: cho_solve's checks cost more than the solve
-        # itself at these sizes, and this runs once per global step.
-        c, lower = self._sg_chol
-        u, info = _POTRS(c, self.rhs_global + p, lower=lower,
-                         overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"potrs rejected argument {-info}")
-        return u
+        return self._sg_inverse @ (self.rhs_global + p)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +406,9 @@ def _patch_transfer(sid: int, global_model: MeshModel, fine: MeshModel,
             "no matching fine node (interfaces differ geometrically)")
     # Columns of constrained corners multiply zero prescribed values.
     j_node = j_all[on][:, np.searchsorted(corner_nodes, gnodes)]
-    return fine_iface, sp.kron(j_node, sp.identity(ndpn), format="csr")
+    if ndpn > 1:
+        j_node = sp.kron(j_node, sp.identity(ndpn), format="csr")
+    return fine_iface, j_node
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +417,17 @@ def _patch_transfer(sid: int, global_model: MeshModel, fine: MeshModel,
 
 def build_scenario(global_model: MeshModel, labels,
                    fine_meshes: dict[int, MeshModel], *,
-                   source: float = 1.0, body_force=None,
                    name: str = "scenario") -> CouplingScenario:
     """Assemble, condense and wire up a full coupling scenario.
 
     ``labels`` assigns every global element an integer subdomain id: 0 is
     the complement (may be absent), positive ids are patch zones and must
-    each come with a fine mesh.  The same source/body force is applied on
-    every subdomain, global side and fine side.  A scenario with more
-    than ``MAX_COUPLED_DOFS`` coupled unknowns raises :class:`ConfigError`
-    once its subdomains are wired, before anything is assembled.
+    each come with a fine mesh.  Every subdomain, global side and fine
+    side, carries :func:`assemble`'s default load (a unit source, or a
+    unit body force along the last axis, pointing down).  A scenario
+    with more than ``MAX_COUPLED_DOFS`` coupled unknowns raises
+    :class:`ConfigError` once its subdomains are wired, before anything
+    is assembled.
     """
     labels = np.asarray(labels)
     if labels.shape != (global_model.element_count,):
@@ -499,7 +498,7 @@ def build_scenario(global_model: MeshModel, labels,
     rhs_global = np.zeros(gamma_dim)
     subdomains: dict[int, Subdomain] = {}
     for sid, part, amap, gnodes, local_ids, mesh, iface, j_dof in wiring:
-        system_g = assemble(part, source=source, body_force=body_force)
+        system_g = assemble(part)
         cond_g = condense(system_g, system_g.node_dofs(local_ids),
                           label=f"subdomain {sid} (global part)")
         schur_global[np.ix_(amap, amap)] += cond_g.schur
@@ -508,7 +507,7 @@ def build_scenario(global_model: MeshModel, labels,
         if sid == 0:
             system, cond = system_g, cond_g
         else:
-            system = assemble(mesh, source=source, body_force=body_force)
+            system = assemble(mesh)
             cond = condense(system, system.node_dofs(iface),
                             label=f"patch {sid} (fine)", transfer=j_dof)
         schur, rhs = embedded_fine_schur(gamma_dim, cond, amap)

@@ -30,14 +30,6 @@ def _check_problem(problem: str) -> str:
     return "thermal" if problem == "thermal" else "elastic"
 
 
-def _loading(problem: str, dimension: int):
-    if problem == "thermal":
-        return {"source": 1.0, "body_force": None}
-    force = np.zeros(dimension)
-    force[-1] = -1.0
-    return {"source": 1.0, "body_force": force}
-
-
 def _zone_cells_2d(nx: int, ny: int, zone: tuple[int, int, int, int]):
     i0, i1, j0, j1 = zone
     if not (0 < i0 < i1 <= nx and 0 <= j0 < j1 <= ny):
@@ -97,8 +89,7 @@ def two_patch_2d(problem: str = "thermal", *, nx: int = 16,
 
     if name is None:
         name = f"two-patch-2d-{problem}"
-    return build_scenario(glob, labels, fine, name=name,
-                          **_loading(problem, 2))
+    return build_scenario(glob, labels, fine, name=name)
 
 
 def fine_equals_global_2d(problem: str = "thermal", *, nx: int = 16,
@@ -126,8 +117,7 @@ def fine_equals_global_2d(problem: str = "thermal", *, nx: int = 16,
         labels[cells] = sid
         fine[sid], _ = extract_submesh(glob, cells)
     return build_scenario(glob, labels, fine,
-                          name=f"fine-equals-global-2d-{problem}",
-                          **_loading(problem, 2))
+                          name=f"fine-equals-global-2d-{problem}")
 
 
 def _cube_scenario(problem: str, shape: tuple[int, int, int],
@@ -170,8 +160,7 @@ def _cube_scenario(problem: str, shape: tuple[int, int, int],
                     # Shares the clamped x=0 face; the patch must agree.
                     mesh = with_dirichlet(mesh, nodes_on_plane(mesh, 0, 0.0))
                 fine[sid] = mesh
-    return build_scenario(glob, labels, fine, name=name,
-                          **_loading(problem, 3))
+    return build_scenario(glob, labels, fine, name=name)
 
 
 def cube_grid_3d(n: int = 2, problem: str = "thermal", *,
@@ -246,5 +235,4 @@ def chain_1d(problem: str = "thermal", *, n_cells: int = 8,
                                      origin=float(e0))
         fine[sid] = scale_coefficient_in_ball(mesh, e0 + width / 2.0,
                                               0.4 * width, contrast)
-    return build_scenario(glob, labels, fine, name="chain-1d-thermal",
-                          source=1.0)
+    return build_scenario(glob, labels, fine, name="chain-1d-thermal")

@@ -170,17 +170,18 @@ class _Reactions:
     """Where the kernel gets r_j from.
 
     ``residual(j, u)`` returns r_j at the trace u of step j and the age of
-    every patch reaction in it (None when all are fresh); ``solves`` counts
-    the patch reactions solved so far.  ``traced`` sources get an
-    :class:`AsyncTrace` on their report.  Sources that run threads start
-    them on ``__enter__`` and stop them on ``__exit__``.
+    every patch reaction in it, an int array over the patch stack (None
+    when all are fresh); ``solves`` counts the reactions each patch has
+    solved so far, also over the stack.  ``traced`` sources return ages
+    and get an :class:`AsyncTrace` on their report.  Sources that run
+    threads start them on ``__enter__`` and stop them on ``__exit__``.
     """
 
     traced = False
 
     def __init__(self, scenario: CouplingScenario):
         self.scenario = scenario
-        self.solves = dict.fromkeys(scenario.patch_ids, 0)
+        self.solves = np.zeros(len(scenario.patch_ids), dtype=np.int64)
 
     def __enter__(self):
         return self
@@ -193,8 +194,7 @@ class _FreshReactions(_Reactions):
     """Every reaction recomputed at the current trace."""
 
     def residual(self, j: int, u: np.ndarray):
-        for sid in self.solves:
-            self.solves[sid] += 1
+        self.solves += 1
         return compute_residual(self.scenario, u), None
 
 
@@ -221,6 +221,7 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
 
     aitken = relaxation == "aitken"
     w = 1.0 if aitken else float(omega)
+    rank_ids = (0,) + scenario.patch_ids
     p = np.zeros(scenario.gamma_dim)
     history: list[IterationRecord] = []
     steps: list[AsyncStep] = []
@@ -238,20 +239,21 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
                 r0 = rn
                 threshold = stop_threshold(scenario, tol, r0)
             stop = rn <= threshold
-            if stop and ages and any(ages.values()):
+            if stop and ages is not None and ages.any():
                 confirmations += 1
                 fresh = compute_residual(scenario, u)
                 stop = float(np.linalg.norm(fresh)) <= threshold
-            history.append(IterationRecord(index=j, p_gamma=p.copy(),
+            # p is rebound each step, never written in place: no copy.
+            history.append(IterationRecord(index=j, p_gamma=p,
                                            residual_norm=rn, omega=w,
                                            wall_time=perf_counter() - t0))
             if source.traced:
-                solves = {0: j + 1}
-                for sid, count in source.solves.items():
-                    solves[sid] = count + confirmations
-                steps.append(AsyncStep(index=j, sigma=ages,
-                                       residual_norm=rn, omega=w,
-                                       solves=solves))
+                solves = [j + 1, *(source.solves + confirmations).tolist()]
+                steps.append(AsyncStep(
+                    index=j, sigma=dict(zip(scenario.patch_ids,
+                                            ages.tolist())),
+                    residual_norm=rn, omega=w,
+                    solves=dict(zip(rank_ids, solves))))
             if stop:
                 converged = True
                 break
@@ -264,9 +266,9 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
             p = p + w * r
             r_prev = r
 
-    patch_solves = {sid: count + confirmations
-                    for sid, count in source.solves.items()}
-    trace = (AsyncTrace(steps=steps, rank_ids=(0,) + scenario.patch_ids)
+    patch_solves = dict(zip(scenario.patch_ids,
+                            (source.solves + confirmations).tolist()))
+    trace = (AsyncTrace(steps=steps, rank_ids=rank_ids)
              if source.traced else None)
     return SolveReport(converged=converged, history=history,
                        final_u_gamma=u, total_global_solves=len(history),

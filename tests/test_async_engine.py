@@ -61,6 +61,8 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         DelaySchedule(kind="random-bounded", max_delay=1.0, patch_ids=(1,),
                       seed=0)
+    with pytest.raises(ScheduleError):  # no warm-up row to check
+        DelaySchedule.from_table((1, 2), 2, np.zeros((0, 2)))
     ages = DelaySchedule.random_bounded((1, 2), np.int64(2), seed=0).ages(5)
     assert ages.dtype == np.int64 and np.all(ages <= 2)
 
@@ -183,18 +185,24 @@ def test_simulated_run_counts_refreshes(chain):
     assert report.total_global_solves == n_steps
     twin = DelaySchedule.random_bounded(chain.patch_ids, 2, seed=3,
                                         has_complement=True)
+    table = np.array([twin.ages(j) for j in range(n_steps)])
     # A step whose stale-mixed residual passes the stop test is confirmed
     # with one fresh solve per patch.
     threshold = stop_threshold(chain, 1e-8, report.history[0].residual_norm)
-    confirmations = sum(int(rec.residual_norm <= threshold
-                            and np.any(twin.ages(rec.index) > 0))
-                        for rec in report.history)
-    for k, sid in enumerate(chain.patch_ids):
-        refreshes = sum(int(twin.ages(j)[k] == 0) for j in range(n_steps))
-        assert report.patch_solves[sid] == refreshes + confirmations
-    last = report.trace.steps[-1]
-    assert last.solves[0] == n_steps
-    assert last.solves[1] == report.patch_solves[1]
+    confirmations = np.cumsum([rec.residual_norm <= threshold
+                               and table[rec.index].any()
+                               for rec in report.history])
+    refreshes = np.cumsum(table == 0, axis=0)
+    assert [step.index for step in report.trace.steps] == list(range(n_steps))
+    for j, step in enumerate(report.trace.steps):
+        assert step.sigma == {sid: int(a) for sid, a
+                              in zip(chain.patch_ids, table[j])}
+        assert step.solves == {0: j + 1, **{
+            sid: int(n) + int(confirmations[j])
+            for sid, n in zip(chain.patch_ids, refreshes[j])}}
+    assert report.patch_solves == {
+        sid: int(n) + int(confirmations[-1])
+        for sid, n in zip(chain.patch_ids, refreshes[-1])}
     assert report.trace.rank_ids == (0,) + chain.patch_ids
 
 
@@ -303,7 +311,7 @@ def test_free_running_ranks_answer_each_trace_once(two_patch_thermal):
     with ranks:
         ranks.residual(0, scn.solve_interface(np.zeros(scn.gamma_dim)))
         time.sleep(0.05)  # the trace does not move meanwhile
-    assert ranks.solves == dict.fromkeys(scn.patch_ids, 1)
+    assert ranks.solves.tolist() == [1] * len(scn.patch_ids)
 
 
 def test_starved_run_is_reported_as_livelock(two_patch_thermal):

@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from glocal import (
     ConfigError,
@@ -256,6 +257,16 @@ def test_one_patch_reaction_is_its_row_of_the_batch(name, request):
             outside = np.ones(scn.gamma_dim, dtype=bool)
             outside[sub.amap] = False
             assert not single[outside].any()
+
+
+@pytest.mark.parametrize("name", ["two_patch_elastic", "imbalanced_thermal"])
+def test_interface_solve_matches_a_cholesky_solve(name, request):
+    scn = request.getfixturevalue(name)
+    rng = np.random.default_rng(9)
+    for p in (np.zeros(scn.gamma_dim), rng.standard_normal(scn.gamma_dim)):
+        direct = sla.cho_solve(scn._sg_chol, scn.rhs_global + p)
+        got = scn.solve_interface(p)
+        assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_residual_is_affine_in_the_interface_load(two_patch_elastic):
