@@ -147,11 +147,12 @@ class DelaySchedule:
         if j < 0:
             raise ScheduleError("negative step")
         if j >= len(self.table) and self._rng is not None:
-            # One draw for a block of steps.  An age counts the steps since
-            # the patch's last random refresh, wrapped at D + 1, which is
-            # where the forced refresh restarts it.
+            # One draw for a block of steps, at least as long as the table
+            # so far, so the table grows geometrically.  An age counts the
+            # steps since the patch's last random refresh, wrapped at D + 1,
+            # which is where the forced refresh restarts it.
             n = len(self.table)
-            steps = np.arange(n, n + max(_BLOCK, j + 1 - n))[:, None]
+            steps = np.arange(n, n + max(_BLOCK, n, j + 1 - n))[:, None]
             fresh = self._rng.random((len(steps), len(self.patch_ids))) \
                 < self.update_prob
             last = np.where(fresh, steps, steps[0] - 1 - self.table[-1])

@@ -473,12 +473,12 @@ def assemble_elasticity(mesh: MeshModel, body_force=None) -> AssembledSystem:
     return _reduce_system(mesh, k, f, ndpn=dim)
 
 
-def assemble(mesh: MeshModel, *, source: float = 1.0,
-             body_force=None) -> AssembledSystem:
-    """Assemble the mesh according to its material kind."""
+def assemble(mesh: MeshModel) -> AssembledSystem:
+    """Assemble the mesh according to its material kind, under the
+    default loads of ``assemble_poisson`` and ``assemble_elasticity``."""
     if mesh.material.kind == "thermal":
-        return assemble_poisson(mesh, source=source)
-    return assemble_elasticity(mesh, body_force=body_force)
+        return assemble_poisson(mesh)
+    return assemble_elasticity(mesh)
 
 
 def solve_direct(system: AssembledSystem) -> np.ndarray:
