@@ -19,19 +19,13 @@ stale combination is formed.
 :class:`DelaySchedule` and reuses cached reactions; it is deterministic
 and is the canonical definition of the iteration.  Each step it computes
 every patch product in one batched call and keeps only the rows of the
-patches the schedule refreshes.  The threaded executor
-runs the global model on the calling thread and patch ranks on worker
-threads, each holding a contiguous slice of the patch stack.  The
-global rank leaves each step's trace in one field, each patch rank its
-newest reaction block and the step it answered in fields of its own,
-all read and written under one condition that also carries every
-wake-up; no array is copied on the way.  Free-running
-(``run_async_concurrent``), delays come from real scheduling, are
-observed rather than prescribed, and the iterate sequence is not
-reproducible run to run, only its limit is.  Synchronized
-(``run_sync_concurrent``), the global rank waits for every rank's answer
-to each trace, so every reaction is fresh and the iterates are those of
-:func:`glocal.solvers.richardson_sync`.
+patches the schedule refreshes.  The threaded executor runs the global
+model on the calling thread and patch ranks on worker threads, each
+holding a contiguous slice of the patch stack, and keeps every age at
+most a bound D.  Within it the ages come from thread timing, so the
+iterates of ``run_async_concurrent`` repeat run to run only in their
+limit (D = None: unbounded ages).  ``run_sync_concurrent`` is D = 0 and
+reproduces :func:`glocal.solvers.richardson_sync`.
 """
 
 from __future__ import annotations
@@ -56,6 +50,11 @@ __all__ = ["DelaySchedule", "AsyncStep", "AsyncTrace",
 # delay schedules
 
 _BLOCK = 256  # steps of a random-bounded schedule drawn at once
+
+
+def _check_delay(max_delay, error: type[Exception] = ValueError):
+    if not isinstance(max_delay, (int, np.integer)) or max_delay < 0:
+        raise error("max_delay must be a non-negative integer")
 
 
 @dataclass
@@ -84,9 +83,7 @@ class DelaySchedule:
     def __post_init__(self):
         if self.kind not in ("deterministic-table", "random-bounded"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        if not isinstance(self.max_delay, (int, np.integer)) \
-                or self.max_delay < 0:
-            raise ScheduleError("max_delay must be a non-negative integer")
+        _check_delay(self.max_delay, ScheduleError)
         if not self.patch_ids:
             raise ScheduleError("schedule needs at least one patch")
         if self.kind == "deterministic-table":
@@ -249,28 +246,30 @@ class _WindowRanks(_Reactions):
 
     The global rank (the kernel's thread) sets ``trace`` to each step's
     ``(step, u)``.  Each patch rank owns a contiguous slice of the patch
-    stack: it answers every new trace once, with one batched product for
-    all its patches, and stores the block in ``blocks[k]`` and the step it
-    answered in ``answered[k]``, an int array over the ranks.  These fields
-    are read and written only under ``changed``; u and the blocks are not
-    copied, since every step's u and every block is a new array that
-    nobody writes once handed over.
+    stack: it answers every new trace once, with one batched product, and
+    stores the block in ``blocks[k]`` and the step it answered in
+    ``answered[k]``.  These fields are read and written only under
+    ``changed``; u and the blocks are never written once handed over, so
+    they are not copied.
 
     ``changed`` carries every wake-up: a patch rank waits for a trace newer
-    than its answer (or the stop), and the global rank waits until every
-    rank has answered the current trace (``synchronized``, and step 0 of
-    any run) or at least one has, so stale reactions enter only a
-    free-running run.  That wait also ends when a worker has raised, and
-    aborts with :class:`LivelockError` after ``WATCHDOG_S`` seconds.
+    than its answer (or the stop), and the global rank until some rank has
+    answered step j and every rank step max(0, j - D), so no age exceeds D
+    (D = None: no bound past the warm-up at step 0).  ``fresh`` is the same
+    wait with the floor at j.  The wait ends early when a worker has
+    raised, and with :class:`LivelockError` after ``WATCHDOG_S`` seconds.
     """
 
+    traced = True
+
     def __init__(self, scenario: CouplingScenario, rank_count: int | None,
-                 synchronized: bool):
+                 max_delay: int | None):
+        if max_delay is not None:
+            _check_delay(max_delay)
         super().__init__(scenario)
         self.groups = _patch_groups(scenario.patch_ids, rank_count)
         self.sizes = [g.stop - g.start for g in self.groups]
-        self.synchronized = synchronized
-        self.traced = not synchronized
+        self.lag = np.inf if max_delay is None else max_delay
         self.changed = threading.Condition()
         self.trace: tuple[int, np.ndarray | None] = (-1, None)
         self.blocks: list[np.ndarray | None] = [None] * len(self.groups)
@@ -292,9 +291,6 @@ class _WindowRanks(_Reactions):
             self.changed.notify_all()
         for t in self.threads:
             t.join(timeout=5.0)
-        self._raise_worker_error()
-
-    def _raise_worker_error(self):
         if self.errors:
             raise self.errors[0]
 
@@ -320,39 +316,44 @@ class _WindowRanks(_Reactions):
                 self.errors.append(err)
                 self.changed.notify_all()
 
-    def residual(self, j: int, u: np.ndarray):
-        # Waiting for any reaction not seen before would not do: a global
-        # rank that steps quickly would then outrun the patch ranks, and
-        # the ages, and with them whether the run converges, would depend
-        # on how cheap a global step is.
-        enough = np.all if self.synchronized or j == 0 else np.any
+    def _wait(self, j: int, u: np.ndarray, floor: int):
+        # Requiring an answer to trace j keeps a quick global rank from
+        # outrunning the ranks, which would tie the ages to its step cost.
         with self.changed:
             self.trace = (j, u)
             self.changed.notify_all()
             if not self.changed.wait_for(
-                    lambda: self.errors or enough(self.answered >= j),
+                    lambda: self.errors or (self.answered.max() >= j
+                                            and self.answered.min() >= floor),
                     timeout=WATCHDOG_S):
                 raise LivelockError(f"patch ranks did not answer trace {j} "
                                     f"within WATCHDOG_S = {WATCHDOG_S} s")
-            self._raise_worker_error()
+            if self.errors:
+                raise self.errors[0]
             blocks, answered = list(self.blocks), self.answered.copy()
         return (scatter_residual(self.scenario, u, np.concatenate(blocks)),
                 np.repeat(j - answered, self.sizes))
 
+    def residual(self, j: int, u: np.ndarray):
+        return self._wait(j, u, max(0, j - self.lag))
+
+    def fresh(self, j: int, u: np.ndarray) -> np.ndarray:
+        return self._wait(j, u, j)[0]
+
 
 def run_async_concurrent(scenario: CouplingScenario, omega: float,
                          tol: float = 1e-8, max_iter: int = 10000,
-                         rank_count: int | None = None) -> SolveReport:
-    """Threaded free-running run.
+                         rank_count: int | None = None,
+                         max_delay: int | None = None) -> SolveReport:
+    """Threaded run with every patch reaction at most ``max_delay`` steps
+    old (``None``: no bound).
 
-    The global rank publishes the interface trace and, once at least one
-    patch rank has answered that trace, iterates on whatever reaction
-    blocks the patch ranks have left, fresh or not; patch ranks answer
-    each new trace once.  The ages are observed, not prescribed.  The run
-    aborts with :class:`LivelockError` when no patch rank answers within
-    ``WATCHDOG_S`` seconds.
+    Within the bound the ages come from thread timing and are recorded in
+    the trace.  A stale residual that passes is confirmed by the ranks at
+    the same trace.  The run aborts with :class:`LivelockError` when the
+    ranks do not answer within ``WATCHDOG_S`` seconds.
     """
-    ranks = _WindowRanks(scenario, rank_count, synchronized=False)
+    ranks = _WindowRanks(scenario, rank_count, max_delay)
     return _iterate(scenario, ranks, omega, tol, max_iter, "fixed",
                     "async-concurrent")
 
@@ -361,15 +362,15 @@ def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
                         tol: float = 1e-8, max_iter: int = 10000,
                         rank_count: int | None = None,
                         relaxation: str = "fixed") -> SolveReport:
-    """Synchronized threaded run.
+    """Threaded run at delay bound 0, without a trace.
 
-    Every iteration publishes the trace and waits until every patch rank
-    has answered it, so the iterate sequence coincides with
-    :func:`glocal.solvers.richardson_sync` operation for operation; it
-    exists to show the threaded exchange does not perturb the numbers.
-    A patch rank that does not answer within ``WATCHDOG_S`` seconds
-    aborts the run with :class:`LivelockError`.
+    Every step waits for every patch rank's answer to its trace, so the
+    iterates are those of :func:`glocal.solvers.richardson_sync`
+    operation for operation: the threaded exchange does not perturb the
+    numbers.  A patch rank that does not answer within ``WATCHDOG_S``
+    seconds aborts the run with :class:`LivelockError`.
     """
-    ranks = _WindowRanks(scenario, rank_count, synchronized=True)
+    ranks = _WindowRanks(scenario, rank_count, max_delay=0)
+    ranks.traced = False  # every age is 0
     return _iterate(scenario, ranks, omega, tol, max_iter, relaxation,
                     "sync-concurrent")

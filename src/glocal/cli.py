@@ -20,7 +20,8 @@ Configs are INI files with three sections::
     omega         = auto          ; or a finite positive float
     tol           = 1e-8
     max_iter      = 10000
-    max_delay     = 2             ; async-sim staleness bound
+    max_delay     = 2             ; staleness bound of async-sim and
+                                  ; async-concurrent
     schedule_seed = 0             ; async-sim schedule draw
     update_prob   = 0.5           ; async-sim per-step refresh probability
     rank_count    = auto          ; concurrent executors: threads incl. global
@@ -37,8 +38,8 @@ from the wired meshes before it assembles anything.
 ``omega = auto`` resolves from the certified bounds: 0.9 of the
 synchronous limit for the fixed sweep, 0.9 of the delayed sufficient
 bound for the simulator (also the default of ``glocal certify``), and a
-quarter of the synchronous limit for the concurrent executor, whose
-effective delays depend on thread timing rather than on a declared bound.
+quarter of the synchronous limit for the concurrent executor, which lies
+inside the admissible relaxations of its delay bound D only for D <= 2.
 
 Every run writes ``history.csv`` (one row per global step) and
 ``summary.csv``; the asynchronous variants add ``trace.csv`` with one row
@@ -342,7 +343,7 @@ def resolve_omega(cfg: RunConfig, scenario: CouplingScenario) -> float:
         if bounds.omega_async_factor is None:
             return 0.9 * bounds.omega_sync
         return 0.9 * bounds.omega_async_factor
-    # async-concurrent: no declared delay bound, stay well inside sync.
+    # async-concurrent: a quarter of sync, inside omega_D for D <= 2.
     return 0.25 * (2.0 / alpha_max)
 
 
@@ -364,7 +365,8 @@ def _dispatch(cfg: RunConfig, scenario: CouplingScenario,
     if cfg.variant == "async-concurrent":
         return run_async_concurrent(scenario, omega, tol=cfg.tol,
                                     max_iter=cfg.max_iter,
-                                    rank_count=cfg.rank_count)
+                                    rank_count=cfg.rank_count,
+                                    max_delay=cfg.max_delay)
     return run_sync_concurrent(scenario, omega, tol=cfg.tol,
                                max_iter=cfg.max_iter,
                                rank_count=cfg.rank_count)

@@ -167,13 +167,15 @@ def aitken_update(omega: float, residual: np.ndarray,
 
 
 class _Reactions:
-    """Where the kernel gets r_j from.
+    """Where the kernel gets r_j from; this base takes every reaction fresh.
 
     ``residual(j, u)`` returns r_j at the trace u of step j and the age of
     every patch reaction in it, an int array over the patch stack (None
-    when all are fresh); ``solves`` counts the reactions each patch has
-    solved so far, also over the stack.  ``traced`` sources return ages
-    and get an :class:`AsyncTrace` on their report.  Sources that run
+    when all are fresh).  ``fresh(j, u)`` returns r_j with every reaction
+    taken at u itself, the confirmation of a stale residual that passed.
+    ``solves`` counts the reactions each patch has solved so far, also
+    over the stack, confirmations included.  ``traced`` sources return
+    ages and get an :class:`AsyncTrace` on their report.  Sources that run
     threads start them on ``__enter__`` and stop them on ``__exit__``.
     """
 
@@ -189,13 +191,12 @@ class _Reactions:
     def __exit__(self, *exc_info):
         return None
 
-
-class _FreshReactions(_Reactions):
-    """Every reaction recomputed at the current trace."""
-
     def residual(self, j: int, u: np.ndarray):
+        return self.fresh(j, u), None
+
+    def fresh(self, j: int, u: np.ndarray) -> np.ndarray:
         self.solves += 1
-        return compute_residual(self.scenario, u), None
+        return compute_residual(self.scenario, u)
 
 
 def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
@@ -208,7 +209,8 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
     a residual holding reactions of age > 0 passes the stop test, the
     residual at the same trace is recomputed from fresh reactions and the
     run stops only if that one passes too; otherwise it carries on with
-    the stale residual.  Each confirmation costs one solve per patch.
+    the stale residual.  The source answers that confirmation: one solve
+    per patch in the simulator, in parallel on the threaded ranks.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
@@ -227,7 +229,6 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
     steps: list[AsyncStep] = []
     r_prev: np.ndarray | None = None
     converged = False
-    confirmations = 0
     t0 = perf_counter()
 
     with source:
@@ -240,15 +241,13 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
                 threshold = stop_threshold(scenario, tol, r0)
             stop = rn <= threshold
             if stop and ages is not None and ages.any():
-                confirmations += 1
-                fresh = compute_residual(scenario, u)
-                stop = float(np.linalg.norm(fresh)) <= threshold
+                stop = float(np.linalg.norm(source.fresh(j, u))) <= threshold
             # p is rebound each step, never written in place: no copy.
             history.append(IterationRecord(index=j, p_gamma=p,
                                            residual_norm=rn, omega=w,
                                            wall_time=perf_counter() - t0))
             if source.traced:
-                solves = [j + 1, *(source.solves + confirmations).tolist()]
+                solves = [j + 1, *source.solves.tolist()]
                 steps.append(AsyncStep(
                     index=j, sigma=dict(zip(scenario.patch_ids,
                                             ages.tolist())),
@@ -266,8 +265,7 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
             p = p + w * r
             r_prev = r
 
-    patch_solves = dict(zip(scenario.patch_ids,
-                            (source.solves + confirmations).tolist()))
+    patch_solves = dict(zip(scenario.patch_ids, source.solves.tolist()))
     trace = (AsyncTrace(steps=steps, rank_ids=rank_ids)
              if source.traced else None)
     return SolveReport(converged=converged, history=history,
@@ -285,7 +283,7 @@ def richardson_sync(scenario: CouplingScenario, omega: float = 1.0,
     each step, starting from 1.0 regardless of the omega argument).
     """
     variant = "sync-aitken" if relaxation == "aitken" else "sync-fixed"
-    return _iterate(scenario, _FreshReactions(scenario), omega, tol,
+    return _iterate(scenario, _Reactions(scenario), omega, tol,
                     max_iter, relaxation, variant)
 
 

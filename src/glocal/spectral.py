@@ -53,7 +53,7 @@ from math import isfinite, pi, sin
 
 import numpy as np
 
-from .async_engine import _age_slots
+from .async_engine import _age_slots, _check_delay
 from .coupling import CouplingScenario
 
 __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
@@ -125,8 +125,7 @@ def build_companion(scenario: CouplingScenario, partition, omega: float,
     """
     if not (isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
-    if max_delay < 0:
-        raise ValueError("max_delay must be non-negative")
+    _check_delay(max_delay)
     slots = _validate_partition(scenario, partition, max_delay)
     n = scenario.gamma_dim
     blocks = tuple(_scattered_sum(scenario, slot) for slot in slots)
@@ -193,8 +192,7 @@ def relaxation_bounds(alpha_min: float, alpha_max: float,
     """
     if not 0 < alpha_min <= alpha_max:
         raise ValueError("need 0 < alpha_min <= alpha_max")
-    if not isinstance(max_delay, (int, np.integer)) or max_delay < 0:
-        raise ValueError("max_delay must be a non-negative integer")
+    _check_delay(max_delay)
     omega_sync = 2.0 / alpha_max
     if max_delay == 0:
         return SpectralBounds(alpha_min=alpha_min, alpha_max=alpha_max,
@@ -225,8 +223,7 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
         raise ValueError("omega must be finite and positive")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if max_delay < 0:
-        raise ValueError("max_delay must be non-negative")
+    _check_delay(max_delay)
     rng = np.random.default_rng(seed)
     patches = scenario.patch_ids
 

@@ -2,8 +2,9 @@
 
 The virtual-time runs are compared operation for operation against an
 independently written reference loop; the threaded runs are checked for
-exact agreement with the sequential driver (synchronized) and for
-convergence to the monolithic reference (free-running).
+exact agreement with the sequential driver (delay bound 0), for ages
+within their bound D, and for convergence to the monolithic reference
+(no bound).
 """
 
 import sys
@@ -32,6 +33,8 @@ from glocal import (
     stop_threshold,
 )
 from glocal.async_engine import _patch_groups, _WindowRanks
+from glocal.spectral import (build_companion, certify_paracontraction,
+                             relaxation_bounds)
 
 
 def rel_err(u, u_ref):
@@ -65,6 +68,28 @@ def test_schedule_validation():
         DelaySchedule.from_table((1, 2), 2, np.zeros((0, 2)))
     ages = DelaySchedule.random_bounded((1, 2), np.int64(2), seed=0).ages(5)
     assert ages.dtype == np.int64 and np.all(ages <= 2)
+
+
+@pytest.mark.parametrize("bound", [1.5, 2.0, -1])
+@pytest.mark.parametrize("entry", [
+    "schedule", "relaxation_bounds", "build_companion", "certify",
+    "run_async_concurrent"])
+def test_every_entry_point_rejects_a_bad_delay_bound(chain, entry, bound):
+    # A float bound must not reach ``range`` (TypeError) or admit age 3
+    # under a bound of 2.5; every entry point names the problem instead.
+    calls = {
+        "schedule": lambda: DelaySchedule.random_bounded(
+            chain.patch_ids, bound, seed=0, has_complement=True),
+        "relaxation_bounds": lambda: relaxation_bounds(0.5, 1.0, bound),
+        "build_companion": lambda: build_companion(
+            chain, [chain.subdomain_ids, [], []], 0.1, bound),
+        "certify": lambda: certify_paracontraction(chain, 0.1, bound),
+        "run_async_concurrent": lambda: run_async_concurrent(
+            chain, 0.1, max_delay=bound),
+    }
+    with pytest.raises(ValueError, match="max_delay must be a non-negative "
+                       "integer"):
+        calls[entry]()
 
 
 def test_table_rules():
@@ -307,11 +332,40 @@ def test_free_running_threads_reach_the_reference(two_patch_thermal,
 
 def test_free_running_ranks_answer_each_trace_once(two_patch_thermal):
     scn = two_patch_thermal
-    ranks = _WindowRanks(scn, None, synchronized=False)
-    with ranks:
-        ranks.residual(0, scn.solve_interface(np.zeros(scn.gamma_dim)))
+    n = len(scn.patch_ids)
+    u0 = scn.solve_interface(np.zeros(scn.gamma_dim))
+    u1 = scn.solve_interface(np.ones(scn.gamma_dim))
+    with _WindowRanks(scn, None, None) as ranks:
+        ranks.residual(0, u0)
+        # A confirmation at a trace every rank has answered solves nothing.
+        r0 = ranks.fresh(0, u0)
         time.sleep(0.05)  # the trace does not move meanwhile
-    assert ranks.solves.tolist() == [1] * len(scn.patch_ids)
+        assert ranks.solves.tolist() == [1] * n
+        assert np.array_equal(r0, compute_residual(scn, u0))
+        r1 = ranks.fresh(1, u1)
+        assert ranks.solves.tolist() == [2] * n
+        assert np.array_equal(r1, compute_residual(scn, u1))
+
+
+@pytest.mark.parametrize("max_delay", [1, 2])
+def test_threaded_ages_stay_within_the_bound(imbalanced_thermal, max_delay):
+    scn = imbalanced_thermal
+    _, alpha_max = generalized_alphas(scn)
+    # One rank per patch, more ranks than cores and a short switch
+    # interval, so ranks fall behind and the bound has to hold them.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            report = run_async_concurrent(scn, 0.5 / alpha_max, tol=1e-8,
+                                          max_delay=max_delay)
+            assert report.converged
+            for step in report.trace.steps:
+                ages = list(step.sigma.values())
+                assert max(ages) <= max_delay
+                assert min(ages) == 0
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_starved_run_is_reported_as_livelock(two_patch_thermal):
@@ -331,8 +385,8 @@ def test_threaded_runs_end_their_threads(two_patch_thermal):
     with pytest.raises(DivergenceError):
         run_sync_concurrent(scn, omega=5.0)
     assert threading.active_count() == start
-    # A stalled rank ends a synchronized run too.
-    ranks = _WindowRanks(scn, None, synchronized=True)
+    # A stalled rank ends a run at delay bound 0 too.
+    ranks = _WindowRanks(scn, None, 0)
     u = scn.solve_interface(np.zeros(scn.gamma_dim))
     with stalled_patch_ranks(), pytest.raises(LivelockError), ranks:
         for j in range(3):

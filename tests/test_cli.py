@@ -485,13 +485,32 @@ def test_weak_scaling_suite_end_to_end(tmp_path):
     assert len(read_csv(tmp_path / "summary.csv")) == 3
 
 
+def trace_max_age(path):
+    rows = read_csv(path)
+    sigma = [i for i, name in enumerate(rows[0]) if name.startswith("sigma_")]
+    return max(int(row[i]) for row in rows[1:] for i in sigma)
+
+
 def test_imbalance_suite_end_to_end(tmp_path):
     # Balanced and imbalanced grids, each with sync-aitken and
-    # async-concurrent.  Only the synchronous rows must converge: the
-    # concurrent ones run at a relaxation with no delay bound behind it.
+    # async-concurrent.  The concurrent rows run at the default delay
+    # bound of 2, inside which their auto relaxation contracts, so every
+    # row must converge.
     summaries = run_suite("imbalance", out_dir=tmp_path)
     assert len(summaries) == 4
     assert len(read_csv(tmp_path / "summary.csv")) == 5
-    aitken = [s for s in summaries if s.variant == "sync-aitken"]
-    assert len(aitken) == 2
-    assert all(s.converged for s in aitken)
+    assert sorted(s.variant for s in summaries) == \
+        ["async-concurrent"] * 2 + ["sync-aitken"] * 2
+    assert all(s.converged for s in summaries)
+    for tag in ("balanced", "imbalanced"):
+        assert trace_max_age(tmp_path / f"{tag}-async-concurrent"
+                             / "trace.csv") <= 2
+
+
+def test_concurrent_run_keeps_the_configured_delay_bound(tmp_path,
+                                                         imbalanced_thermal):
+    cfg = RunConfig(geometry="imbalanced-grid", variant="async-concurrent",
+                    max_delay=1)
+    assert run_case(cfg, scenario=imbalanced_thermal,
+                    out_dir=tmp_path).converged
+    assert trace_max_age(tmp_path / "trace.csv") <= 1
