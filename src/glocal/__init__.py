@@ -27,9 +27,9 @@ from .solvers import (IterationRecord, ReferenceSolution, SolveReport,
                       aitken_update, compute_residual,
                       monolithic_reference, richardson_sync,
                       stop_threshold)
-from .async_engine import (AsyncStep, AsyncTrace, DelaySchedule,
-                           partition_by_delay, run_async_concurrent,
-                           run_async_simulated, run_sync_concurrent)
+from .async_engine import (AsyncTrace, DelaySchedule, partition_by_delay,
+                           run_async_concurrent, run_async_simulated,
+                           run_sync_concurrent)
 from .spectral import (CertificateReport, CompanionSystem, SpectralBounds,
                        build_companion, certify_paracontraction,
                        generalized_alphas, generalized_spectrum,
@@ -55,9 +55,8 @@ __all__ = [
     "compute_residual", "monolithic_reference",
     "stop_threshold",
     "richardson_sync",
-    "AsyncStep", "AsyncTrace", "DelaySchedule",
-    "partition_by_delay", "run_async_concurrent", "run_async_simulated",
-    "run_sync_concurrent",
+    "AsyncTrace", "DelaySchedule", "partition_by_delay",
+    "run_async_concurrent", "run_async_simulated", "run_sync_concurrent",
     "CertificateReport", "CompanionSystem", "SpectralBounds",
     "build_companion", "certify_paracontraction",
     "generalized_alphas", "generalized_spectrum", "relaxation_bounds",

@@ -25,7 +25,9 @@ holding a contiguous slice of the patch stack, and keeps every age at
 most a bound D.  Within it the ages come from thread timing, so the
 iterates of ``run_async_concurrent`` repeat run to run only in their
 limit (D = None: unbounded ages).  ``run_sync_concurrent`` is D = 0 and
-reproduces :func:`glocal.solvers.richardson_sync`.
+reproduces :func:`glocal.solvers.richardson_sync`, untraced like it; the
+asynchronous runs, at every D, record each step's ages and solve counts
+and attach an :class:`AsyncTrace` over those records.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import numpy as np
 from .coupling import CouplingScenario, patch_reactions, scatter_residual
 from .coupling import interface_reaction  # noqa: F401
 from .errors import LivelockError, ScheduleError
-from .solvers import AsyncStep, AsyncTrace, SolveReport, _iterate, _Reactions
+from .solvers import AsyncTrace, SolveReport, _iterate, _Reactions
 
-__all__ = ["DelaySchedule", "AsyncStep", "AsyncTrace",
+__all__ = ["DelaySchedule", "AsyncTrace",
            "partition_by_delay", "run_async_simulated",
            "run_async_concurrent", "run_sync_concurrent"]
 
@@ -186,8 +188,6 @@ class _ScheduledReactions(_Reactions):
     """Patch reactions refreshed when the schedule ages them at 0 and
     reused from the cache otherwise; the complement is fresh every step."""
 
-    traced = True
-
     def __init__(self, scenario: CouplingScenario, schedule: DelaySchedule):
         if tuple(schedule.patch_ids) != scenario.patch_ids:
             raise ScheduleError("schedule patch ids do not match the "
@@ -219,7 +219,7 @@ def run_async_simulated(scenario: CouplingScenario, omega: float,
     iteration operation for operation.
     """
     return _iterate(scenario, _ScheduledReactions(scenario, schedule),
-                    omega, tol, max_iter, "fixed", "async-sim")
+                    omega, tol, max_iter, "fixed", "async-sim", traced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,6 @@ class _WindowRanks(_Reactions):
     wait with the floor at j.  The wait ends early when a worker has
     raised, and with :class:`LivelockError` after ``WATCHDOG_S`` seconds.
     """
-
-    traced = True
 
     def __init__(self, scenario: CouplingScenario, rank_count: int | None,
                  max_delay: int | None):
@@ -355,7 +353,7 @@ def run_async_concurrent(scenario: CouplingScenario, omega: float,
     """
     ranks = _WindowRanks(scenario, rank_count, max_delay)
     return _iterate(scenario, ranks, omega, tol, max_iter, "fixed",
-                    "async-concurrent")
+                    "async-concurrent", traced=True)
 
 
 def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
@@ -371,6 +369,5 @@ def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
     seconds aborts the run with :class:`LivelockError`.
     """
     ranks = _WindowRanks(scenario, rank_count, max_delay=0)
-    ranks.traced = False  # every age is 0
     return _iterate(scenario, ranks, omega, tol, max_iter, relaxation,
-                    "sync-concurrent")
+                    "sync-concurrent", traced=False)

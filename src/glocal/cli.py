@@ -473,6 +473,9 @@ def run_suite(name: str, sizes: list[int] | None = None,
     """Run a named batch of cases and write a combined summary.csv."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; pick from {SUITES}")
+    if sizes is not None and name != "weak-scaling":
+        raise ConfigError(f"sizes apply to the weak-scaling suite only, "
+                          f"not {name}")
     if name == "weak-scaling":
         sizes = sizes or [2, 3]
         bad = [n for n in sizes if not 2 <= n <= MAX_CUBE_SIDE]

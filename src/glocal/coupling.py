@@ -125,11 +125,11 @@ class CouplingScenario:
     def gamma_dim(self) -> int:
         return len(self.gamma_nodes) * self.ndof_per_node
 
-    @property
+    @cached_property
     def subdomain_ids(self) -> tuple[int, ...]:
         return tuple(self.subdomains)
 
-    @property
+    @cached_property
     def patch_ids(self) -> tuple[int, ...]:
         return tuple(s for s in self.subdomains if s != 0)
 

@@ -72,49 +72,45 @@ def stop_threshold(scenario: "CouplingScenario", tol: float,
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State snapshot after one global solve."""
+    """State after one global solve.
+
+    Asynchronous runs also record ``sigma``, the age of every patch
+    reaction in the step's residual (keyed by subdomain id), and
+    ``solves``, the cumulative solves per rank: rank 0 is the global model
+    (it owns the complement reaction), patch ranks are keyed by subdomain
+    id.  Both are None on untraced runs.
+    """
 
     index: int
     p_gamma: np.ndarray
     residual_norm: float
     omega: float
     wall_time: float
-
-
-@dataclass(frozen=True)
-class AsyncStep:
-    """Per-step view: ages per patch and cumulative solve counts per rank.
-
-    Rank 0 is the global model (it owns the complement reaction); patch
-    ranks are keyed by subdomain id.
-    """
-
-    index: int
-    sigma: dict[int, int]
-    residual_norm: float
-    omega: float
-    solves: dict[int, int]
+    sigma: dict[int, int] | None = None
+    solves: dict[int, int] | None = None
 
 
 @dataclass
 class AsyncTrace:
-    steps: list[AsyncStep]
+    """The records of an asynchronous run: ``steps`` is the report's
+    ``history`` itself, ``rank_ids`` the keys of every ``solves``."""
+
+    steps: list[IterationRecord]
     rank_ids: tuple[int, ...]
 
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run.
+    """Outcome of one solver run: one :class:`IterationRecord` per step.
 
-    Asynchronous variants attach their per-step delay/solve-count trace;
-    synchronous runs leave it None.  ``patch_solves`` counts every patch
-    reaction solved, confirmation solves included.
+    Asynchronous variants attach an :class:`AsyncTrace` over the same
+    records; synchronous runs leave it None.  ``patch_solves`` counts
+    every patch reaction solved, confirmation solves included.
     """
 
     converged: bool
     history: list[IterationRecord]
     final_u_gamma: np.ndarray
-    total_global_solves: int
     patch_solves: dict[int, int]
     variant: str
     trace: AsyncTrace | None = None
@@ -122,6 +118,10 @@ class SolveReport:
     @property
     def iterations(self) -> int:
         return len(self.history) - 1
+
+    @property
+    def total_global_solves(self) -> int:
+        return len(self.history)
 
     @property
     def final_relative_residual(self) -> float:
@@ -174,12 +174,9 @@ class _Reactions:
     when all are fresh).  ``fresh(j, u)`` returns r_j with every reaction
     taken at u itself, the confirmation of a stale residual that passed.
     ``solves`` counts the reactions each patch has solved so far, also
-    over the stack, confirmations included.  ``traced`` sources return
-    ages and get an :class:`AsyncTrace` on their report.  Sources that run
-    threads start them on ``__enter__`` and stop them on ``__exit__``.
+    over the stack, confirmations included.  Sources that run threads
+    start them on ``__enter__`` and stop them on ``__exit__``.
     """
-
-    traced = False
 
     def __init__(self, scenario: CouplingScenario):
         self.scenario = scenario
@@ -200,8 +197,8 @@ class _Reactions:
 
 
 def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
-             tol: float, max_iter: int, relaxation: str,
-             variant: str) -> SolveReport:
+             tol: float, max_iter: int, relaxation: str, variant: str,
+             traced: bool) -> SolveReport:
     """Run the relaxed interface iteration with residuals from ``source``.
 
     ``relaxation`` is "fixed" (constant omega) or "aitken" (omega re-fitted
@@ -211,6 +208,8 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
     run stops only if that one passes too; otherwise it carries on with
     the stale residual.  The source answers that confirmation: one solve
     per patch in the simulator, in parallel on the threaded ranks.
+    ``traced`` runs fill every record's ``sigma`` and ``solves`` and
+    attach an :class:`AsyncTrace`; their source must return ages.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
@@ -226,7 +225,7 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
     rank_ids = (0,) + scenario.patch_ids
     p = np.zeros(scenario.gamma_dim)
     history: list[IterationRecord] = []
-    steps: list[AsyncStep] = []
+    sigma = solves = None
     r_prev: np.ndarray | None = None
     converged = False
     t0 = perf_counter()
@@ -242,17 +241,14 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
             stop = rn <= threshold
             if stop and ages is not None and ages.any():
                 stop = float(np.linalg.norm(source.fresh(j, u))) <= threshold
+            if traced:
+                sigma = dict(zip(scenario.patch_ids, ages.tolist()))
+                solves = dict(zip(rank_ids,
+                                  [j + 1, *source.solves.tolist()]))
             # p is rebound each step, never written in place: no copy.
-            history.append(IterationRecord(index=j, p_gamma=p,
-                                           residual_norm=rn, omega=w,
-                                           wall_time=perf_counter() - t0))
-            if source.traced:
-                solves = [j + 1, *source.solves.tolist()]
-                steps.append(AsyncStep(
-                    index=j, sigma=dict(zip(scenario.patch_ids,
-                                            ages.tolist())),
-                    residual_norm=rn, omega=w,
-                    solves=dict(zip(rank_ids, solves))))
+            history.append(IterationRecord(
+                index=j, p_gamma=p, residual_norm=rn, omega=w,
+                wall_time=perf_counter() - t0, sigma=sigma, solves=solves))
             if stop:
                 converged = True
                 break
@@ -265,13 +261,12 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
             p = p + w * r
             r_prev = r
 
-    patch_solves = dict(zip(scenario.patch_ids, source.solves.tolist()))
-    trace = (AsyncTrace(steps=steps, rank_ids=rank_ids)
-             if source.traced else None)
+    trace = AsyncTrace(steps=history, rank_ids=rank_ids) if traced else None
     return SolveReport(converged=converged, history=history,
-                       final_u_gamma=u, total_global_solves=len(history),
-                       patch_solves=patch_solves, variant=variant,
-                       trace=trace)
+                       final_u_gamma=u,
+                       patch_solves=dict(zip(scenario.patch_ids,
+                                             source.solves.tolist())),
+                       variant=variant, trace=trace)
 
 
 def richardson_sync(scenario: CouplingScenario, omega: float = 1.0,
@@ -284,7 +279,7 @@ def richardson_sync(scenario: CouplingScenario, omega: float = 1.0,
     """
     variant = "sync-aitken" if relaxation == "aitken" else "sync-fixed"
     return _iterate(scenario, _Reactions(scenario), omega, tol,
-                    max_iter, relaxation, variant)
+                    max_iter, relaxation, variant, traced=False)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,7 @@ def test_simulated_run_counts_refreshes(chain):
         sid: int(n) + int(confirmations[-1])
         for sid, n in zip(chain.patch_ids, refreshes[-1])}
     assert report.trace.rank_ids == (0,) + chain.patch_ids
+    assert report.trace.steps is report.history
 
 
 def test_simulated_run_stops_on_a_fresh_residual(two_patch_thermal):
@@ -290,6 +291,10 @@ def test_synchronized_threads_match_the_sequential_driver(two_patch_thermal):
             assert a.residual_norm == b.residual_norm
             assert a.omega == b.omega
         assert np.array_equal(par.final_u_gamma, seq.final_u_gamma)
+        # Both synchronous drivers leave their records untraced.
+        assert par.trace is None and seq.trace is None
+        assert all(rec.sigma is None and rec.solves is None
+                   for rec in par.history + seq.history)
 
 
 def test_synchronized_threads_with_grouped_patches(imbalanced_thermal):
@@ -315,6 +320,20 @@ def test_synchronized_threads_with_grouped_patches(imbalanced_thermal):
         sys.setswitchinterval(interval)
     with pytest.raises(ValueError):
         run_sync_concurrent(scn, rank_count=1)
+
+
+def test_zero_delay_threads_are_traced(two_patch_thermal):
+    scn = two_patch_thermal
+    # At D = 0 the threads age nothing, and the run is still traced.
+    par = run_async_concurrent(scn, omega=1.0, tol=1e-8, max_delay=0)
+    assert par.converged and par.trace.steps is par.history
+    assert all(rec.sigma == dict.fromkeys(scn.patch_ids, 0)
+               for rec in par.history)
+    assert [rec.solves[0] for rec in par.history] == \
+        list(range(1, len(par.history) + 1))
+    seq = richardson_sync(scn, omega=1.0, tol=1e-8)
+    assert [rec.residual_norm for rec in par.history] == \
+        [rec.residual_norm for rec in seq.history]
 
 
 def test_free_running_threads_reach_the_reference(two_patch_thermal,

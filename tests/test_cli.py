@@ -470,6 +470,14 @@ def test_suite_name_validation(tmp_path):
         run_suite("everything", out_dir=tmp_path)
 
 
+def test_sizes_outside_weak_scaling_are_rejected(tmp_path, capsys):
+    for name in ("paper-2d", "imbalance"):
+        out = tmp_path / name
+        assert main(["suite", name, "--sizes", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "weak-scaling" in capsys.readouterr().err
+
+
 def test_paper_2d_suite_end_to_end(tmp_path):
     summaries = run_suite("paper-2d", out_dir=tmp_path)
     assert len(summaries) == 8
@@ -514,3 +522,9 @@ def test_concurrent_run_keeps_the_configured_delay_bound(tmp_path,
     assert run_case(cfg, scenario=imbalanced_thermal,
                     out_dir=tmp_path).converged
     assert trace_max_age(tmp_path / "trace.csv") <= 1
+
+
+def test_zero_delay_concurrent_run_writes_its_trace(tmp_path, chain):
+    cfg = RunConfig(variant="async-concurrent", omega=0.4, max_delay=0)
+    assert run_case(cfg, scenario=chain, out_dir=tmp_path).converged
+    assert trace_max_age(tmp_path / "trace.csv") == 0
