@@ -27,9 +27,8 @@ from .solvers import (IterationRecord, ReferenceSolution, SolveReport,
                       aitken_update, compute_residual,
                       monolithic_reference, richardson_sync,
                       stop_threshold)
-from .async_engine import (AsyncTrace, DelaySchedule, partition_by_delay,
-                           run_async_concurrent, run_async_simulated,
-                           run_sync_concurrent)
+from .async_engine import (AsyncTrace, DelaySchedule, run_async_concurrent,
+                           run_async_simulated, run_sync_concurrent)
 from .spectral import (CertificateReport, CompanionSystem, SpectralBounds,
                        build_companion, certify_paracontraction,
                        generalized_alphas, generalized_spectrum,
@@ -55,7 +54,7 @@ __all__ = [
     "compute_residual", "monolithic_reference",
     "stop_threshold",
     "richardson_sync",
-    "AsyncTrace", "DelaySchedule", "partition_by_delay",
+    "AsyncTrace", "DelaySchedule",
     "run_async_concurrent", "run_async_simulated", "run_sync_concurrent",
     "CertificateReport", "CompanionSystem", "SpectralBounds",
     "build_companion", "certify_paracontraction",

@@ -43,8 +43,7 @@ from .coupling import interface_reaction  # noqa: F401
 from .errors import LivelockError, ScheduleError
 from .solvers import AsyncTrace, SolveReport, _iterate, _Reactions
 
-__all__ = ["DelaySchedule", "AsyncTrace",
-           "partition_by_delay", "run_async_simulated",
+__all__ = ["DelaySchedule", "AsyncTrace", "run_async_simulated",
            "run_async_concurrent", "run_sync_concurrent"]
 
 
@@ -55,7 +54,9 @@ _BLOCK = 256  # steps of a random-bounded schedule drawn at once
 
 
 def _check_delay(max_delay, error: type[Exception] = ValueError):
-    if not isinstance(max_delay, (int, np.integer)) or max_delay < 0:
+    # bool is an int, but True is not a delay bound.
+    if isinstance(max_delay, bool) \
+            or not isinstance(max_delay, (int, np.integer)) or max_delay < 0:
         raise error("max_delay must be a non-negative integer")
 
 
@@ -161,23 +162,6 @@ class DelaySchedule:
         if j >= len(self.table):
             raise ScheduleError(f"table exhausted at step {j}")
         return self.table[j]
-
-
-def partition_by_delay(schedule: DelaySchedule, j: int) -> list[list[int]]:
-    """Split subdomain ids by age at step j: slot k holds those with
-    sigma = k.  The complement (id 0) sits in slot 0 when present."""
-    return _age_slots(schedule.patch_ids, schedule.ages(j),
-                      schedule.max_delay, schedule.has_complement)
-
-
-def _age_slots(patch_ids, ages, max_delay: int,
-               has_complement: bool) -> list[list[int]]:
-    slots: list[list[int]] = [[] for _ in range(max_delay + 1)]
-    if has_complement:
-        slots[0].append(0)
-    for sid, age in zip(patch_ids, ages):
-        slots[int(age)].append(sid)
-    return slots
 
 
 # ---------------------------------------------------------------------------

@@ -590,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     p_suite.set_defaults(func=_cmd_suite)
 
     p_cert = sub.add_parser("certify",
-                            help="sample age partitions and check contraction")
+                            help="sample age rows and check contraction")
     p_cert.add_argument("config", type=Path, help="INI config file")
     p_cert.add_argument("--omega", type=float, default=None,
                         help="relaxation to certify (default: 0.9x the "

@@ -78,18 +78,20 @@ class CondensedOperator:
     complement).  ``schur`` is a dense C-contiguous array and inherits
     symmetry and, for meshes with enough Dirichlet data or a nonempty
     interface complement, positive definiteness from the stiffness.  The
-    sparse K_ii and K_gi are kept for :func:`expand_interior`.
+    originating ``system`` is kept, not copies of its blocks:
+    :func:`expand_interior` slices K_ii and K_gi from it.
     """
 
     schur: np.ndarray
     rhs: np.ndarray
     interface_dofs: np.ndarray
     interior_dofs: np.ndarray
-    dof_count: int
     transfer: sp.csr_matrix
-    _k_interior: sp.csc_matrix
-    _k_interface_interior: sp.csr_matrix
-    _f_interior: np.ndarray
+    system: AssembledSystem
+
+    @property
+    def dof_count(self) -> int:
+        return self.system.dof_count
 
     @property
     def interface_count(self) -> int:
@@ -100,7 +102,8 @@ class CondensedOperator:
     def _interior_factor(self) -> spla.SuperLU:
         # condense() has already checked that K_ii is SPD.  Reading the
         # pivots again would leave CSC copies of L and U on the factor.
-        return spla.splu(self._k_interior, **_SPD_OPTIONS)
+        k, interior = self.system.stiffness, self.interior_dofs
+        return spla.splu(k[interior][:, interior].tocsc(), **_SPD_OPTIONS)
 
 
 def condense(system: AssembledSystem, interface_dofs,
@@ -146,9 +149,7 @@ def condense(system: AssembledSystem, interface_dofs,
             schur = k_gg - jd.T @ (k_gi @ factor.solve(k_gi.T @ jd))
     return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=jd.T @ rhs,
                              interface_dofs=iface, interior_dofs=interior,
-                             dof_count=n, transfer=transfer, _k_interior=k_ii,
-                             _k_interface_interior=k_gi,
-                             _f_interior=f[interior])
+                             transfer=transfer, system=system)
 
 
 def _bordered_schur(k_ii: sp.csc_matrix, k_gi: sp.csr_matrix,
@@ -228,6 +229,8 @@ def expand_interior(op: CondensedOperator,
     trace = op.transfer @ u
     full[op.interface_dofs] = trace
     if op.interior_dofs.size:
-        rhs = op._f_interior - op._k_interface_interior.T @ trace
+        k, f = op.system.stiffness, op.system.load
+        k_gi = k[op.interface_dofs][:, op.interior_dofs]
+        rhs = f[op.interior_dofs] - k_gi.T @ trace
         full[op.interior_dofs] = op._interior_factor.solve(rhs)
     return full

@@ -11,22 +11,24 @@ the affine map with block companion matrix
 
 where X_k = S_G^{-1} Shat_k, with Shat_k = sum_s A_s S_s A_s^T over the
 subdomains whose data is k steps old and S_G the assembled global
-interface operator.  X_k is read straight off the scenario's cached
-S_G^{-1}: each age-k subdomain adds (S_G^{-1})[:, amap_s] S_s to the
-columns amap_s, so no partition, slot or omega needs a linear solve.
-These displacement-space blocks are similar to the load-space
-Shat_k S_G^{-1} through blockdiag(S_G), so the spectrum is the same, and
-X_k is exactly zero outside the interface columns of the age-k
-subdomains.  The eigenvalues of B are the roots of
+interface operator.  The ages come as one row, an integer in [0, D] per
+patch in ``patch_ids`` order (what ``DelaySchedule.ages(j)`` returns);
+the complement is always fresh.  X_k is read straight off the
+scenario's cached S_G^{-1}: each age-k subdomain adds
+(S_G^{-1})[:, amap_s] S_s to the columns amap_s, so no age row or omega
+needs a linear solve.  These displacement-space blocks are similar to
+the load-space Shat_k S_G^{-1} through blockdiag(S_G), so the spectrum
+is the same, and X_k is exactly zero outside the interface columns of
+the age-k subdomains.  The eigenvalues of B are the roots of
 
     det( (1-l) l^D I - w sum_k l^(D-k) X_k ) = 0,
 
-and the iteration for that one age partition contracts iff the spectral
-radius is below one.
+and the iteration for that one age row contracts iff the spectral radius
+is below one.
 
 What ``certify_paracontraction`` checks is exactly that: rho(B) < 1 for
-each of a sample of random age partitions.  That is not a proof for a run
-that switches between partitions from step to step; such a run is only
+each of a sample of random age rows.  That is not a proof for a run
+that switches between age rows from step to step; such a run is only
 guaranteed to converge when the joint spectral radius of the set of
 reachable companions is below one, which is not computed here.
 
@@ -53,7 +55,7 @@ from math import isfinite, pi, sin
 
 import numpy as np
 
-from .async_engine import _age_slots, _check_delay
+from .async_engine import _check_delay
 from .coupling import CouplingScenario
 
 __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
@@ -64,7 +66,7 @@ __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
 
 @dataclass(frozen=True)
 class CompanionSystem:
-    """Block companion matrix of one age partition at relaxation omega."""
+    """Block companion matrix of one age row at relaxation omega."""
 
     omega: float
     max_delay: int
@@ -91,7 +93,7 @@ class SpectralBounds:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Spectral radii of sampled age partitions at one (omega, D) point."""
+    """Spectral radii of sampled age rows at one (omega, D) point."""
 
     omega: float
     max_delay: int
@@ -100,33 +102,30 @@ class CertificateReport:
     rhos: tuple[float, ...]
     rho_max: float
     passed: bool
-    partitions: tuple[tuple[tuple[int, ...], ...], ...]
+    ages: tuple[tuple[int, ...], ...]   # one age row per trial
 
 
-def _validate_partition(scenario: CouplingScenario, partition,
-                        max_delay: int) -> list[list[int]]:
-    slots = [list(slot) for slot in partition]
-    if len(slots) != max_delay + 1:
-        raise ValueError(f"partition needs {max_delay + 1} slots, "
-                         f"got {len(slots)}")
-    flat = [sid for slot in slots for sid in slot]
-    if sorted(flat) != sorted(scenario.subdomain_ids):
-        raise ValueError("partition must cover every subdomain exactly once")
-    return slots
-
-
-def build_companion(scenario: CouplingScenario, partition, omega: float,
+def build_companion(scenario: CouplingScenario, ages, omega: float,
                     max_delay: int) -> CompanionSystem:
-    """Companion matrix of the delayed iteration for one age partition.
+    """Companion matrix of the delayed iteration for one age row.
 
-    ``partition`` lists, for each age k = 0..max_delay, the subdomain ids
-    whose reaction is k steps old; it must cover all subdomains exactly
-    once (empty slots are fine).  The blocks are X_k = S_G^{-1} Shat_k.
+    ``ages`` holds one integer in [0, max_delay] per entry of
+    ``scenario.patch_ids``.  Block X_k = S_G^{-1} Shat_k sums the
+    complement (at k = 0) and then the age-k patches in ``patch_ids``
+    order.
     """
     if not (isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
     _check_delay(max_delay)
-    slots = _validate_partition(scenario, partition, max_delay)
+    row, patches = np.asarray(ages), np.asarray(scenario.patch_ids)
+    if row.shape != patches.shape or row.dtype.kind not in "iuf" \
+            or not np.all((row >= 0) & (row <= max_delay)
+                            & (row == np.round(row))):
+        raise ValueError(f"ages must be one integer in [0, {max_delay}] "
+                         f"per patch ({len(patches)})")
+    slots = [patches[row == k].tolist() for k in range(max_delay + 1)]
+    if scenario.complement is not None:
+        slots[0].insert(0, 0)
     n = scenario.gamma_dim
     blocks = tuple(_scattered_sum(scenario, slot) for slot in slots)
     matrix = np.eye((max_delay + 1) * n, k=-n)
@@ -188,7 +187,7 @@ def relaxation_bounds(alpha_min: float, alpha_max: float,
 
     The synchronous bound 2/alpha_max is sharp.  For max_delay >= 1 the
     reported async factor is a sufficient bound only; certification gives
-    the sharper, per-partition answer.
+    the sharper, per-age-row answer.
     """
     if not 0 < alpha_min <= alpha_max:
         raise ValueError("need 0 < alpha_min <= alpha_max")
@@ -210,46 +209,36 @@ def relaxation_bounds(alpha_min: float, alpha_max: float,
 def certify_paracontraction(scenario: CouplingScenario, omega: float,
                             max_delay: int, trials: int = 100,
                             seed: int = 0) -> CertificateReport:
-    """Sample random age partitions and check every one contracts.
+    """Sample random age rows and check every one contracts.
 
     Patches are assigned ages uniformly in [0, max_delay]; the complement,
-    when present, always sits at age 0.  For max_delay = 0 there is only
-    one partition, evaluated once.  A partition drawn more than once is
-    solved once and its radius repeated in ``rhos``.  The certificate
-    passes when every sampled spectral radius is strictly below one; a
-    failure is reported, not raised.
+    when present, is always fresh.  For max_delay = 0 there is only one
+    age row, evaluated once.  A row drawn more than once is solved once
+    and its radius repeated in ``rhos``.  The certificate passes when
+    every sampled spectral radius is strictly below one; a failure is
+    reported, not raised.
     """
     if not (isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) \
+            or trials < 1:
+        raise ValueError("trials must be an integer of at least 1")
     _check_delay(max_delay)
     rng = np.random.default_rng(seed)
-    patches = scenario.patch_ids
-
-    assignments: list[np.ndarray]
+    n_patches = len(scenario.patch_ids)
     if max_delay == 0:
-        assignments = [np.zeros(len(patches), dtype=np.int64)]
+        ages = [(0,) * n_patches]
     else:
-        assignments = [rng.integers(0, max_delay + 1, size=len(patches))
-                       for _ in range(trials)]
-
-    rhos: list[float] = []
-    partitions: list[tuple[tuple[int, ...], ...]] = []
-    solved: dict[tuple[tuple[int, ...], ...], float] = {}
-    for assign in assignments:
-        slots = _age_slots(patches, assign, max_delay,
-                           scenario.complement is not None)
-        partition = tuple(tuple(slot) for slot in slots)
-        if partition not in solved:
-            system = build_companion(scenario, slots, omega, max_delay)
-            solved[partition] = spectral_radius(system)
-        rhos.append(solved[partition])
-        partitions.append(partition)
-
+        ages = [tuple(rng.integers(0, max_delay + 1, size=n_patches).tolist())
+                for _ in range(trials)]
+    solved: dict[tuple[int, ...], float] = {}
+    for row in ages:
+        if row not in solved:
+            system = build_companion(scenario, row, omega, max_delay)
+            solved[row] = spectral_radius(system)
+    rhos = tuple(solved[row] for row in ages)
     rho_max = max(rhos)
     return CertificateReport(omega=omega, max_delay=max_delay,
-                             trials=len(assignments), seed=seed,
-                             rhos=tuple(rhos), rho_max=rho_max,
-                             passed=rho_max < 1.0,
-                             partitions=tuple(partitions))
+                             trials=len(ages), seed=seed, rhos=rhos,
+                             rho_max=rho_max, passed=rho_max < 1.0,
+                             ages=tuple(ages))

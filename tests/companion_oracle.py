@@ -8,8 +8,11 @@ exact interface load; and the characteristic polynomial
 
     det( (1-l) l^D I - w sum_k l^(D-k) X_k ),
 
-which vanishes exactly at the companion eigenvalues.  Nothing in ``src/``
-imports this module.
+which vanishes exactly at the companion eigenvalues.  The companions
+here take the same age row as ``build_companion`` (one age per patch in
+``patch_ids`` order) but group the subdomains into slots by age on their
+own, with the complement in slot 0.  Nothing in ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -31,13 +34,24 @@ def scattered_schur(scenario, sids) -> np.ndarray:
     return shat
 
 
-def symmetrized_companion(scenario, partition, omega: float,
+def age_slots(scenario, ages, max_delay: int) -> list[list[int]]:
+    """Subdomain ids grouped by age: slot k holds the age-k patches, and
+    slot 0 also the complement, listed first."""
+    assert len(ages) == len(scenario.patch_ids)
+    slots = [[] for _ in range(max_delay + 1)]
+    if scenario.complement is not None:
+        slots[0].append(0)
+    for sid, age in zip(scenario.patch_ids, ages):
+        slots[int(age)].append(sid)
+    return slots
+
+
+def symmetrized_companion(scenario, ages, omega: float,
                           max_delay: int) -> CompanionSystem:
-    """Companion of one age partition with blocks ``L^{-1} Shat_k L^{-T}``."""
-    assert len(partition) == max_delay + 1
+    """Companion of one age row with blocks ``L^{-1} Shat_k L^{-T}``."""
     chol_l = np.linalg.cholesky(scenario.schur_global)
     blocks = []
-    for slot in partition:
+    for slot in age_slots(scenario, ages, max_delay):
         y = la.solve_triangular(chol_l, scattered_schur(scenario, slot),
                                 lower=True)
         blocks.append(la.solve_triangular(chol_l, y.T, lower=True).T)

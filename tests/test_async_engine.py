@@ -25,7 +25,6 @@ from glocal import (
     compute_residual,
     generalized_alphas,
     interface_reaction,
-    partition_by_delay,
     richardson_sync,
     run_async_concurrent,
     run_async_simulated,
@@ -35,6 +34,8 @@ from glocal import (
 from glocal.async_engine import _patch_groups, _WindowRanks
 from glocal.spectral import (build_companion, certify_paracontraction,
                              relaxation_bounds)
+
+from companion_oracle import scattered_schur
 
 
 def rel_err(u, u_ref):
@@ -64,25 +65,31 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         DelaySchedule(kind="random-bounded", max_delay=1.0, patch_ids=(1,),
                       seed=0)
+    # bool is an int, but True is not a delay bound.
+    with pytest.raises(ScheduleError):
+        DelaySchedule.random_bounded((1, 2), True, seed=0)
+    with pytest.raises(ScheduleError):
+        DelaySchedule.from_table((1, 2), False, np.zeros((1, 2)))
     with pytest.raises(ScheduleError):  # no warm-up row to check
         DelaySchedule.from_table((1, 2), 2, np.zeros((0, 2)))
     ages = DelaySchedule.random_bounded((1, 2), np.int64(2), seed=0).ages(5)
     assert ages.dtype == np.int64 and np.all(ages <= 2)
 
 
-@pytest.mark.parametrize("bound", [1.5, 2.0, -1])
+@pytest.mark.parametrize("bound", [1.5, 2.0, -1, True])
 @pytest.mark.parametrize("entry", [
     "schedule", "relaxation_bounds", "build_companion", "certify",
     "run_async_concurrent"])
 def test_every_entry_point_rejects_a_bad_delay_bound(chain, entry, bound):
     # A float bound must not reach ``range`` (TypeError) or admit age 3
-    # under a bound of 2.5; every entry point names the problem instead.
+    # under a bound of 2.5, and True must not pass for 1; every entry
+    # point names the problem instead.
     calls = {
         "schedule": lambda: DelaySchedule.random_bounded(
             chain.patch_ids, bound, seed=0, has_complement=True),
         "relaxation_bounds": lambda: relaxation_bounds(0.5, 1.0, bound),
         "build_companion": lambda: build_companion(
-            chain, [chain.subdomain_ids, [], []], 0.1, bound),
+            chain, np.zeros(len(chain.patch_ids), dtype=int), 0.1, bound),
         "certify": lambda: certify_paracontraction(chain, 0.1, bound),
         "run_async_concurrent": lambda: run_async_concurrent(
             chain, 0.1, max_delay=bound),
@@ -131,13 +138,25 @@ def test_random_schedule_never_skips_and_respects_the_bound():
         assert np.array_equal(twin.ages(150), sched.ages(150))
 
 
-def test_partition_by_delay_frozen():
-    sched = DelaySchedule.from_table((1, 2, 3), 2,
-                                     [[0, 0, 0], [1, 0, 1], [2, 1, 0]],
+def test_companion_blocks_follow_the_frozen_table(chain):
+    # Block k of the companion of step j sums the complement (k = 0) and
+    # the patches the schedule ages k at step j.
+    assert chain.patch_ids == (1, 2)
+    sched = DelaySchedule.from_table(chain.patch_ids, 2,
+                                     [[0, 0], [1, 0], [2, 1]],
                                      has_complement=True)
-    assert partition_by_delay(sched, 0) == [[0, 1, 2, 3], [], []]
-    assert partition_by_delay(sched, 1) == [[0, 2], [1, 3], []]
-    assert partition_by_delay(sched, 2) == [[0, 3], [2], [1]]
+    slots = [[[0, 1, 2], [], []], [[0, 2], [1], []], [[0], [2], [1]]]
+    omega = 0.3
+    scale = np.abs(np.linalg.solve(
+        chain.schur_global, scattered_schur(chain, chain.subdomain_ids))).max()
+    for j, by_age in enumerate(slots):
+        system = build_companion(chain, sched.ages(j), omega, 2)
+        assert len(system.blocks) == 3
+        for block, sids in zip(system.blocks, by_age):
+            expected = np.linalg.solve(chain.schur_global,
+                                       scattered_schur(chain, sids))
+            assert np.allclose(block, expected, rtol=0, atol=1e-12 * scale)
+            assert np.array_equal(block != 0, expected != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Schur condensation against hand-worked and dense-algebra oracles."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -75,6 +76,18 @@ def test_retained_interior_factor_keeps_no_csc_copies(two_patch_thermal):
     finally:
         tracemalloc.stop()
     assert allocated >= 8 * factor.nnz
+
+
+def test_operator_keeps_its_system_not_copies(two_patch_thermal):
+    # Interior recovery slices K_ii and K_gi from the system the scenario
+    # already holds, so no operator stores a second copy of either.
+    fields = {f.name for f in
+              dataclasses.fields(condensation.CondensedOperator)}
+    assert fields == {"schur", "rhs", "interface_dofs", "interior_dofs",
+                      "transfer", "system"}
+    for sub in two_patch_thermal.subdomains.values():
+        assert sub.condensed.system is sub.system
+        assert sub.condensed.dof_count == sub.system.dof_count
 
 
 def test_condensation_matches_dense_block_algebra():

@@ -3,8 +3,7 @@
 Whatever the patch count, delay bound, refresh probability and seed, an
 age never exceeds the bound and never skips: each step it either resets
 to zero or grows by exactly one.  The complement is always fresh, so it
-has no column in the age table and sits in the age-0 slot of every
-partition.
+has no column in the age table.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glocal import DelaySchedule, partition_by_delay
+from glocal import DelaySchedule
 
 PROPERTY = settings(max_examples=60, deadline=None)
 STEPS = 40
@@ -37,18 +36,6 @@ def test_random_ages_are_bounded_and_never_skip(patches, max_delay,
     assert np.all((table[1:] == 0) | (step == 1))
     if update_prob == 1.0:
         assert np.all(table == 0)
-
-    for j in range(STEPS):
-        slots = partition_by_delay(schedule, j)
-        assert len(slots) == max_delay + 1
-        flat = [sid for slot in slots for sid in slot]
-        assert sorted(flat) == ([0] if has_complement else []) \
-            + list(patch_ids)
-        assert (0 in slots[0]) == has_complement
-        for age, slot in enumerate(slots):
-            for sid in slot:
-                if sid != 0:
-                    assert table[j, sid - 1] == age
 
 
 def recurrence_rows(n_patches, max_delay, seed, update_prob, steps):

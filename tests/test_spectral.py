@@ -24,12 +24,14 @@ from glocal import (
 )
 from glocal import spectral
 
-from companion_oracle import (characteristic_value, scattered_schur,
-                              symmetrized_companion, verify_fixed_point)
+from companion_oracle import (age_slots, characteristic_value,
+                              scattered_schur, symmetrized_companion,
+                              verify_fixed_point)
 
 
-def full_partition(scn, max_delay):
-    return [list(scn.subdomain_ids)] + [[] for _ in range(max_delay)]
+def fresh_ages(scn):
+    """The age row with every patch fresh."""
+    return np.zeros(len(scn.patch_ids), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ def test_undelayed_companion_is_the_scalar_map(chain, two_patch_thermal):
     for scn in (chain, two_patch_thermal):
         spectrum = generalized_spectrum(scn)
         for omega in (0.3, 1.0, 1.7 / spectrum[-1]):
-            system = build_companion(scn, full_partition(scn, 0), omega, 0)
+            system = build_companion(scn, fresh_ages(scn), omega, 0)
             assert np.isclose(spectral_radius(system),
                               np.abs(1.0 - omega * spectrum).max(),
                               atol=1e-9)
@@ -104,8 +106,8 @@ def test_undelayed_companion_is_the_scalar_map(chain, two_patch_thermal):
 def test_synchronous_bound_is_sharp(two_patch_thermal):
     scn = two_patch_thermal
     _, amax = generalized_alphas(scn)
-    below = build_companion(scn, full_partition(scn, 0), 0.99 * 2 / amax, 0)
-    above = build_companion(scn, full_partition(scn, 0), 1.01 * 2 / amax, 0)
+    below = build_companion(scn, fresh_ages(scn), 0.99 * 2 / amax, 0)
+    above = build_companion(scn, fresh_ages(scn), 1.01 * 2 / amax, 0)
     assert spectral_radius(below) < 1.0
     assert spectral_radius(above) > 1.0
 
@@ -114,8 +116,8 @@ def test_companion_layout(chain):
     scn = chain
     n = scn.gamma_dim
     omega = 0.4
-    partition = [[0, 1], [], [2]]
-    system = build_companion(scn, partition, omega, 2)
+    ages = [0, 2]  # complement and patch 1 fresh, patch 2 at age 2
+    system = build_companion(scn, ages, omega, 2)
     m = system.matrix
     assert m.shape == (3 * n, 3 * n)
     assert np.allclose(m[:n, :n], np.eye(n) - omega * system.blocks[0])
@@ -127,16 +129,16 @@ def test_companion_layout(chain):
     assert np.allclose(m[n:2 * n, n:], 0.0)
     assert np.allclose(m[2 * n:, 2 * n:], 0.0)
     assert np.allclose(m[2 * n:, :n], 0.0)
-    # Slots repartition the same operator sum.
-    total = build_companion(scn, full_partition(scn, 0), omega, 0).blocks[0]
+    # The ages repartition the same operator sum.
+    total = build_companion(scn, fresh_ages(scn), omega, 0).blocks[0]
     assert np.allclose(sum(system.blocks), total, atol=1e-12)
 
 
 def test_symmetrized_companion_keeps_the_spectrum(chain):
     omega = 0.05
-    partition = [[0, 1], [2]]
-    plain = build_companion(chain, partition, omega, 1)
-    symm = symmetrized_companion(chain, partition, omega, 1)
+    ages = [0, 1]
+    plain = build_companion(chain, ages, omega, 1)
+    symm = symmetrized_companion(chain, ages, omega, 1)
     for block in symm.blocks:
         assert np.allclose(block, block.T, atol=1e-10)
     ev_plain = np.sort_complex(np.linalg.eigvals(plain.matrix))
@@ -151,16 +153,16 @@ def test_fixed_point_self_check(chain):
     # p_hat really is the coupled load: the residual vanishes there.
     r = compute_residual(scn, scn.solve_interface(p_hat))
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(scn.rhs_global)
-    plain = build_companion(scn, [[0, 1], [2]], 0.1, 1)
+    plain = build_companion(scn, [0, 1], 0.1, 1)
     verify_fixed_point(scn, plain, p_hat, symmetrized=False)
-    symm = symmetrized_companion(scn, [[0, 1], [2]], 0.1, 1)
+    symm = symmetrized_companion(scn, [0, 1], 0.1, 1)
     verify_fixed_point(scn, symm, p_hat, symmetrized=True)
     with pytest.raises(ValueError):
         verify_fixed_point(scn, plain, p_hat + 1.0, symmetrized=False)
 
 
 def test_characteristic_value_vanishes_at_eigenvalues(chain):
-    system = build_companion(chain, [[0, 1], [2]], 0.2, 1)
+    system = build_companion(chain, [0, 1], 0.2, 1)
     eigvals = np.linalg.eigvals(system.matrix)
     probe = abs(characteristic_value(system, 1.37 + 0.21j))
     assert probe > 0
@@ -169,17 +171,18 @@ def test_characteristic_value_vanishes_at_eigenvalues(chain):
 
 
 def test_partition_validation(chain):
-    with pytest.raises(ValueError):
-        build_companion(chain, [[0, 1, 2]], 0.5, 1)  # missing slot
-    with pytest.raises(ValueError):
-        build_companion(chain, [[0, 1], [1, 2]], 0.5, 1)  # duplicate
-    with pytest.raises(ValueError):
-        build_companion(chain, [[0, 1], []], 0.5, 1)  # patch 2 missing
+    # chain has two patches; an age row holds one age per patch.
+    for ages in ([0], [0, 1, 0], [[0, 1]], 0,  # wrong length or shape
+                 [0, -1], [0, 2], [0.5, 0], [0, np.nan], [0, np.inf],
+                 [True, False], ["0", "1"]):
+        with pytest.raises(ValueError, match="one integer in"):
+            build_companion(chain, ages, 0.5, 1)
+    assert build_companion(chain, [1.0, 0.0], 0.5, 1).blocks[1].any()
     for omega in (0.0, -0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and positive"):
-            build_companion(chain, [[0, 1, 2]], omega, 0)
+            build_companion(chain, [0, 0], omega, 0)
     with pytest.raises(ValueError):
-        build_companion(chain, [[0, 1, 2]], 0.5, -1)
+        build_companion(chain, [0, 0], 0.5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +198,9 @@ def test_certificate_passes_below_the_sufficient_bound(chain):
     assert report.trials == 20 and len(report.rhos) == 20
     assert report.rho_max == max(report.rhos)
     assert report.rho_max < 1.0
-    for partition in report.partitions:
-        assert partition[0][0] == 0  # complement pinned to age zero
-        flat = sorted(sid for slot in partition for sid in slot)
-        assert flat == sorted(chain.subdomain_ids)
+    for ages in report.ages:
+        assert len(ages) == len(chain.patch_ids)
+        assert all(type(age) is int and 0 <= age <= 1 for age in ages)
     again = certify_paracontraction(chain, 0.9 * bounds.omega_async_factor,
                                     1, trials=20, seed=7)
     assert again.rhos == report.rhos
@@ -214,6 +216,14 @@ def test_certificate_fails_past_the_synchronous_bound(chain):
 def test_certificate_validation(chain):
     with pytest.raises(ValueError):
         certify_paracontraction(chain, 0.5, 0, trials=0)
+    for trials in (2.5, True, 3.0):
+        for max_delay in (0, 1):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                certify_paracontraction(chain, 0.1, max_delay, trials=trials)
+    with pytest.raises(ValueError, match="max_delay"):
+        certify_paracontraction(chain, 0.1, True)
+    assert certify_paracontraction(chain, 0.1, 1,
+                                   trials=np.int64(2)).trials == 2
     with pytest.raises(ValueError):
         certify_paracontraction(chain, 0.5, -1)
     for omega in (0.0, -0.5, np.nan, np.inf):
@@ -229,16 +239,16 @@ def test_certificate_solves_each_partition_once(two_patch_thermal,
     original = spectral.build_companion
 
     def counting(*args, **kwargs):
-        built.append(tuple(map(tuple, args[1])))
+        built.append(tuple(args[1]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "build_companion", counting)
     report = certify_paracontraction(scn, 0.2, 2, trials=30, seed=5)
     monkeypatch.undo()
-    assert len(built) == len(set(report.partitions)) < report.trials
-    assert set(built) == set(report.partitions)
-    for partition, rho in zip(report.partitions, report.rhos):
-        direct = build_companion(scn, partition, 0.2, 2)
+    assert len(built) == len(set(report.ages)) < report.trials
+    assert set(built) == set(report.ages)
+    for ages, rho in zip(report.ages, report.rhos):
+        direct = build_companion(scn, ages, 0.2, 2)
         assert rho == spectral_radius(direct)
 
 
@@ -256,7 +266,7 @@ def test_certificates_share_one_interface_solve(monkeypatch):
     amin, amax = generalized_alphas(scn)
     first = certify_paracontraction(scn, 0.5 / amax, 2, trials=20, seed=1)
     second = certify_paracontraction(scn, 0.3 / amax, 4, trials=20, seed=2)
-    assert len(set(first.partitions)) > 1 and len(set(second.partitions)) > 1
+    assert len(set(first.ages)) > 1 and len(set(second.ages)) > 1
     assert len(calls) <= 1
 
 
@@ -276,18 +286,11 @@ def test_certificate_repeats_bit_for_bit(two_patch_elastic):
 
 
 def age_partitions(scn, max_delay, rng):
-    """All fresh, every patch at age D, and two random age draws."""
-    ages = [np.zeros(len(scn.patch_ids), dtype=int),
-            np.full(len(scn.patch_ids), max_delay)]
-    ages += [rng.integers(0, max_delay + 1, len(scn.patch_ids))
-             for _ in range(2)]
-    for assign in ages:
-        slots = [[] for _ in range(max_delay + 1)]
-        if scn.complement is not None:
-            slots[0].append(0)
-        for sid, age in zip(scn.patch_ids, assign):
-            slots[int(age)].append(sid)
-        yield slots
+    """All fresh, every patch at age D, and two random age rows."""
+    yield fresh_ages(scn)
+    yield np.full(len(scn.patch_ids), max_delay)
+    for _ in range(2):
+        yield rng.integers(0, max_delay + 1, len(scn.patch_ids))
 
 
 @pytest.mark.parametrize("name", ["chain", "two_patch_thermal",
@@ -298,10 +301,10 @@ def test_reduced_radius_matches_the_full_companion(name, request):
     omega = 0.5 / amax
     rng = np.random.default_rng(11)
     for max_delay in (1, 2, 4):
-        for partition in age_partitions(scn, max_delay, rng):
+        for ages in age_partitions(scn, max_delay, rng):
             radii = []
             for build in (build_companion, symmetrized_companion):
-                system = build(scn, partition, omega, max_delay)
+                system = build(scn, ages, omega, max_delay)
                 full = np.abs(np.linalg.eigvals(system.matrix)).max()
                 radii.append(spectral_radius(system))
                 assert abs(radii[-1] - full) <= 1e-12 * full
@@ -342,10 +345,10 @@ def test_compact_blocks_match_the_dense_embedded_path(name, request):
     report = certify_paracontraction(scn, omega, max_delay, trials=20,
                                      seed=2)
     n = scn.gamma_dim
-    for partition, rho in zip(report.partitions, report.rhos):
+    for ages, rho in zip(report.ages, report.rhos):
         blocks = tuple(sla.cho_solve(scn._sg_chol,
                                      dense_embedded_sum(scn, slot))
-                       for slot in partition)
+                       for slot in age_slots(scn, ages, max_delay))
         matrix = np.zeros(((max_delay + 1) * n, (max_delay + 1) * n))
         matrix[:n, :n] = np.eye(n)
         for k, x in enumerate(blocks):
