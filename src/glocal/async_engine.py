@@ -41,7 +41,8 @@ import numpy as np
 from .coupling import CouplingScenario, patch_reactions, scatter_residual
 from .coupling import interface_reaction  # noqa: F401
 from .errors import LivelockError, ScheduleError
-from .solvers import AsyncTrace, SolveReport, _iterate, _Reactions
+from .solvers import (AsyncTrace, SolveReport, _is_int, _iterate,
+                      _Reactions)
 
 __all__ = ["DelaySchedule", "AsyncTrace", "run_async_simulated",
            "run_async_concurrent", "run_sync_concurrent"]
@@ -54,9 +55,7 @@ _BLOCK = 256  # steps of a random-bounded schedule drawn at once
 
 
 def _check_delay(max_delay, error: type[Exception] = ValueError):
-    # bool is an int, but True is not a delay bound.
-    if isinstance(max_delay, bool) \
-            or not isinstance(max_delay, (int, np.integer)) or max_delay < 0:
+    if not _is_int(max_delay) or max_delay < 0:
         raise error("max_delay must be a non-negative integer")
 
 
@@ -64,52 +63,46 @@ def _check_delay(max_delay, error: type[Exception] = ValueError):
 class DelaySchedule:
     """Ages sigma(s, j) for every patch, bounded by ``max_delay``.
 
-    Kinds: "deterministic-table" (explicit age table, validated) and
-    "random-bounded" (per-step Bernoulli refresh with probability
-    ``update_prob``, forced whenever the age would exceed the bound).
-    At max_delay = 0 every age is zero and the schedule degenerates to
-    the synchronous iteration; ``all_zero`` builds that one.
-    The complement, when the scenario has one, is always fresh and is not
-    part of the table.  A random-bounded schedule keeps its draws in
-    ``table`` too, appended a block of steps at a time.
+    It takes exactly one of ``table`` (explicit ages, validated) and
+    ``seed``, which makes it random-bounded: a per-step Bernoulli refresh
+    with probability ``update_prob``, forced whenever the age would
+    exceed the bound, its draws appended to ``table`` a block of steps at
+    a time.  At max_delay = 0 every age is zero and the schedule
+    degenerates to the synchronous iteration; ``all_zero`` builds that
+    one.  The complement, when the scenario has one, is always fresh and
+    is not part of the table.
     """
 
-    kind: str
     max_delay: int
     patch_ids: tuple[int, ...]
     has_complement: bool = False
     table: np.ndarray | None = None
     seed: int | None = None
     update_prob: float = 0.5
-    _rng: np.random.Generator | None = field(default=None, repr=False)
+    _rng: np.random.Generator | None = field(init=False, default=None,
+                                             repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("deterministic-table", "random-bounded"):
-            raise ScheduleError(f"unknown schedule kind {self.kind!r}")
         _check_delay(self.max_delay, ScheduleError)
         if not self.patch_ids:
             raise ScheduleError("schedule needs at least one patch")
-        if self.kind == "deterministic-table":
-            if self.table is None:
-                raise ScheduleError("deterministic-table needs a table")
-            table = np.asarray(self.table)
-            if table.ndim != 2 or table.shape[1] != len(self.patch_ids) \
-                    or len(table) == 0:
-                raise ScheduleError("table must be (steps, n_patches) with "
-                                    "at least one step")
-            if not np.all(np.isfinite(table) & (table == np.round(table))):
-                raise ScheduleError("table ages must be integers")
-            self.table = table.astype(np.int64)
-            self._validate_table(self.table)
-        if self.kind == "random-bounded":
-            if self.seed is None:
-                raise ScheduleError("random-bounded needs a seed")
+        if (self.table is None) == (self.seed is None):
+            raise ScheduleError("a schedule needs exactly one of a table "
+                                "or a seed")
+        if self.seed is not None:
             if not 0.0 < self.update_prob <= 1.0:
                 raise ScheduleError("update_prob must lie in (0, 1]")
             self._rng = np.random.default_rng(self.seed)
             self.table = np.zeros((1, len(self.patch_ids)), dtype=np.int64)
-
-    def _validate_table(self, table: np.ndarray):
+            return
+        table = np.asarray(self.table)
+        if table.ndim != 2 or table.shape[1] != len(self.patch_ids) \
+                or len(table) == 0:
+            raise ScheduleError("table must be (steps, n_patches) with at "
+                                "least one step")
+        if not np.all(np.isfinite(table) & (table == np.round(table))):
+            raise ScheduleError("table ages must be integers")
+        self.table = table = table.astype(np.int64)
         if np.any(table[0] != 0):
             raise ScheduleError("ages at step 0 must all be zero "
                                 "(warm-up sweep)")
@@ -131,16 +124,13 @@ class DelaySchedule:
     def random_bounded(cls, patch_ids, max_delay: int, seed: int,
                        update_prob: float = 0.5,
                        has_complement: bool = False) -> "DelaySchedule":
-        return cls(kind="random-bounded", max_delay=max_delay,
-                   patch_ids=tuple(patch_ids), has_complement=has_complement,
-                   seed=seed, update_prob=update_prob)
+        return cls(max_delay, tuple(patch_ids), has_complement, seed=seed,
+                   update_prob=update_prob)
 
     @classmethod
     def from_table(cls, patch_ids, max_delay: int, table,
                    has_complement: bool = False) -> "DelaySchedule":
-        return cls(kind="deterministic-table", max_delay=max_delay,
-                   patch_ids=tuple(patch_ids), has_complement=has_complement,
-                   table=np.asarray(table))
+        return cls(max_delay, tuple(patch_ids), has_complement, table=table)
 
     def ages(self, j: int) -> np.ndarray:
         """Ages of all patches at step j (row of the sigma table)."""
@@ -218,8 +208,9 @@ def _patch_groups(patch_ids: tuple[int, ...],
     """Contiguous slices of the patch stack, one per patch rank."""
     if rank_count is None:
         rank_count = 1 + len(patch_ids)
-    if rank_count < 2:
-        raise ValueError("need at least one global and one patch rank")
+    if not _is_int(rank_count) or rank_count < 2:
+        raise ValueError("rank_count must be an integer of at least 2: "
+                         "one global and one patch rank")
     workers = min(rank_count - 1, len(patch_ids))
     cuts = [len(patch_ids) * k // workers for k in range(workers + 1)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]

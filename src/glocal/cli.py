@@ -277,7 +277,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def coupled_dof_count(scenario: CouplingScenario) -> int:
     """Interface unknowns plus every subdomain's interior unknowns."""
-    interior = sum(len(sub.condensed.interior_dofs)
+    interior = sum(len(sub.interior_dofs)
                    for sub in scenario.subdomains.values())
     return scenario.gamma_dim + interior
 

@@ -6,23 +6,23 @@ zones.  Each patch zone has a fine mesh covering the same region.  The
 coupling interface Gamma is the set of free global nodes shared by at
 least two subdomains; Gamma and the global facets the subdomains share
 come from one array pass over the element incidences.  Each subdomain is
-one :class:`Subdomain` record holding everything about it:
+one :class:`Subdomain` record, its condensed operator plus its wiring:
 
-* its assembly map ``A_s`` (a dof index map) scattering its interface
-  dofs into Gamma,
+* its fine model, assembled and condensed by :mod:`.condensation`
+  straight onto its own Gamma dofs: the compact operator
+  ``S_s = J_s^T S_sF J_s``, ``b_s = J_s^T b_sF``, stored once, with no
+  S_sF on the fine interface formed,
 * its transfer map ``J_s``, the trace of the coarse global field at the
   fine interface nodes: each free fine boundary node on a global interface
   facet (vertex, edge or parallelogram face) takes that facet's weights;
   a permutation when the meshes match, the identity on the complement,
-* its fine model, assembled and condensed by :mod:`.condensation`
-  straight onto its own Gamma dofs: the compact operator
-  ``S_s = J_s^T S_sF J_s``, ``b_s = J_s^T b_sF``, stored once, with no
-  S_sF on the fine interface formed.
+* its assembly map ``A_s`` (a dof index map) scattering its interface
+  dofs into Gamma.
 
 The assembled global interface operator is ``S_G = sum A_s S_sG A_s^T``
 (with its load ``b_G``), summed from the global-side Schur complements.
-The build checks S_G is SPD by its Cholesky factor, and S_G^{-1} is
-formed from it once, on first use; the global solve
+The build checks S_G is SPD by its cached Cholesky factor, and S_G^{-1}
+is formed from it once, on first use; the global solve
 ``u = S_G^{-1} (b_G + p)``, the companions and the spectrum all apply it
 as one product with that cached inverse.  The residual of the coupled
 problem at a trace u is
@@ -40,7 +40,7 @@ Q = (sum_s A_s S_s A_s^T) S_G^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,8 +51,7 @@ import scipy.sparse as sp
 from .condensation import CondensedOperator, condense
 from .condensation import dirichlet_to_neumann  # noqa: F401
 from .errors import ConfigError, GeometryError, TopologyError
-from .model_problems import (AssembledSystem, MeshModel, assemble,
-                             extract_submesh)
+from .model_problems import MeshModel, assemble, extract_submesh
 
 __all__ = [
     "Subdomain",
@@ -72,30 +71,24 @@ MAX_COUPLED_DOFS = 50_000
 
 
 @dataclass(frozen=True)
-class Subdomain:
-    """One subdomain of the coupling: the complement (sid 0) or a patch.
+class Subdomain(CondensedOperator):
+    """One subdomain, the complement (sid 0) or a patch: its model
+    condensed onto the trace of its Gamma dofs, and how it is wired.
 
-    ``mesh`` is the fine mesh of a patch, or the global part itself for
-    the complement; ``system`` is its assembled model and ``condensed``
-    that model condensed onto the trace of its Gamma dofs.
-    ``interface_nodes`` are free parent (global-mesh) node ids and
-    ``mesh_interface_nodes`` index into ``mesh``, both sorted.  ``amap`` is
-    ``A_s`` as Gamma dof indices, ``transfer`` is ``J_s`` (the identity
-    on the complement), and ``schur``/``rhs`` are ``condensed``'s compact
-    ``J_s^T S_sF J_s`` and ``J_s^T b_sF``, a patch's viewed in the stack.
+    ``system`` models ``mesh``, the fine mesh of a patch or the global
+    part itself for the complement; ``transfer`` is ``J_s`` (I on the
+    complement), and ``schur``/``rhs`` are ``J_s^T S_sF J_s`` and
+    ``J_s^T b_sF``.  ``interface_nodes`` are free parent (global-mesh)
+    node ids and ``mesh_interface_nodes`` index into ``mesh``, both
+    sorted.  ``amap`` is ``A_s`` as Gamma dof indices.  A patch's
+    ``schur``, ``rhs`` and ``amap`` view its row of the stack.
     """
 
     sid: int
     mesh: MeshModel
-    global_part: MeshModel
     interface_nodes: np.ndarray
     mesh_interface_nodes: np.ndarray
     amap: np.ndarray
-    transfer: sp.csr_matrix
-    system: AssembledSystem
-    condensed: CondensedOperator
-    schur: np.ndarray
-    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,6 @@ class CouplingScenario:
     patch_schur: np.ndarray
     patch_rhs: np.ndarray
     patch_index: np.ndarray
-    _sg_chol: tuple = field(repr=False, default=None)
 
     @property
     def gamma_dim(self) -> int:
@@ -141,6 +133,12 @@ class CouplingScenario:
     def _scatter_index(self) -> np.ndarray:
         head = [] if self.complement is None else [self.complement.amap]
         return np.concatenate(head + [self.patch_index.ravel()])
+
+    @cached_property
+    def _sg_chol(self) -> tuple:
+        """Cholesky factor of ``schur_global``, as ``cho_factor`` gives it."""
+        return la.cho_factor(self.schur_global, lower=True,
+                             check_finite=False)
 
     @cached_property
     def _sg_inverse(self) -> np.ndarray:
@@ -474,8 +472,7 @@ def build_scenario(global_model: MeshModel, labels,
         local_of[node_map] = np.arange(len(node_map))
         local_ids = local_of[gnodes]
         if sid == 0:
-            mesh, iface = part, local_ids
-            j_dof = sp.identity(len(amap), format="csr")
+            mesh, iface, j_dof = part, local_ids, None
         else:
             mesh = fine_meshes[sid]
             iface, j_dof = _patch_transfer(sid, global_model, mesh,
@@ -505,7 +502,7 @@ def build_scenario(global_model: MeshModel, labels,
         rhs_global[amap] += cond_g.rhs
 
         if sid == 0:
-            system, cond = system_g, cond_g
+            cond = cond_g
         else:
             system = assemble(mesh)
             cond = condense(system, system.node_dofs(iface),
@@ -516,20 +513,22 @@ def build_scenario(global_model: MeshModel, labels,
             patch_schur[i, :k, :k], patch_rhs[i, :k], patch_index[i, :k] = \
                 schur, rhs, amap
             schur, rhs = patch_schur[i, :k, :k], patch_rhs[i, :k]
+            amap = patch_index[i, :k]
         subdomains[sid] = Subdomain(
-            sid=sid, mesh=mesh, global_part=part, interface_nodes=gnodes,
-            mesh_interface_nodes=iface, amap=amap, transfer=j_dof,
-            system=system, condensed=cond, schur=schur, rhs=rhs)
+            schur=schur, rhs=rhs, interface_dofs=cond.interface_dofs,
+            interior_dofs=cond.interior_dofs, transfer=cond.transfer,
+            system=cond.system, sid=sid, mesh=mesh, interface_nodes=gnodes,
+            mesh_interface_nodes=iface, amap=amap)
 
-    try:
-        sg_chol = la.cho_factor(schur_global, lower=True, check_finite=False)
-    except la.LinAlgError as err:
-        raise ConfigError("assembled global interface operator is not "
-                          "positive definite; check Dirichlet data") from err
-    return CouplingScenario(
+    scenario = CouplingScenario(
         name=name, global_model=global_model, gamma_nodes=gamma_nodes,
         ndof_per_node=ndpn, subdomains=subdomains,
         schur_global=schur_global, rhs_global=rhs_global,
         patch_schur=patch_schur, patch_rhs=patch_rhs,
-        patch_index=patch_index, _sg_chol=sg_chol)
-
+        patch_index=patch_index)
+    try:
+        scenario._sg_chol
+    except la.LinAlgError as err:
+        raise ConfigError("assembled global interface operator is not "
+                          "positive definite; check Dirichlet data") from err
+    return scenario

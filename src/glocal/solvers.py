@@ -17,9 +17,9 @@ r_j.  With a fixed relaxation the iteration is Richardson on an
 SPD-similar operator; the ``aitken`` mode rescales omega each step from
 the last two residuals.
 
-Convergence is declared when ||r_j|| <= tol * ||r_0||, with an absolute
-floor tied to the global load so that an initial residual at roundoff
-level (fine model identical to the global one) counts as converged
+Convergence is declared when ||r_j|| <= tol * ||r_0||, with a floor at
+the residual's own roundoff so that an initial residual at that level
+(fine model identical to the global one) counts as converged
 immediately.  A residual that mixes in stale reactions must pass again
 when recomputed from fresh ones at the same trace, so "converged" always
 means a fresh residual passed.  A residual above 1e6 * ||r_0||, or a
@@ -58,16 +58,28 @@ OMEGA_FLOOR = 1e-6
 CONVERGENCE_FLOOR = 1e-13
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool: True is not a count."""
+    return isinstance(value, (int, np.integer)) \
+        and not isinstance(value, bool)
+
+
 def stop_threshold(scenario: "CouplingScenario", tol: float,
                    r0_norm: float) -> float:
     """Residual norm below which an iteration counts as converged.
 
-    Relative to the initial residual, but never below a floor scaled by
-    the global interface load: when the fine models reproduce the global
-    one exactly, r_0 is already at roundoff and must pass on its own.
+    Relative to the initial residual, but never below the roundoff of the
+    residual itself: ``4 eps sum_s (||S_s||_F ||A_s^T u_0|| + ||b_s||)``
+    at ``u_0 = S_G^{-1} b_G``, nor below 1e-13 ||b_G||.  When the fine
+    models reproduce the global one exactly, r_0 is that roundoff and
+    must pass on its own.
     """
+    u0 = scenario._sg_inverse @ scenario.rhs_global
+    roundoff = 4.0 * np.finfo(float).eps * sum(
+        np.linalg.norm(sub.schur) * np.linalg.norm(u0[sub.amap])
+        + np.linalg.norm(sub.rhs) for sub in scenario.subdomains.values())
     floor = CONVERGENCE_FLOOR * float(np.linalg.norm(scenario.rhs_global))
-    return max(tol * r0_norm, floor)
+    return max(tol * r0_norm, floor, float(roundoff))
 
 
 @dataclass(frozen=True)
@@ -215,8 +227,8 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
         raise ValueError("omega must be finite and positive")
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    if not _is_int(max_iter) or max_iter < 0:
+        raise ValueError("max_iter must be a non-negative integer")
     if relaxation not in ("fixed", "aitken"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
 

@@ -57,6 +57,7 @@ import numpy as np
 
 from .async_engine import _check_delay
 from .coupling import CouplingScenario
+from .solvers import _is_int
 
 __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
            "build_companion", "spectral_radius",
@@ -145,22 +146,16 @@ def _scattered_sum(scenario: CouplingScenario, sids) -> np.ndarray:
     return x
 
 
-def spectral_radius(system: CompanionSystem | np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a companion system (or raw matrix).
-
-    For a ``CompanionSystem`` the eigenvalues are taken of the principal
-    submatrix on the live coordinates only (see the module docstring); a
-    raw matrix is taken whole.
-    """
-    matrix = getattr(system, "matrix", system)
-    if isinstance(system, CompanionSystem):
-        n = system.gamma_dim
-        # live[k-1, i]: column i of some X_j, j >= k, is nonzero.
-        feeds = np.any(matrix[:n, n:] != 0, axis=0).reshape(-1, n)
-        live = np.logical_or.accumulate(feeds[::-1], axis=0)[::-1]
-        keep = np.concatenate([np.ones(n, dtype=bool), live.ravel()])
-        matrix = matrix[np.ix_(keep, keep)]
-    return float(np.abs(np.linalg.eigvals(matrix)).max())
+def spectral_radius(system: CompanionSystem) -> float:
+    """Largest eigenvalue magnitude of a companion system, taken of the
+    principal submatrix on its live coordinates (see the module
+    docstring)."""
+    matrix, n = system.matrix, system.gamma_dim
+    # live[k-1, i]: column i of some X_j, j >= k, is nonzero.
+    feeds = np.any(matrix[:n, n:] != 0, axis=0).reshape(-1, n)
+    live = np.logical_or.accumulate(feeds[::-1], axis=0)[::-1]
+    keep = np.concatenate([np.ones(n, dtype=bool), live.ravel()])
+    return float(np.abs(np.linalg.eigvals(matrix[np.ix_(keep, keep)])).max())
 
 
 def generalized_spectrum(scenario: CouplingScenario) -> np.ndarray:
@@ -220,8 +215,7 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
     """
     if not (isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) \
-            or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ValueError("trials must be an integer of at least 1")
     _check_delay(max_delay)
     rng = np.random.default_rng(seed)

@@ -28,8 +28,8 @@ def block_reference(scenario):
     subdomains = scenario.subdomains.values()
     for sub in subdomains:
         system = sub.system
-        iface = sub.condensed.interface_dofs
-        interior = sub.condensed.interior_dofs
+        iface = sub.interface_dofs
+        interior = sub.interior_dofs
         k = system.stiffness
         amap = sub.amap
         a_op = sp.csr_matrix((np.ones(len(amap)),
@@ -62,12 +62,12 @@ def block_reference(scenario):
     fields: dict[int, np.ndarray] = {}
     offset = ng
     for sub in subdomains:
-        interior = sub.condensed.interior_dofs
+        interior = sub.interior_dofs
         trace = u_gamma[sub.amap]
         if sub.transfer is not None:
             trace = sub.transfer @ trace
         u_local = np.empty(sub.system.dof_count)
-        u_local[sub.condensed.interface_dofs] = trace
+        u_local[sub.interface_dofs] = trace
         u_local[interior] = x[offset:offset + len(interior)]
         offset += len(interior)
         fields[sub.sid] = sub.system.full_field(u_local)

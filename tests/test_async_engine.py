@@ -47,24 +47,23 @@ def rel_err(u, u_ref):
 
 
 def test_schedule_validation():
+    # Exactly one of a table and a seed.
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="adaptive", max_delay=1, patch_ids=(1,))
+        DelaySchedule(max_delay=1, patch_ids=(1,))
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="random-bounded", max_delay=-1, patch_ids=(1,),
+        DelaySchedule(max_delay=1, patch_ids=(1,), table=np.zeros((1, 1)),
                       seed=0)
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="random-bounded", max_delay=0, patch_ids=(),
-                      seed=0)
+        DelaySchedule(max_delay=-1, patch_ids=(1,), seed=0)
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="random-bounded", max_delay=1, patch_ids=(1,))
+        DelaySchedule(max_delay=0, patch_ids=(), seed=0)
     with pytest.raises(ScheduleError):
         DelaySchedule.random_bounded((1,), 1, seed=0, update_prob=0.0)
     # A fractional bound would let ages of 3.0 through a bound of 2.5.
     with pytest.raises(ScheduleError):
         DelaySchedule.random_bounded((1, 2), 2.5, seed=0)
     with pytest.raises(ScheduleError):
-        DelaySchedule(kind="random-bounded", max_delay=1.0, patch_ids=(1,),
-                      seed=0)
+        DelaySchedule(max_delay=1.0, patch_ids=(1,), seed=0)
     # bool is an int, but True is not a delay bound.
     with pytest.raises(ScheduleError):
         DelaySchedule.random_bounded((1, 2), True, seed=0)

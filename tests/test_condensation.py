@@ -64,7 +64,7 @@ def test_retained_interior_factor_keeps_no_csc_copies(two_patch_thermal):
     # scipy's SuperLU builds CSC copies of L and U when .L or .U is first
     # read and keeps them on the factor.  The factor kept for interior
     # recovery must not have been read, so reading it now allocates.
-    op = two_patch_thermal.subdomains[1].condensed
+    op = two_patch_thermal.subdomains[1]
     rng = np.random.default_rng(2)
     full = expand_interior(op, rng.standard_normal(op.interface_count))
     assert np.all(np.isfinite(full))
@@ -85,9 +85,13 @@ def test_operator_keeps_its_system_not_copies(two_patch_thermal):
               dataclasses.fields(condensation.CondensedOperator)}
     assert fields == {"schur", "rhs", "interface_dofs", "interior_dofs",
                       "transfer", "system"}
+    # A subdomain is its condensed operator plus its wiring, nothing more.
+    assert {f.name for f in dataclasses.fields(coupling.Subdomain)} == \
+        fields | {"sid", "mesh", "interface_nodes", "mesh_interface_nodes",
+                  "amap"}
     for sub in two_patch_thermal.subdomains.values():
-        assert sub.condensed.system is sub.system
-        assert sub.condensed.dof_count == sub.system.dof_count
+        assert isinstance(sub, condensation.CondensedOperator)
+        assert sub.dof_count == sub.system.dof_count
 
 
 def test_condensation_matches_dense_block_algebra():
@@ -232,7 +236,7 @@ FIXTURES = ["two_patch_thermal", "two_patch_elastic", "cube2_thermal",
 def assert_patch_matches_oracle(sub, schur, rhs):
     """A patch's compact block and load against J^T S_F J and J^T b_F,
     with S_F and b_F the oracle's condensation on the fine interface."""
-    s_f, b_f = solve_condense(sub.system, sub.condensed.interface_dofs)
+    s_f, b_f = solve_condense(sub.system, sub.interface_dofs)
     j = sub.transfer.toarray()
     assert rel_diff(schur, j.T @ s_f @ j) <= 1e-12
     assert rel_diff(rhs, j.T @ b_f) <= 1e-12
@@ -246,16 +250,16 @@ def test_every_subdomain_matches_the_multi_rhs_oracle(name, request,
     subs = list(scn.subdomains.values())
     patches = [scn.subdomains[sid] for sid in scn.patch_ids]
     for sub in subs:
-        assert_matches_oracle(sub.system, sub.condensed.interface_dofs)
+        assert_matches_oracle(sub.system, sub.interface_dofs)
     for sub in patches:
         assert_patch_matches_oracle(sub, sub.schur, sub.rhs)
     # Once more with the bordered factorization on every subdomain, not
     # only on those whose work estimate selects it.
     monkeypatch.setattr(condensation, "_BORDERED_WORK", 0)
     for sub in subs:
-        assert_matches_oracle(sub.system, sub.condensed.interface_dofs)
+        assert_matches_oracle(sub.system, sub.interface_dofs)
     for sub in patches:
-        op = condense(sub.system, sub.condensed.interface_dofs,
+        op = condense(sub.system, sub.interface_dofs,
                       transfer=sub.transfer)
         assert op.schur.flags.c_contiguous
         assert_patch_matches_oracle(sub, op.schur, op.rhs)

@@ -160,7 +160,7 @@ def fine_side_reaction(scn, sid, u):
     """
     sub = scn.subdomains[sid]
     amap, j = sub.amap, sub.transfer
-    op = condense(sub.system, sub.condensed.interface_dofs)
+    op = condense(sub.system, sub.interface_dofs)
     out = np.zeros(scn.gamma_dim)
     out[amap] = j.T @ dirichlet_to_neumann(op, j @ u[amap])
     return out
@@ -228,6 +228,7 @@ def test_patch_records_view_the_zero_padded_stack(name, request):
         k = len(sub.amap)
         assert np.shares_memory(sub.schur, scn.patch_schur)
         assert np.shares_memory(sub.rhs, scn.patch_rhs)
+        assert np.shares_memory(sub.amap, scn.patch_index)
         assert np.array_equal(scn.patch_index[i, :k], sub.amap)
         # Padded slots are exactly zero and read a valid Gamma dof.
         assert not scn.patch_schur[i, k:, :].any()
@@ -267,6 +268,27 @@ def test_interface_solve_matches_a_cholesky_solve(name, request):
         direct = sla.cho_solve(scn._sg_chol, scn.rhs_global + p)
         got = scn.solve_interface(p)
         assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_global_factor_follows_schur_global(monkeypatch, two_patch_thermal):
+    # The Cholesky factor is derived from schur_global, so a scenario
+    # copied with another S_G solves with that one.
+    scn = two_patch_thermal
+    zero = np.zeros(scn.gamma_dim)
+    doubled = dataclasses.replace(scn, schur_global=2.0 * scn.schur_global)
+    assert np.allclose(doubled.solve_interface(zero),
+                       0.5 * scn.solve_interface(zero), rtol=1e-12, atol=0)
+    # A build whose S_G is not SPD is rejected by that factor.
+    real = coupling.condense
+
+    def negated(system, iface, label, transfer=None):
+        op = real(system, iface, label, transfer)
+        return (dataclasses.replace(op, schur=-op.schur)
+                if label.endswith("(global part)") else op)
+
+    monkeypatch.setattr(coupling, "condense", negated)
+    with pytest.raises(ConfigError, match="not positive definite"):
+        two_patch_2d("thermal")
 
 
 def test_residual_is_affine_in_the_interface_load(two_patch_elastic):

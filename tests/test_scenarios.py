@@ -5,10 +5,12 @@ import pytest
 
 from glocal import (
     cube_grid_3d,
+    extract_submesh,
     fine_equals_global_2d,
     imbalanced_grid,
     two_patch_2d,
 )
+from glocal.scenarios import _default_zones_2d, _zone_cells_2d
 
 
 def test_two_patch_structure(two_patch_thermal):
@@ -48,13 +50,14 @@ def test_two_patch_options():
 def test_fine_equals_global_reuses_the_global_cells(fine_eq_thermal):
     scn = fine_eq_thermal
     assert scn.name == "fine-equals-global-2d-thermal"
-    for sid in scn.patch_ids:
+    zones = _default_zones_2d(16, 8)
+    for sid, zone in zip(scn.patch_ids, zones, strict=True):
         patch = scn.subdomains[sid]
-        assert np.allclose(patch.mesh.nodes, patch.global_part.nodes)
-        assert np.array_equal(patch.mesh.elements,
-                              patch.global_part.elements)
-        assert np.allclose(patch.mesh.material.coeff,
-                           patch.global_part.material.coeff)
+        part, _ = extract_submesh(scn.global_model,
+                                  _zone_cells_2d(16, 8, zone))
+        assert np.allclose(patch.mesh.nodes, part.nodes)
+        assert np.array_equal(patch.mesh.elements, part.elements)
+        assert np.allclose(patch.mesh.material.coeff, part.material.coeff)
 
 
 def test_cube_grid_structure(cube2_thermal):

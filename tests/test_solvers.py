@@ -22,6 +22,7 @@ from glocal import (
     StagnationError,
     aitken_update,
     compute_residual,
+    fine_equals_global_2d,
     monolithic_reference,
     richardson_sync,
     run_async_concurrent,
@@ -97,7 +98,8 @@ def test_reference_matches_the_block_oracle(name, request):
 def test_reference_reads_no_condensed_data(two_patch_elastic,
                                            oracle_elastic):
     stripped = replace(two_patch_elastic, subdomains={
-        sid: replace(sub, condensed=None)
+        sid: replace(sub, schur=None, rhs=None, interface_dofs=None,
+                     interior_dofs=None)
         for sid, sub in two_patch_elastic.subdomains.items()})
     bare = monolithic_reference(stripped)
     assert np.array_equal(bare.u_gamma, oracle_elastic.u_gamma)
@@ -161,6 +163,21 @@ def test_identical_fine_model_converges_immediately(fine_eq_thermal,
         assert r0 <= 1e-12 * np.linalg.norm(scn.rhs_global)
 
 
+@pytest.mark.parametrize("nx", [32, 48])
+def test_roundoff_level_residual_converges_at_once(nx):
+    # At these sizes r_0 of the identical fine model is its own roundoff,
+    # above 1e-13 ||b_G||; the floor must still let it pass at step 0.
+    scn = fine_equals_global_2d("elasticity", nx=nx)
+    schedule = DelaySchedule.random_bounded(scn.patch_ids, 2, seed=0,
+                                            has_complement=True)
+    for report in (richardson_sync(scn, 1.0),
+                   richardson_sync(scn, relaxation="aitken"),
+                   run_async_simulated(scn, 1.0, schedule),
+                   run_async_concurrent(scn, 1.0, max_delay=2),
+                   run_sync_concurrent(scn, 1.0)):
+        assert report.converged and report.iterations == 0, report.variant
+
+
 def test_stop_threshold_has_an_absolute_floor(chain):
     rhs = float(np.linalg.norm(chain.rhs_global))
     assert stop_threshold(chain, 1e-8, 1.0) == 1e-8
@@ -205,7 +222,8 @@ def test_driver_argument_validation(chain):
     bad_args = [{"omega": value}
                 for value in (0.0, -1.0, np.nan, np.inf, -np.inf)]
     bad_args += [{"tol": value} for value in (0.0, 1.0, 2.0, np.nan)]
-    bad_args += [{"max_iter": -1}]
+    # bool is an int, but True is not a step count.
+    bad_args += [{"max_iter": value} for value in (-1, 2.5, True)]
     for name, run in drivers.items():
         for kwargs in bad_args:
             with pytest.raises(ValueError):
@@ -215,5 +233,10 @@ def test_driver_argument_validation(chain):
         richardson_sync(chain, relaxation="chebyshev")
     with pytest.raises(ValueError):
         run_sync_concurrent(chain, relaxation="chebyshev")
+    for rank_count in (2.5, True):
+        with pytest.raises(ValueError, match="rank_count"):
+            run_sync_concurrent(chain, 0.5, rank_count=rank_count)
+        with pytest.raises(ValueError, match="rank_count"):
+            run_async_concurrent(chain, 0.5, rank_count=rank_count)
     with pytest.raises(ValueError):
         chain.solve_interface(np.zeros(chain.gamma_dim + 1))
