@@ -10,24 +10,18 @@ behind by a bounded number of steps:
     r_j = -( complement reaction at u_j
              + sum_s scatter of the patch-s reaction computed at u_{j - sigma(s,j)} )
 
-with ages sigma(s,j) <= D, sigma never skipping values (a patch that is
-not refreshed at step j carries sigma(s,j) = sigma(s,j-1) + 1), and a
-synchronous warm-up sweep at j = 0 so every reaction exists before any
-stale combination is formed.
-
-``run_async_simulated`` takes the ages from an explicit
-:class:`DelaySchedule` and reuses cached reactions; it is deterministic
-and is the canonical definition of the iteration.  Each step it computes
-every patch product in one batched call and keeps only the rows of the
-patches the schedule refreshes.  The threaded executor runs the global
-model on the calling thread and patch ranks on worker threads, each
-holding a contiguous slice of the patch stack, and keeps every age at
-most a bound D.  Within it the ages come from thread timing, so the
-iterates of ``run_async_concurrent`` repeat run to run only in their
-limit (D = None: unbounded ages).  ``run_sync_concurrent`` is D = 0 and
-reproduces :func:`glocal.solvers.richardson_sync`, untraced like it; the
-asynchronous runs, at every D, record each step's ages and solve counts
-and attach an :class:`AsyncTrace` over those records.
+One age rule holds for every run: sigma(s,0) = 0 (a synchronous warm-up
+sweep), sigma(s,j) <= D and sigma(s,j) <= sigma(s,j-1) + 1, so the trace
+j - sigma(s,j) a patch reads never moves back; a patch solves when it
+moves.  ``run_async_simulated`` takes the ages from a
+:class:`DelaySchedule` and is the canonical, deterministic iteration.
+The threaded executor runs the global model on the calling thread and
+patch ranks on worker threads, each owning a contiguous slice of the
+patch stack, and keeps every age at most a bound D (None: unbounded).
+Its ages come from thread timing, and the ones a run records replay
+through the simulator to the same numbers.  ``run_sync_concurrent`` is
+D = 0 and reproduces :func:`glocal.solvers.richardson_sync`, untraced
+like it; asynchronous runs keep ages and solves in an :class:`AsyncTrace`.
 """
 
 from __future__ import annotations
@@ -63,14 +57,13 @@ def _check_delay(max_delay, error: type[Exception] = ValueError):
 class DelaySchedule:
     """Ages sigma(s, j) for every patch, bounded by ``max_delay``.
 
-    It takes exactly one of ``table`` (explicit ages, validated) and
-    ``seed``, which makes it random-bounded: a per-step Bernoulli refresh
-    with probability ``update_prob``, forced whenever the age would
-    exceed the bound, its draws appended to ``table`` a block of steps at
-    a time.  At max_delay = 0 every age is zero and the schedule
-    degenerates to the synchronous iteration; ``all_zero`` builds that
-    one.  The complement, when the scenario has one, is always fresh and
-    is not part of the table.
+    It takes exactly one of ``table`` and ``seed``.  A table holds
+    explicit ages under the module's rule, as a threaded run records
+    them.  A seed makes it random-bounded: each step an age resets to zero
+    with probability ``update_prob``, or when it would pass D, and else
+    grows by one; the draws are kept privately, a block of steps at a
+    time, so ``table`` is input only.  At D = 0 every age is zero: the
+    synchronous iteration.  The complement is always fresh (no column).
     """
 
     max_delay: int
@@ -79,6 +72,7 @@ class DelaySchedule:
     table: np.ndarray | None = None
     seed: int | None = None
     update_prob: float = 0.5
+    _rows: np.ndarray = field(init=False, repr=False)
     _rng: np.random.Generator | None = field(init=False, default=None,
                                              repr=False)
 
@@ -93,7 +87,7 @@ class DelaySchedule:
             if not 0.0 < self.update_prob <= 1.0:
                 raise ScheduleError("update_prob must lie in (0, 1]")
             self._rng = np.random.default_rng(self.seed)
-            self.table = np.zeros((1, len(self.patch_ids)), dtype=np.int64)
+            self._rows = np.zeros((1, len(self.patch_ids)), dtype=np.int64)
             return
         table = np.asarray(self.table)
         if table.ndim != 2 or table.shape[1] != len(self.patch_ids) \
@@ -102,23 +96,16 @@ class DelaySchedule:
                                 "least one step")
         if not np.all(np.isfinite(table) & (table == np.round(table))):
             raise ScheduleError("table ages must be integers")
-        self.table = table = table.astype(np.int64)
+        self.table = self._rows = table = table.astype(np.int64)
         if np.any(table[0] != 0):
             raise ScheduleError("ages at step 0 must all be zero "
                                 "(warm-up sweep)")
         if np.any((table < 0) | (table > self.max_delay)):
             raise ScheduleError(
                 f"table holds an age outside [0, {self.max_delay}]")
-        grew = table[1:] - table[:-1]
-        if np.any((table[1:] != 0) & (grew != 1)):
-            raise ScheduleError("a skipped age: sigma(s,j) must be 0 or "
-                                "sigma(s,j-1) + 1")
-
-    @classmethod
-    def all_zero(cls, patch_ids, has_complement: bool = False
-                 ) -> "DelaySchedule":
-        return cls.random_bounded(patch_ids, 0, seed=0,
-                                  has_complement=has_complement)
+        if np.any(table[1:] > table[:-1] + 1):
+            raise ScheduleError("an age grew by more than one: sigma(s,j) "
+                                "must be at most sigma(s,j-1) + 1")
 
     @classmethod
     def random_bounded(cls, patch_ids, max_delay: int, seed: int,
@@ -136,22 +123,21 @@ class DelaySchedule:
         """Ages of all patches at step j (row of the sigma table)."""
         if j < 0:
             raise ScheduleError("negative step")
-        if j >= len(self.table) and self._rng is not None:
-            # One draw for a block of steps, at least as long as the table
-            # so far, so the table grows geometrically.  An age counts the
-            # steps since the patch's last random refresh, wrapped at D + 1,
-            # which is where the forced refresh restarts it.
-            n = len(self.table)
+        if j >= len(self._rows) and self._rng is not None:
+            # One draw for a block of steps, at least as long as the rows so
+            # far.  An age counts the steps since the patch's last random
+            # refresh, wrapped at D + 1 where the forced refresh restarts it.
+            n = len(self._rows)
             steps = np.arange(n, n + max(_BLOCK, n, j + 1 - n))[:, None]
             fresh = self._rng.random((len(steps), len(self.patch_ids))) \
                 < self.update_prob
-            last = np.where(fresh, steps, steps[0] - 1 - self.table[-1])
+            last = np.where(fresh, steps, steps[0] - 1 - self._rows[-1])
             np.maximum.accumulate(last, axis=0, out=last)
-            self.table = np.concatenate(
-                [self.table, (steps - last) % (self.max_delay + 1)])
-        if j >= len(self.table):
+            self._rows = np.concatenate(
+                [self._rows, (steps - last) % (self.max_delay + 1)])
+        if j >= len(self._rows):
             raise ScheduleError(f"table exhausted at step {j}")
-        return self.table[j]
+        return self._rows[j]
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +145,39 @@ class DelaySchedule:
 
 
 class _ScheduledReactions(_Reactions):
-    """Patch reactions refreshed when the schedule ages them at 0 and
-    reused from the cache otherwise; the complement is fresh every step."""
+    """Patch s enters step j with its row of the patch stack at trace
+    j - sigma(s,j); the complement is fresh every step.  Each step's
+    stack, from one batched call, goes into a ring indexed by trace modulo
+    its depth, which starts at one and doubles, up to D + 1, when an age
+    first reaches it: the ring follows the largest age used, not D."""
 
     def __init__(self, scenario: CouplingScenario, schedule: DelaySchedule):
         if tuple(schedule.patch_ids) != scenario.patch_ids:
-            raise ScheduleError("schedule patch ids do not match the "
-                                "scenario")
+            raise ScheduleError("schedule and scenario patch ids differ")
         if schedule.has_complement != (scenario.complement is not None):
-            raise ScheduleError("schedule and scenario disagree about the "
-                                "complement")
+            raise ScheduleError("schedule and scenario complements differ")
         super().__init__(scenario)
         self.schedule = schedule
-        self.cache = np.zeros(scenario.patch_rhs.shape)
+        self.ring = np.zeros((1, *scenario.patch_rhs.shape))
+        self.rows = np.arange(len(scenario.patch_ids))
+        self.last = np.zeros(len(scenario.patch_ids), dtype=np.int64)
 
     def residual(self, j: int, u: np.ndarray):
-        ages = self.schedule.ages(j)
-        fresh = ages == 0
-        np.copyto(self.cache, patch_reactions(self.scenario, u),
-                  where=fresh[:, None])
-        self.solves += fresh
-        return scatter_residual(self.scenario, u, self.cache), ages
+        ages, depth = self.schedule.ages(j), len(self.ring)
+        bound = self.schedule.max_delay
+        # An age grows by at most one a step, so doubling covers it.
+        if depth <= bound and ages.max() >= depth:
+            held = np.arange(j - depth, j)
+            grown = np.zeros((min(2 * depth, bound + 1), *self.ring.shape[1:]))
+            grown[held % len(grown)] = self.ring[held % depth]
+            self.ring, depth = grown, len(grown)
+        self.ring[j % depth] = patch_reactions(self.scenario, u)
+        self.solves += ages <= self.last  # the trace j - sigma moved
+        self.last = ages
+        # Trace j - sigma sits at slot j % depth - sigma, wrapped by numpy.
+        return (scatter_residual(self.scenario, u,
+                                 self.ring[j % depth - ages, self.rows]),
+                ages)
 
 
 def run_async_simulated(scenario: CouplingScenario, omega: float,
@@ -187,10 +185,11 @@ def run_async_simulated(scenario: CouplingScenario, omega: float,
                         max_iter: int = 10000) -> SolveReport:
     """Walk the asynchronous iteration in virtual time.
 
-    Step j refreshes exactly the patches the schedule ages at 0 and reuses
-    the cached reactions of the others; the complement is recomputed every
-    step.  An all-zero schedule reproduces the synchronous fixed-omega
-    iteration operation for operation.
+    Step j takes patch s's reaction at the trace j - sigma(s,j) that the
+    schedule names and the complement's at u_j.  Any table of the module's
+    rule replays, a threaded run's recorded ages included; an all-zero
+    schedule is the synchronous fixed-omega iteration, operation for
+    operation.
     """
     return _iterate(scenario, _ScheduledReactions(scenario, schedule),
                     omega, tol, max_iter, "fixed", "async-sim", traced=True)

@@ -38,8 +38,9 @@ from the wired meshes before it assembles anything.
 ``omega = auto`` resolves from the certified bounds: 0.9 of the
 synchronous limit for the fixed sweep, 0.9 of the delayed sufficient
 bound for the simulator (also the default of ``glocal certify``), and a
-quarter of the synchronous limit for the concurrent executor, which lies
-inside the admissible relaxations of its delay bound D only for D <= 2.
+quarter of the synchronous limit for the concurrent executor: below the
+fixed-age-row bound omega_D for D <= 2, but above the switching-age bound
+2/((2D+1) alpha_max) from the default D = 2, so that run has no proof.
 
 Every run writes ``history.csv`` (one row per global step) and
 ``summary.csv``; the asynchronous variants add ``trace.csv`` with one row
@@ -343,7 +344,7 @@ def resolve_omega(cfg: RunConfig, scenario: CouplingScenario) -> float:
         if bounds.omega_async_factor is None:
             return 0.9 * bounds.omega_sync
         return 0.9 * bounds.omega_async_factor
-    # async-concurrent: a quarter of sync, inside omega_D for D <= 2.
+    # async-concurrent: a quarter of sync, unproved for switching ages.
     return 0.25 * (2.0 / alpha_max)
 
 

@@ -122,8 +122,9 @@ def test_criterion_04_zero_delay_reproduces_the_synchronous_sweep(
         _, alpha_max = generalized_alphas(scn)
         omega = 0.9 * (2.0 / alpha_max)
         sync = richardson_sync(scn, omega)
-        schedule = DelaySchedule.all_zero(
-            scn.patch_ids, has_complement=scn.complement is not None)
+        schedule = DelaySchedule.random_bounded(
+            scn.patch_ids, 0, seed=0,
+            has_complement=scn.complement is not None)
         sim = run_async_simulated(scn, omega, schedule)
         assert sim.iterations == sync.iterations
         for a, b in zip(sim.history, sync.history):

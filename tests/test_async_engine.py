@@ -2,16 +2,19 @@
 
 The virtual-time runs are compared operation for operation against an
 independently written reference loop; the threaded runs are checked for
-exact agreement with the sequential driver (delay bound 0), for ages
-within their bound D, and for convergence to the monolithic reference
-(no bound).
+exact agreement with the sequential driver (delay bound 0) and with the
+simulator replaying their recorded ages, for ages within their bound D,
+and for convergence to the monolithic reference (no bound).
 """
 
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
+from math import pi, sin
 
 import numpy as np
 import pytest
@@ -105,6 +108,13 @@ def test_table_rules():
         DelaySchedule.from_table((1, 2), 1, [[0, 0], [0, 2]])
     with pytest.raises(ScheduleError):  # age jumped instead of growing by 1
         DelaySchedule.from_table((1, 2), 2, [[0, 0], [2, 0]])
+    with pytest.raises(ScheduleError):  # the same jump after a drop
+        DelaySchedule.from_table((1, 2), 2, [[0, 0], [1, 1], [0, 1], [2, 2]])
+    # An age may hold or drop to any value: the trace j - sigma a patch
+    # reads never moves back, as on the threaded ranks.
+    held = DelaySchedule.from_table((1, 2), 2,
+                                    [[0, 0], [1, 1], [1, 2], [0, 2]])
+    assert np.array_equal(held.ages(3), [0, 2])
     # Fractional or NaN ages are rejected before any cast truncates them.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -121,6 +131,21 @@ def test_table_rules():
         sched.ages(3)
     with pytest.raises(ScheduleError):
         sched.ages(-1)
+
+
+def test_replace_redraws_or_revalidates():
+    # Draws are private, so ``replace`` on a random schedule starts the
+    # stream afresh under the new fields.
+    moved = replace(DelaySchedule.random_bounded((1, 2), 2, seed=0),
+                    max_delay=3)
+    direct = DelaySchedule.random_bounded((1, 2), 3, seed=0)
+    assert moved.table is None
+    assert np.array_equal([moved.ages(j) for j in range(300)],
+                          [direct.ages(j) for j in range(300)])
+    table = DelaySchedule.from_table((1, 2), 2, [[0, 0], [1, 0], [2, 1]])
+    assert np.array_equal(replace(table, max_delay=3).ages(2), [2, 1])
+    with pytest.raises(ScheduleError):
+        replace(table, max_delay=1)
 
 
 def test_random_schedule_never_skips_and_respects_the_bound():
@@ -166,7 +191,8 @@ def test_all_zero_schedule_reproduces_the_synchronous_run(two_patch_thermal):
     scn = two_patch_thermal
     sync = richardson_sync(scn, omega=0.8, tol=1e-10)
     # Any random-bounded schedule at max_delay = 0 ages nothing.
-    for sched in (DelaySchedule.all_zero(scn.patch_ids, has_complement=True),
+    for sched in (DelaySchedule.random_bounded(scn.patch_ids, 0, seed=0,
+                                               has_complement=True),
                   DelaySchedule.random_bounded(scn.patch_ids, 0, seed=7,
                                                update_prob=0.3,
                                                has_complement=True)):
@@ -190,33 +216,45 @@ def make_valid_table(rng, n_patches, max_delay, steps):
     return np.array(rows)
 
 
+def make_held_table(rng, n_patches, max_delay, steps):
+    """Ages drawn uniformly in [0, min(sigma + 1, D)]: they hold and drop
+    to any value, so the rows mostly break the reset-or-grow rule."""
+    rows = [np.zeros(n_patches, dtype=np.int64)]
+    for _ in range(steps - 1):
+        rows.append(rng.integers(0, np.minimum(rows[-1] + 1, max_delay) + 1))
+    return np.array(rows)
+
+
 def test_simulated_run_matches_a_handwritten_delay_loop(two_patch_thermal):
     scn = two_patch_thermal
     rng = np.random.default_rng(17)
-    table = make_valid_table(rng, len(scn.patch_ids), 2, steps=80)
-    sched = DelaySchedule.from_table(scn.patch_ids, 2, table,
-                                     has_complement=True)
+    reset = make_valid_table(rng, len(scn.patch_ids), 2, steps=80)
+    held = make_held_table(rng, len(scn.patch_ids), 2, steps=80)
+    assert np.any((held[1:] != 0) & (held[1:] != held[:-1] + 1))
     omega = 0.6
-    report = run_async_simulated(scn, omega, sched, tol=1e-10, max_iter=60)
+    for table in (reset, held):
+        sched = DelaySchedule.from_table(scn.patch_ids, 2, table,
+                                         has_complement=True)
+        report = run_async_simulated(scn, omega, sched, tol=1e-10,
+                                     max_iter=60)
 
-    # Reference loop written from the update rule alone: refresh the
-    # reactions of age-zero patches, reuse the rest, relax the load.
-    p = np.zeros(scn.gamma_dim)
-    cache = {}
-    for j, rec in enumerate(report.history):
-        u = scn.solve_interface(p)
-        for sid, age in zip(scn.patch_ids, table[j]):
-            if age == 0:
-                cache[sid] = interface_reaction(scn, sid, u)
-        r = -(interface_reaction(scn, 0, u) + sum(cache.values()))
-        assert np.array_equal(rec.p_gamma, p)
-        assert rec.residual_norm == float(np.linalg.norm(r))
-        p = p + omega * r
+        # Reference loop written from the update rule alone: keep every
+        # trace, take each patch's reaction at u_{j - sigma}, relax.
+        p = np.zeros(scn.gamma_dim)
+        traces = []
+        for j, rec in enumerate(report.history):
+            traces.append(scn.solve_interface(p))
+            r = -(interface_reaction(scn, 0, traces[j])
+                  + sum(interface_reaction(scn, sid, traces[j - age])
+                        for sid, age in zip(scn.patch_ids, table[j])))
+            assert np.array_equal(rec.p_gamma, p)
+            assert rec.residual_norm == float(np.linalg.norm(r))
+            p = p + omega * r
 
-    assert report.converged
-    for step in report.trace.steps:
-        assert step.sigma == {sid: int(a) for sid, a
-                              in zip(scn.patch_ids, table[step.index])}
+        assert report.converged
+        for step in report.trace.steps:
+            assert step.sigma == {sid: int(a) for sid, a
+                                  in zip(scn.patch_ids, table[step.index])}
 
 
 def test_simulated_run_counts_refreshes(chain):
@@ -248,6 +286,52 @@ def test_simulated_run_counts_refreshes(chain):
         for sid, n in zip(chain.patch_ids, refreshes[-1])}
     assert report.trace.rank_ids == (0,) + chain.patch_ids
     assert report.trace.steps is report.history
+    # A patch solves when its trace j - sigma moves: an age held from 1 to
+    # 1 reads a newer trace, one grown by 1 the same trace.
+    held = DelaySchedule.from_table(chain.patch_ids, 2,
+                                    [[0, 0], [1, 1], [1, 2], [0, 2]],
+                                    has_complement=True)
+    report = run_async_simulated(chain, 0.5, held, tol=1e-8, max_iter=3)
+    assert not report.converged
+    assert [step.solves for step in report.history] == [
+        {0: 1, 1: 1, 2: 1}, {0: 2, 1: 1, 2: 1}, {0: 3, 1: 2, 2: 1},
+        {0: 4, 1: 3, 2: 2}]
+
+
+def test_memory_follows_the_ages_used_not_the_bound(imbalanced_thermal):
+    # The reaction ring must not be sized by D: a bound of 10**9 is
+    # legal, and random ages at that bound stay small.
+    scn = imbalanced_thermal
+    _, alpha_max = generalized_alphas(scn)
+    peaks = []
+    for max_delay in (2, 10**9):
+        sched = DelaySchedule.random_bounded(scn.patch_ids, max_delay, seed=0)
+        tracemalloc.start()
+        try:
+            report = run_async_simulated(scn, 0.1 / alpha_max, sched,
+                                         max_iter=200)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 200
+    assert peaks[1] <= 2 * peaks[0]
+
+
+def test_fixed_row_bound_fails_a_switching_cycle(cube2_thermal):
+    # Patch 1 fresh at every step, the other seven at ages (0, 1, 2, 2)
+    # in phase: a cycle the threaded ranks may produce at D = 2.
+    # omega_D = 2 sin(pi/10)/alpha_max contracts every fixed age row but
+    # not this product; the switching bound 2/((2D+1) alpha_max) does.
+    scn = cube2_thermal
+    assert len(scn.patch_ids) == 8 and scn.complement is None
+    _, alpha_max = generalized_alphas(scn)
+    table = np.tile([0, 1, 2, 2], (8, 600)).T
+    table[:, 0] = 0
+    sched = DelaySchedule.from_table(scn.patch_ids, 2, table)
+    with pytest.raises(DivergenceError):
+        run_async_simulated(scn, 2.0 * sin(pi / 10) / alpha_max, sched)
+    assert run_async_simulated(scn, 0.99 * 2.0 / (5.0 * alpha_max),
+                               sched).converged
 
 
 def test_simulated_run_stops_on_a_fresh_residual(two_patch_thermal):
@@ -265,13 +349,15 @@ def test_simulated_run_stops_on_a_fresh_residual(two_patch_thermal):
 
 
 def test_simulated_run_validates_inputs(chain):
-    good = DelaySchedule.all_zero(chain.patch_ids, has_complement=True)
+    def fresh(patch_ids, has_complement=True):
+        return DelaySchedule.random_bounded(patch_ids, 0, seed=0,
+                                            has_complement=has_complement)
+
     with pytest.raises(ValueError):
-        run_async_simulated(chain, 0.0, good)
-    other_ids = DelaySchedule.all_zero((1, 2, 3), has_complement=True)
+        run_async_simulated(chain, 0.0, fresh(chain.patch_ids))
     with pytest.raises(ScheduleError):
-        run_async_simulated(chain, 0.5, other_ids)
-    no_complement = DelaySchedule.all_zero(chain.patch_ids)
+        run_async_simulated(chain, 0.5, fresh((1, 2, 3)))
+    no_complement = fresh(chain.patch_ids, has_complement=False)
     with pytest.raises(ScheduleError):
         run_async_simulated(chain, 0.5, no_complement)
 
@@ -403,6 +489,24 @@ def test_threaded_ages_stay_within_the_bound(imbalanced_thermal, max_delay):
                 assert min(ages) == 0
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threaded_ages_replay_through_the_simulator(imbalanced_thermal):
+    # Whatever ages the threads produced, their table replays the run.
+    scn = imbalanced_thermal
+    _, alpha_max = generalized_alphas(scn)
+    omega = 0.9 * 2.0 / (5.0 * alpha_max)
+    threaded = run_async_concurrent(scn, omega, max_delay=2)
+    table = [[rec.sigma[sid] for sid in scn.patch_ids]
+             for rec in threaded.history]
+    sched = DelaySchedule.from_table(
+        scn.patch_ids, 2, table, has_complement=scn.complement is not None)
+    replay = run_async_simulated(scn, omega, sched,
+                                 max_iter=threaded.iterations)
+    assert replay.converged == threaded.converged
+    assert [rec.residual_norm for rec in replay.history] \
+        == [rec.residual_norm for rec in threaded.history]
+    assert np.array_equal(replay.final_u_gamma, threaded.final_u_gamma)
 
 
 def test_starved_run_is_reported_as_livelock(two_patch_thermal):

@@ -1,9 +1,11 @@
 """Invariants of random bounded-delay schedules.
 
 Whatever the patch count, delay bound, refresh probability and seed, an
-age never exceeds the bound and never skips: each step it either resets
-to zero or grows by exactly one.  The complement is always fresh, so it
-has no column in the age table.
+age never exceeds the bound and never skips.  Reset-or-grow (each step
+an age either resets to zero or grows by exactly one) is a property of
+``random_bounded``'s draws; a table only needs an age to grow by at most
+one.  The complement is always fresh, so it has no column in the age
+table.
 """
 
 import numpy as np

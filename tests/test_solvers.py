@@ -208,13 +208,18 @@ def test_aitken_clamps_and_degenerate_cases():
 
 
 def test_driver_argument_validation(chain):
-    schedule = DelaySchedule.all_zero(chain.patch_ids, has_complement=True)
+    fresh, stale = (DelaySchedule.random_bounded(
+        chain.patch_ids, d, seed=0, has_complement=True) for d in (0, 3))
     drivers = {
         "sync-fixed": lambda **kw: richardson_sync(chain, **kw),
         "sync-aitken": lambda **kw: richardson_sync(
             chain, relaxation="aitken", **kw),
         "async-sim": lambda omega=0.5, **kw: run_async_simulated(
-            chain, omega, schedule, **kw),
+            chain, omega, fresh, **kw),
+        # The reaction ring a stale schedule keeps must not see a bad
+        # max_iter before the kernel rejects it.
+        "async-sim-D3": lambda omega=0.5, **kw: run_async_simulated(
+            chain, omega, stale, **kw),
         "async-concurrent": lambda omega=0.5, **kw: run_async_concurrent(
             chain, omega, **kw),
         "sync-concurrent": lambda **kw: run_sync_concurrent(chain, **kw),
