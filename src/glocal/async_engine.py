@@ -53,7 +53,7 @@ def _check_delay(max_delay, error: type[Exception] = ValueError):
         raise error("max_delay must be a non-negative integer")
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: equal only to itself
 class DelaySchedule:
     """Ages sigma(s, j) for every patch, bounded by ``max_delay``.
 

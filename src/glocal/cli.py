@@ -45,7 +45,9 @@ fixed-age-row bound omega_D for D <= 2, but above the switching-age bound
 Every run writes ``history.csv`` (one row per global step) and
 ``summary.csv``; the asynchronous variants add ``trace.csv`` with one row
 per (step, rank).  Wall-clock columns are the only non-reproducible
-content for the deterministic variants.
+content for the deterministic variants.  A suite builds each of its cases
+and solves its monolithic reference once; every variant of the case runs
+on that pair.
 """
 
 from __future__ import annotations
@@ -381,32 +383,39 @@ def run_case(cfg: RunConfig, *, scenario: CouplingScenario | None = None,
     reports its true distance to the coupled solution, not only the
     residual it happened to stop at.
     """
+    out_dir = cfg.out_dir if out_dir is None else out_dir
+    return _run_variants(cfg, scenario,
+                         [(cfg.variant, cfg.omega, out_dir)])[0]
+
+
+def _run_variants(base: RunConfig, scenario: CouplingScenario | None,
+                  runs) -> list[RunSummary]:
+    """Build the case unless given, solve its reference once, and run each
+    (variant, omega, out_dir) of ``runs`` on that pair."""
     if scenario is None:
-        scenario = build_case(cfg)
-    if out_dir is None:
-        out_dir = cfg.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    omega = resolve_omega(cfg, scenario)
-    report = _dispatch(cfg, scenario, omega)
-    reference = monolithic_reference(scenario)
-    err = (np.linalg.norm(report.final_u_gamma - reference.u_gamma)
-           / np.linalg.norm(reference.u_gamma))
-
-    solves = list(report.patch_solves.values()) or [0]
-    summary = RunSummary(
-        case=scenario.name, variant=report.variant,
-        iterations=report.iterations,
-        loc_solves_min=min(solves), loc_solves_max=max(solves),
-        wall_seconds=report.history[-1].wall_time,
-        rel_residual=report.final_relative_residual,
-        err_vs_oracle=float(err), converged=report.converged)
-
-    write_history(out_dir / "history.csv", report)
-    if report.trace is not None:
-        write_trace(out_dir / "trace.csv", scenario, report)
-    write_summary(out_dir / "summary.csv", [summary])
-    return summary
+        scenario = build_case(base)
+    reference = monolithic_reference(scenario).u_gamma
+    summaries = []
+    for variant, omega, out_dir in runs:
+        cfg = replace(base, variant=variant, omega=omega)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report = _dispatch(cfg, scenario, resolve_omega(cfg, scenario))
+        err = (np.linalg.norm(report.final_u_gamma - reference)
+               / np.linalg.norm(reference))
+        solves = list(report.patch_solves.values()) or [0]
+        summary = RunSummary(
+            case=scenario.name, variant=report.variant,
+            iterations=report.iterations,
+            loc_solves_min=min(solves), loc_solves_max=max(solves),
+            wall_seconds=report.history[-1].wall_time,
+            rel_residual=report.final_relative_residual,
+            err_vs_oracle=float(err), converged=report.converged)
+        write_history(out_dir / "history.csv", report)
+        if report.trace is not None:
+            write_trace(out_dir / "trace.csv", scenario, report)
+        write_summary(out_dir / "summary.csv", [summary])
+        summaries.append(summary)
+    return summaries
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +478,23 @@ def write_certificate(path: Path, report) -> None:
 # suites
 
 
+def _suite_cases(name: str, sizes: list[int]) -> list[tuple]:
+    """The cases of a suite: output tag, base config, (variant, omega)."""
+    if name == "paper-2d":
+        pairs = (("sync-fixed", 1.0), ("sync-aitken", "auto"),
+                 ("async-sim", "auto"), ("async-concurrent", "auto"))
+        return [(problem, RunConfig(problem=problem), pairs)
+                for problem in ("thermal", "elasticity")]
+    if name == "weak-scaling":
+        pairs = (("sync-aitken", "auto"), ("async-sim", "auto"))
+        return [(f"n{n}", RunConfig(geometry="cube-grid-3d", size=n), pairs)
+                for n in sizes]
+    pairs = (("sync-aitken", "auto"), ("async-concurrent", "auto"))
+    return [(tag, RunConfig(geometry="imbalanced-grid", balanced=balanced),
+             pairs) for tag, balanced in (("balanced", True),
+                                          ("imbalanced", False))]
+
+
 def run_suite(name: str, sizes: list[int] | None = None,
               out_dir: Path | None = None) -> list[RunSummary]:
     """Run a named batch of cases and write a combined summary.csv."""
@@ -479,44 +505,17 @@ def run_suite(name: str, sizes: list[int] | None = None,
                           f"not {name}")
     if name == "weak-scaling":
         sizes = sizes or [2, 3]
-        bad = [n for n in sizes if not 2 <= n <= MAX_CUBE_SIDE]
-        if bad:
-            raise ConfigError(f"weak-scaling sizes must lie in "
-                              f"[2, {MAX_CUBE_SIDE}], got {bad}")
+        if len(set(sizes)) != len(sizes) or not all(
+                2 <= n <= MAX_CUBE_SIDE for n in sizes):
+            raise ConfigError(f"weak-scaling sizes must be distinct and lie "
+                              f"in [2, {MAX_CUBE_SIDE}], got {sizes}")
     out_dir = Path(out_dir) if out_dir is not None else Path(f"suite-{name}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary] = []
-
-    if name == "paper-2d":
-        base = RunConfig(geometry="two-patch-2d")
-        for problem in ("thermal", "elasticity"):
-            for variant, omega in (("sync-fixed", 1.0),
-                                   ("sync-aitken", "auto"),
-                                   ("async-sim", "auto"),
-                                   ("async-concurrent", "auto")):
-                cfg = replace(base, problem=problem, variant=variant,
-                              omega=omega)
-                summaries.append(run_case(
-                    cfg, out_dir=out_dir / f"{problem}-{variant}"))
-
-    elif name == "weak-scaling":
-        for n in sizes:
-            base = RunConfig(problem="thermal", geometry="cube-grid-3d",
-                             size=n)
-            for variant in ("sync-aitken", "async-sim"):
-                cfg = replace(base, variant=variant)
-                summaries.append(run_case(
-                    cfg, out_dir=out_dir / f"n{n}-{variant}"))
-
-    else:  # imbalance
-        for tag, balanced in (("balanced", True), ("imbalanced", False)):
-            base = RunConfig(problem="thermal", geometry="imbalanced-grid",
-                             balanced=balanced)
-            for variant in ("sync-aitken", "async-concurrent"):
-                cfg = replace(base, variant=variant)
-                summaries.append(run_case(
-                    cfg, out_dir=out_dir / f"{tag}-{variant}"))
-
+    for tag, base, pairs in _suite_cases(name, sizes):
+        summaries += _run_variants(base, None, [
+            (variant, omega, out_dir / f"{tag}-{variant}")
+            for variant, omega in pairs])
     write_summary(out_dir / "summary.csv", summaries)
     return summaries
 

@@ -65,7 +65,7 @@ __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
            "certify_paracontraction"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equal only to itself
 class CompanionSystem:
     """Block companion matrix of one age row at relaxation omega."""
 
@@ -184,8 +184,8 @@ def relaxation_bounds(alpha_min: float, alpha_max: float,
     reported async factor is a sufficient bound only; certification gives
     the sharper, per-age-row answer.
     """
-    if not 0 < alpha_min <= alpha_max:
-        raise ValueError("need 0 < alpha_min <= alpha_max")
+    if not (isfinite(alpha_max) and 0 < alpha_min <= alpha_max):
+        raise ValueError("need 0 < alpha_min <= alpha_max < inf")
     _check_delay(max_delay)
     omega_sync = 2.0 / alpha_max
     if max_delay == 0:

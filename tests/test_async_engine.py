@@ -148,6 +148,18 @@ def test_replace_redraws_or_revalidates():
         replace(table, max_delay=1)
 
 
+def test_schedules_and_companions_compare_by_identity(chain):
+    # Records holding arrays are equal only to themselves: comparing two
+    # with equal contents is False, not a numpy truth-value error.
+    makers = [lambda: DelaySchedule.random_bounded((1, 2), 2, seed=0),
+              lambda: DelaySchedule.from_table((1, 2), 2, [[0, 0], [1, 0]]),
+              lambda: build_companion(chain, [0, 1], 0.5, 1)]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a
+        assert (a == b) is False and (a != b) is True
+
+
 def test_random_schedule_never_skips_and_respects_the_bound():
     for seed in range(4):
         sched = DelaySchedule.random_bounded((1, 2, 3), 3, seed=seed)

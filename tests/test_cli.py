@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from glocal import (ConfigError, DelaySchedule, cli, coupling,
-                    generalized_alphas, relaxation_bounds,
-                    run_async_simulated)
+                    generalized_alphas, monolithic_reference,
+                    relaxation_bounds, run_async_simulated)
 from glocal.cli import (
     RunConfig,
     build_case,
@@ -461,11 +461,17 @@ directory = {out}
     assert f"omega={expected!r}" in capsys.readouterr().out
 
 
-def test_suite_name_validation(tmp_path):
-    for sizes in ([5], [0], [1], [2, 5]):
+def test_suite_name_validation(tmp_path, capsys):
+    # A repeated size would run twice into the same output directories.
+    for sizes in ([5], [0], [1], [2, 5], [2, 2], [3, 2, 3]):
         with pytest.raises(ConfigError):
             run_suite("weak-scaling", sizes=sizes, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+    out = tmp_path / "cli"
+    assert main(["suite", "weak-scaling", "--sizes", "2", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "distinct" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         run_suite("everything", out_dir=tmp_path)
 
@@ -476,6 +482,66 @@ def test_sizes_outside_weak_scaling_are_rejected(tmp_path, capsys):
         assert main(["suite", name, "--sizes", "2", "--out", str(out)]) == 2
         assert not out.exists()
         assert "weak-scaling" in capsys.readouterr().err
+
+
+# Each suite's (case, variant) rows in order; weak-scaling runs sizes 3, 2.
+SUITE_ORDER = {
+    "paper-2d": [(f"two-patch-2d-{problem}", variant)
+                 for problem in ("thermal", "elasticity")
+                 for variant in ("sync-fixed", "sync-aitken", "async-sim",
+                                 "async-concurrent")],
+    "weak-scaling": [(f"cube-grid-3d-thermal-n{n}", variant) for n in (3, 2)
+                     for variant in ("sync-aitken", "async-sim")],
+    "imbalance": [(f"grid-3d-thermal-{tag}", variant)
+                  for tag in ("balanced-r2", "imbalanced-s0")
+                  for variant in ("sync-aitken", "async-concurrent")],
+}
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_suites_build_and_reference_each_case_once(tmp_path, monkeypatch,
+                                                   name):
+    built, referenced = [], []
+
+    def counted_build(cfg):
+        built.append(build_case(cfg))
+        return built[-1]
+
+    def counted_reference(scenario):
+        referenced.append(scenario)
+        return monolithic_reference(scenario)
+
+    monkeypatch.setattr(cli, "build_case", counted_build)
+    monkeypatch.setattr(cli, "monolithic_reference", counted_reference)
+    sizes = [3, 2] if name == "weak-scaling" else None
+    summaries = run_suite(name, sizes=sizes, out_dir=tmp_path)
+    cases = list(dict.fromkeys(case for case, _ in SUITE_ORDER[name]))
+    assert [scn.name for scn in built] == cases
+    assert list(map(id, referenced)) == list(map(id, built))
+    assert [(s.case, s.variant) for s in summaries] == SUITE_ORDER[name]
+    assert [tuple(row[:2]) for row in read_csv(tmp_path / "summary.csv")[1:]] \
+        == SUITE_ORDER[name]
+
+
+def test_suite_variants_write_what_fresh_single_runs_write(tmp_path):
+    # Variants sharing one scenario and one reference write the bytes each
+    # writes alone on a fresh build, apart from the wall-clock column.
+    run_suite("paper-2d", out_dir=tmp_path / "suite")
+    for variant, omega in (("sync-fixed", 1.0), ("sync-aitken", "auto"),
+                           ("async-sim", "auto")):
+        alone = tmp_path / variant
+        run_case(RunConfig(variant=variant, omega=omega), out_dir=alone)
+        shared = tmp_path / "suite" / f"thermal-{variant}"
+        for name, wall in (("history.csv", 3), ("summary.csv", 5)):
+            rows = [read_csv(d / name) for d in (shared, alone)]
+            for table in rows:
+                for row in table:
+                    del row[wall]
+            assert rows[0] == rows[1]
+        traces = [d / "trace.csv" for d in (shared, alone)]
+        assert [t.exists() for t in traces] == [variant == "async-sim"] * 2
+        if variant == "async-sim":
+            assert traces[0].read_bytes() == traces[1].read_bytes()
 
 
 def test_paper_2d_suite_end_to_end(tmp_path):
@@ -502,8 +568,9 @@ def trace_max_age(path):
 def test_imbalance_suite_end_to_end(tmp_path):
     # Balanced and imbalanced grids, each with sync-aitken and
     # async-concurrent.  The concurrent rows run at the default delay
-    # bound of 2, inside which their auto relaxation contracts, so every
-    # row must converge.
+    # bound of 2, where their auto relaxation 0.5/alpha_max lies above
+    # the switching-age bound 2/(5 alpha_max): these runs converge, but
+    # no bound proves that they must.
     summaries = run_suite("imbalance", out_dir=tmp_path)
     assert len(summaries) == 4
     assert len(read_csv(tmp_path / "summary.csv")) == 5

@@ -64,6 +64,11 @@ def test_relaxation_bounds_validation():
         relaxation_bounds(1.0, 1.0, -1)
     with pytest.raises(ValueError):
         relaxation_bounds(0.5, 1.0, 1.5)
+    for alpha_min, alpha_max in ((1.0, float("inf")),
+                                 (float("inf"), float("inf")),
+                                 (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            relaxation_bounds(alpha_min, alpha_max, 1)
     assert relaxation_bounds(0.5, 1.0, np.int64(2)).max_delay == 2
 
 
