@@ -97,6 +97,7 @@ class DelaySchedule:
         if not np.all(np.isfinite(table) & (table == np.round(table))):
             raise ScheduleError("table ages must be integers")
         self.table = self._rows = table = table.astype(np.int64)
+        table.flags.writeable = False  # a run's history keeps its rows
         if np.any(table[0] != 0):
             raise ScheduleError("ages at step 0 must all be zero "
                                 "(warm-up sweep)")

@@ -428,33 +428,38 @@ def _fmt(value) -> str:
 
 
 def write_history(path: Path, report: SolveReport):
+    history = report.history
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "residual_norm", "omega",
                          "wall_seconds"])
-        for rec in report.history:
-            writer.writerow([rec.index, _fmt(rec.residual_norm),
-                             _fmt(rec.omega), _fmt(rec.wall_time)])
+        # Ints and float reprs, which csv never quotes, joined directly.
+        end = writer.dialect.lineterminator
+        fh.writelines(f"{j},{_fmt(r)},{_fmt(w)},{_fmt(t)}{end}"
+                      for j, (r, w, t) in enumerate(zip(
+                          history.residual_norm, history.omega,
+                          history.wall_time)))
 
 
 def write_trace(path: Path, scenario: CouplingScenario, report: SolveReport):
     """One row per (step, rank): ages seen by the step, solves of the rank."""
-    trace = report.trace
-    sigma_cols = [f"sigma_{sid}" for sid in scenario.subdomain_ids]
+    history, ids = report.history, scenario.subdomain_ids
+    # The complement's age column reads 0; rank 0 has solved j + 1 times.
+    ages = np.zeros((len(history), len(ids)), dtype=np.int64)
+    ages[:, [ids.index(sid) for sid in history.patch_ids]] = history.sigma
+    solves = np.column_stack([np.arange(1, len(history) + 1), history.solves])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "rank", *sigma_cols, "residual_norm",
-                         "omega", "solves_rank"])
+        writer.writerow(["step", "rank", *(f"sigma_{sid}" for sid in ids),
+                         "residual_norm", "omega", "solves_rank"])
         # Every field is an int or a float repr, which csv never quotes, so
         # the columns a step shares across its rank rows are joined once.
         end = writer.dialect.lineterminator
-        for step in trace.steps:
-            shared = ",".join([*(str(step.sigma.get(sid, 0))
-                                 for sid in scenario.subdomain_ids),
-                               _fmt(step.residual_norm), _fmt(step.omega)])
-            fh.writelines(f"{step.index},{rank},{shared},"
-                          f"{step.solves.get(rank, 0)}{end}"
-                          for rank in trace.rank_ids)
+        for j, (row, counts) in enumerate(zip(ages.tolist(), solves.tolist())):
+            shared = ",".join([*map(str, row), _fmt(history.residual_norm[j]),
+                               _fmt(history.omega[j])])
+            fh.writelines(f"{j},{rank},{shared},{n}{end}"
+                          for rank, n in zip(report.trace.rank_ids, counts))
 
 
 def write_summary(path: Path, summaries: list[RunSummary]):
@@ -504,11 +509,11 @@ def run_suite(name: str, sizes: list[int] | None = None,
         raise ConfigError(f"sizes apply to the weak-scaling suite only, "
                           f"not {name}")
     if name == "weak-scaling":
-        sizes = sizes or [2, 3]
-        if len(set(sizes)) != len(sizes) or not all(
+        sizes = [2, 3] if sizes is None else sizes
+        if not sizes or len(set(sizes)) != len(sizes) or not all(
                 2 <= n <= MAX_CUBE_SIDE for n in sizes):
-            raise ConfigError(f"weak-scaling sizes must be distinct and lie "
-                              f"in [2, {MAX_CUBE_SIDE}], got {sizes}")
+            raise ConfigError(f"weak-scaling takes one or more distinct "
+                              f"sizes in [2, {MAX_CUBE_SIDE}], got {sizes}")
     out_dir = Path(out_dir) if out_dir is not None else Path(f"suite-{name}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary] = []

@@ -124,7 +124,8 @@ def condense(system: AssembledSystem, interface_dofs,
         raise ValueError("interface dofs contain duplicates")
     if iface.size and (iface.min() < 0 or iface.max() >= n):
         raise ValueError("interface dof out of range")
-    if transfer is None:
+    identity = transfer is None
+    if identity:
         transfer = sp.identity(len(iface), format="csr")
 
     interior = np.setdiff1d(np.arange(n), iface)
@@ -134,20 +135,24 @@ def condense(system: AssembledSystem, interface_dofs,
     k_ii = k[interior][:, interior].tocsc()
     # J is applied as a dense array: sparse-sparse products cost more at
     # these sizes, so only the bordered path forms the sparse J^T K_gi.
-    jd = transfer.toarray()
-    k_gg = jd.T @ (k_g[:, iface] @ jd)
+    jd = None if identity else transfer.toarray()
+    k_gg = k_g[:, iface].toarray() if identity \
+        else jd.T @ (k_g[:, iface] @ jd)
     schur, rhs = k_gg, f[iface]
     if interior.size:
         factor = _factor_spd(k_ii, label)
         rhs = rhs - k_gi @ factor.solve(f[interior])
         m, schur = len(k_gg), None
         if m * min(factor.nnz, m * interior.size) >= _BORDERED_WORK:
-            schur = _bordered_schur(k_ii, (transfer.T @ k_gi).tocsr(),
-                                    factor.perm_c, k_gg)
+            border = k_gi if identity else (transfer.T @ k_gi).tocsr()
+            schur = _bordered_schur(k_ii, border, factor.perm_c, k_gg)
         if schur is None:
             # K_ii^{-1} K_ig J as one multi-rhs sweep through the factor.
-            schur = k_gg - jd.T @ (k_gi @ factor.solve(k_gi.T @ jd))
-    return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=jd.T @ rhs,
+            k_ig = k_gi.T.toarray() if identity else k_gi.T @ jd
+            coupled = k_gi @ factor.solve(k_ig)
+            schur = k_gg - (coupled if identity else jd.T @ coupled)
+    rhs = rhs if identity else jd.T @ rhs
+    return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=rhs,
                              interface_dofs=iface, interior_dofs=interior,
                              transfer=transfer, system=system)
 

@@ -13,9 +13,9 @@ reaction is when it enters r_j (the bounded-delay model): the synchronous
 drivers here take every reaction fresh, the asynchronous ones in
 :mod:`glocal.async_engine` read cached or concurrently computed ones.
 :func:`_iterate` is that loop, written once; a reaction source supplies
-r_j.  With a fixed relaxation the iteration is Richardson on an
-SPD-similar operator; the ``aitken`` mode rescales omega each step from
-the last two residuals.
+r_j, and a run's steps are kept as columns.  With a fixed relaxation the
+iteration is Richardson on an SPD-similar operator; the ``aitken`` mode
+rescales omega each step from the last two residuals.
 
 Convergence is declared when ||r_j|| <= tol * ||r_0||, with a floor at
 the residual's own roundoff so that an initial residual at that level
@@ -36,6 +36,7 @@ which makes it the oracle the iterative variants are checked against.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -48,9 +49,9 @@ from .coupling import CouplingScenario, patch_reactions, scatter_residual
 from .coupling import interface_reaction  # noqa: F401
 from .errors import DivergenceError, StagnationError
 
-__all__ = ["IterationRecord", "SolveReport", "ReferenceSolution",
-           "compute_residual", "aitken_update", "stop_threshold",
-           "richardson_sync", "monolithic_reference"]
+__all__ = ["IterationRecord", "RunHistory", "SolveReport",
+           "ReferenceSolution", "compute_residual", "aitken_update",
+           "stop_threshold", "richardson_sync", "monolithic_reference"]
 
 DIVERGENCE_FACTOR = 1e6
 OMEGA_CAP = 10.0
@@ -102,12 +103,42 @@ class IterationRecord:
     solves: dict[int, int] | None = None
 
 
+class RunHistory(Sequence):
+    """The steps of one run as columns, read only as a list of records:
+    ``history[j]`` builds step j's :class:`IterationRecord`, and slices and
+    ``+`` give lists.  ``sigma`` and ``solves``, the age rows and solve
+    counts over ``patch_ids``, stay empty on untraced runs."""
+
+    def __init__(self, patch_ids: tuple[int, ...]):
+        self.patch_ids = patch_ids
+        self.p_gamma, self.residual_norm, self.omega = [], [], []
+        self.wall_time, self.sigma, self.solves = [], [], []
+
+    def __len__(self) -> int:
+        return len(self.residual_norm)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[k] for k in range(len(self))[j]]
+        j = range(len(self))[j]  # negative or out of range as on a list
+        ids, sigma, solves = self.patch_ids, None, None
+        if self.sigma:
+            sigma = dict(zip(ids, self.sigma[j].tolist()))
+            solves = dict(zip((0,) + ids, [j + 1, *self.solves[j].tolist()]))
+        return IterationRecord(j, self.p_gamma[j], self.residual_norm[j],
+                               self.omega[j], self.wall_time[j], sigma,
+                               solves)
+
+    def __add__(self, other):
+        return [*self, *other]
+
+
 @dataclass
 class AsyncTrace:
     """The records of an asynchronous run: ``steps`` is the report's
     ``history`` itself, ``rank_ids`` the keys of every ``solves``."""
 
-    steps: list[IterationRecord]
+    steps: RunHistory
     rank_ids: tuple[int, ...]
 
 
@@ -121,7 +152,7 @@ class SolveReport:
     """
 
     converged: bool
-    history: list[IterationRecord]
+    history: RunHistory
     final_u_gamma: np.ndarray
     patch_solves: dict[int, int]
     variant: str
@@ -187,7 +218,8 @@ class _Reactions:
     taken at u itself, the confirmation of a stale residual that passed.
     ``solves`` counts the reactions each patch has solved so far, also
     over the stack, confirmations included.  Sources that run threads
-    start them on ``__enter__`` and stop them on ``__exit__``.
+    start them on ``__enter__`` and stop them on ``__exit__``; none
+    writes an age row it has returned, which the kernel keeps.
     """
 
     def __init__(self, scenario: CouplingScenario):
@@ -220,8 +252,10 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
     run stops only if that one passes too; otherwise it carries on with
     the stale residual.  The source answers that confirmation: one solve
     per patch in the simulator, in parallel on the threaded ranks.
-    ``traced`` runs fill every record's ``sigma`` and ``solves`` and
-    attach an :class:`AsyncTrace`; their source must return ages.
+    Each step is appended to the :class:`RunHistory` columns; no record or
+    dict is built in the loop.  ``traced`` runs keep ages and solve counts
+    there too and attach an :class:`AsyncTrace`; their source must return
+    ages.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
@@ -234,10 +268,8 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
 
     aitken = relaxation == "aitken"
     w = 1.0 if aitken else float(omega)
-    rank_ids = (0,) + scenario.patch_ids
     p = np.zeros(scenario.gamma_dim)
-    history: list[IterationRecord] = []
-    sigma = solves = None
+    history = RunHistory(scenario.patch_ids)
     r_prev: np.ndarray | None = None
     converged = False
     t0 = perf_counter()
@@ -253,14 +285,14 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
             stop = rn <= threshold
             if stop and ages is not None and ages.any():
                 stop = float(np.linalg.norm(source.fresh(j, u))) <= threshold
-            if traced:
-                sigma = dict(zip(scenario.patch_ids, ages.tolist()))
-                solves = dict(zip(rank_ids,
-                                  [j + 1, *source.solves.tolist()]))
             # p is rebound each step, never written in place: no copy.
-            history.append(IterationRecord(
-                index=j, p_gamma=p, residual_norm=rn, omega=w,
-                wall_time=perf_counter() - t0, sigma=sigma, solves=solves))
+            history.p_gamma.append(p)
+            history.residual_norm.append(rn)
+            history.omega.append(w)
+            history.wall_time.append(perf_counter() - t0)
+            if traced:
+                history.sigma.append(ages)
+                history.solves.append(source.solves.copy())
             if stop:
                 converged = True
                 break
@@ -273,7 +305,7 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
             p = p + w * r
             r_prev = r
 
-    trace = AsyncTrace(steps=history, rank_ids=rank_ids) if traced else None
+    trace = AsyncTrace(history, (0,) + scenario.patch_ids) if traced else None
     return SolveReport(converged=converged, history=history,
                        final_u_gamma=u,
                        patch_solves=dict(zip(scenario.patch_ids,

@@ -476,6 +476,15 @@ def test_suite_name_validation(tmp_path, capsys):
         run_suite("everything", out_dir=tmp_path)
 
 
+def test_empty_weak_scaling_sizes_are_rejected(tmp_path, monkeypatch):
+    # An empty list is not "no sizes given": it must not run the defaults.
+    monkeypatch.setattr(cli, "_run_variants", lambda *args: pytest.fail(
+        "a case ran"))
+    with pytest.raises(ConfigError, match="one or more"):
+        run_suite("weak-scaling", sizes=[], out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sizes_outside_weak_scaling_are_rejected(tmp_path, capsys):
     for name in ("paper-2d", "imbalance"):
         out = tmp_path / name

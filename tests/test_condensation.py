@@ -338,3 +338,31 @@ def test_bordered_order_is_checked(monkeypatch):
     system = dense_system(chain_matrix(7), np.linspace(1.0, 2.0, 7))
     assert_matches_oracle(system, np.array([3]))
     assert results == [None]
+
+
+@pytest.mark.parametrize("build", [
+    chain_1d, lambda: two_patch_2d("thermal"),
+    lambda: two_patch_2d("elasticity"), lambda: cube_grid_3d(2, "thermal")])
+def test_identity_transfer_is_not_applied(build, monkeypatch):
+    # Every global part and the complement condense with transfer=None;
+    # that must give what an explicit identity J gives, on both paths.
+    calls = []
+
+    def spy(system, iface, label="", transfer=None):
+        if transfer is None:
+            calls.append((system, iface))
+        return condense(system, iface, label, transfer=transfer)
+
+    monkeypatch.setattr(coupling, "condense", spy)
+    build()
+    assert calls
+    for work in (condensation._BORDERED_WORK, 0):
+        monkeypatch.setattr(condensation, "_BORDERED_WORK", work)
+        for system, iface in calls:
+            plain = condense(system, iface)
+            explicit = condense(system, iface,
+                                transfer=sp.identity(len(iface), format="csr"))
+            assert plain.schur.flags.c_contiguous
+            assert rel_diff(plain.schur, explicit.schur) <= 1e-12
+            assert rel_diff(plain.rhs, explicit.rhs) <= 1e-12
+            assert (plain.transfer != explicit.transfer).nnz == 0
