@@ -21,7 +21,7 @@ patch stack, and keeps every age at most a bound D (None: unbounded).
 Its ages come from thread timing, and the ones a run records replay
 through the simulator to the same numbers.  ``run_sync_concurrent`` is
 D = 0 and reproduces :func:`glocal.solvers.richardson_sync`, untraced
-like it; asynchronous runs keep ages and solves in an :class:`AsyncTrace`.
+like it; an asynchronous run's ages and solves read as an :class:`AsyncTrace`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 from .coupling import CouplingScenario, patch_reactions, scatter_residual
 from .coupling import interface_reaction  # noqa: F401
 from .errors import LivelockError, ScheduleError
-from .solvers import (AsyncTrace, SolveReport, _is_int, _iterate,
-                      _Reactions)
+from .solvers import (AsyncTrace, SolveReport, _check_delay, _is_int,
+                      _iterate, _Reactions)
 
 __all__ = ["DelaySchedule", "AsyncTrace", "run_async_simulated",
            "run_async_concurrent", "run_sync_concurrent"]
@@ -46,11 +46,6 @@ __all__ = ["DelaySchedule", "AsyncTrace", "run_async_simulated",
 # delay schedules
 
 _BLOCK = 256  # steps of a random-bounded schedule drawn at once
-
-
-def _check_delay(max_delay, error: type[Exception] = ValueError):
-    if not _is_int(max_delay) or max_delay < 0:
-        raise error("max_delay must be a non-negative integer")
 
 
 @dataclass(eq=False)  # array fields: equal only to itself

@@ -43,11 +43,11 @@ fixed-age-row bound omega_D for D <= 2, but above the switching-age bound
 2/((2D+1) alpha_max) from the default D = 2, so that run has no proof.
 
 Every run writes ``history.csv`` (one row per global step) and
-``summary.csv``; the asynchronous variants add ``trace.csv`` with one row
-per (step, rank).  Wall-clock columns are the only non-reproducible
-content for the deterministic variants.  A suite builds each of its cases
-and solves its monolithic reference once; every variant of the case runs
-on that pair.
+``summary.csv``; the asynchronous variants add ``trace.csv``, one row per
+step with each patch's age and solves so far.  Wall-clock columns are
+the only non-reproducible content for the deterministic variants.  A
+suite builds each of its cases and solves its monolithic reference once;
+every variant of the case runs on that pair.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import argparse
 import csv
 import math
 import sys
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -67,7 +67,8 @@ from .async_engine import (DelaySchedule, run_async_concurrent,
 from .coupling import CouplingScenario
 from .errors import ConfigError, GlocalError
 from .scenarios import cube_grid_3d, imbalanced_grid, two_patch_2d
-from .solvers import SolveReport, monolithic_reference, richardson_sync
+from .solvers import (SolveReport, _check_omega, monolithic_reference,
+                      richardson_sync)
 from .spectral import (certify_paracontraction, generalized_alphas,
                        relaxation_bounds)
 
@@ -149,10 +150,7 @@ class RunSummary:
 def _parse_omega(text: str) -> float | str:
     if text.strip().lower() == "auto":
         return "auto"
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError("omega must be finite and positive")
-    return value
+    return _check_omega(float(text))
 
 
 def _parse_rank_count(text: str) -> int | None:
@@ -203,8 +201,12 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse and validate an INI config; every problem is reported by name."""
     path = Path(path)
     parser = ConfigParser(interpolation=None)
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+    except (ConfigParserError, UnicodeDecodeError) as err:
+        raise ConfigError(f"invalid config {path}: "
+                          f"{str(err).splitlines()[0]}") from None
 
     problems: list[str] = []
     values: dict[str, object] = {}
@@ -299,12 +301,9 @@ def resolve_contrast(cfg: RunConfig) -> float:
 
 
 def build_case(cfg: RunConfig) -> CouplingScenario:
-    """Instantiate the configured scenario, enforcing the size caps.
-
-    O(1) bounds on ``size`` and ``refine`` come first, so no oversized
-    mesh is ever allocated; ``build_scenario`` then checks the exact
-    coupled unknown count against its cap before assembling anything.
-    """
+    """Instantiate the configured scenario, enforcing the size caps (see
+    the module docstring): the O(1) bounds first, then ``build_scenario``'s
+    exact count."""
     if cfg.geometry == "two-patch-2d":
         bounds = [("size", cfg.size, MAX_SIZE_2D),
                   ("size*refine", cfg.size * cfg.refine, MAX_SIZE_REFINE_2D)]
@@ -343,9 +342,7 @@ def resolve_omega(cfg: RunConfig, scenario: CouplingScenario) -> float:
         return 0.9 * (2.0 / alpha_max)
     if cfg.variant == "async-sim":
         bounds = relaxation_bounds(alpha_min, alpha_max, cfg.max_delay)
-        if bounds.omega_async_factor is None:
-            return 0.9 * bounds.omega_sync
-        return 0.9 * bounds.omega_async_factor
+        return 0.9 * (bounds.omega_async_factor or bounds.omega_sync)
     # async-concurrent: a quarter of sync, unproved for switching ages.
     return 0.25 * (2.0 / alpha_max)
 
@@ -427,39 +424,29 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_history(path: Path, report: SolveReport):
-    history = report.history
+def _write_rows(path: Path, header, rows):
+    """A header and rows of ints, bools and float reprs, which csv never
+    quotes, so each row is joined directly."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual_norm", "omega",
-                         "wall_seconds"])
-        # Ints and float reprs, which csv never quotes, joined directly.
-        end = writer.dialect.lineterminator
-        fh.writelines(f"{j},{_fmt(r)},{_fmt(w)},{_fmt(t)}{end}"
-                      for j, (r, w, t) in enumerate(zip(
-                          history.residual_norm, history.omega,
-                          history.wall_time)))
+        fh.writelines(",".join(map(str, row)) + "\r\n"
+                      for row in [header, *rows])
+
+
+def write_history(path: Path, report: SolveReport):
+    h = report.history
+    _write_rows(path, ["iteration", "residual_norm", "omega", "wall_seconds"],
+                ((j, _fmt(r), _fmt(w), _fmt(t)) for j, (r, w, t) in
+                 enumerate(zip(h.residual_norm, h.omega, h.wall_time))))
 
 
 def write_trace(path: Path, scenario: CouplingScenario, report: SolveReport):
-    """One row per (step, rank): ages seen by the step, solves of the rank."""
-    history, ids = report.history, scenario.subdomain_ids
-    # The complement's age column reads 0; rank 0 has solved j + 1 times.
-    ages = np.zeros((len(history), len(ids)), dtype=np.int64)
-    ages[:, [ids.index(sid) for sid in history.patch_ids]] = history.sigma
-    solves = np.column_stack([np.arange(1, len(history) + 1), history.solves])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "rank", *(f"sigma_{sid}" for sid in ids),
-                         "residual_norm", "omega", "solves_rank"])
-        # Every field is an int or a float repr, which csv never quotes, so
-        # the columns a step shares across its rank rows are joined once.
-        end = writer.dialect.lineterminator
-        for j, (row, counts) in enumerate(zip(ages.tolist(), solves.tolist())):
-            shared = ",".join([*map(str, row), _fmt(history.residual_norm[j]),
-                               _fmt(history.omega[j])])
-            fh.writelines(f"{j},{rank},{shared},{n}{end}"
-                          for rank, n in zip(report.trace.rank_ids, counts))
+    """One row per step: the age of every patch reaction in its residual,
+    then every patch's solves so far, both over ``patch_ids``."""
+    history, ids = report.history, scenario.patch_ids
+    _write_rows(path, ["step", *(f"sigma_{sid}" for sid in ids),
+                       *(f"solves_{sid}" for sid in ids)],
+                np.column_stack([np.arange(len(history)), history.sigma,
+                                 history.solves]).tolist())
 
 
 def write_summary(path: Path, summaries: list[RunSummary]):
@@ -471,12 +458,9 @@ def write_summary(path: Path, summaries: list[RunSummary]):
 
 
 def write_certificate(path: Path, report) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "max_delay", "omega", "rho", "pass"])
-        for trial, rho in enumerate(report.rhos):
-            writer.writerow([trial, report.max_delay, _fmt(report.omega),
-                             _fmt(rho), rho < 1.0])
+    _write_rows(path, ["trial", "max_delay", "omega", "rho", "pass"],
+                ((trial, report.max_delay, _fmt(report.omega), _fmt(rho),
+                  rho < 1.0) for trial, rho in enumerate(report.rhos)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +544,9 @@ def _cmd_certify(args) -> int:
     cfg = load_config(args.config)
     scenario = build_case(cfg)
     max_delay = cfg.max_delay if args.max_delay is None else args.max_delay
-    if args.omega is not None:
-        omega = args.omega
-    else:
-        delayed = replace(cfg, variant="async-sim", omega="auto",
-                          max_delay=max_delay)
-        omega = resolve_omega(delayed, scenario)
+    omega = resolve_omega(replace(
+        cfg, variant="async-sim", max_delay=max_delay,
+        omega="auto" if args.omega is None else args.omega), scenario)
     report = certify_paracontraction(scenario, omega, max_delay,
                                      trials=args.trials, seed=args.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -65,6 +65,17 @@ def _is_int(value) -> bool:
         and not isinstance(value, bool)
 
 
+def _check_omega(omega: float) -> float:
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError("omega must be finite and positive")
+    return omega
+
+
+def _check_delay(max_delay, error: type[Exception] = ValueError):
+    if not _is_int(max_delay) or max_delay < 0:
+        raise error("max_delay must be a non-negative integer")
+
+
 def stop_threshold(scenario: "CouplingScenario", tol: float,
                    r0_norm: float) -> float:
     """Residual norm below which an iteration counts as converged.
@@ -85,14 +96,11 @@ def stop_threshold(scenario: "CouplingScenario", tol: float,
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State after one global solve.
-
-    Asynchronous runs also record ``sigma``, the age of every patch
-    reaction in the step's residual (keyed by subdomain id), and
-    ``solves``, the cumulative solves per rank: rank 0 is the global model
-    (it owns the complement reaction), patch ranks are keyed by subdomain
-    id.  Both are None on untraced runs.
-    """
+    """State after one global solve.  Traced runs also record ``sigma``,
+    the age of every patch reaction in the step's residual, and ``solves``,
+    the cumulative solves per rank: rank 0 is the global model (it owns
+    the complement reaction), patch ranks and ages are keyed by subdomain
+    id.  Both are None on untraced runs."""
 
     index: int
     p_gamma: np.ndarray
@@ -139,24 +147,28 @@ class AsyncTrace:
     ``history`` itself, ``rank_ids`` the keys of every ``solves``."""
 
     steps: RunHistory
-    rank_ids: tuple[int, ...]
+
+    @property
+    def rank_ids(self) -> tuple[int, ...]:
+        return (0,) + self.steps.patch_ids
 
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run: one :class:`IterationRecord` per step.
-
-    Asynchronous variants attach an :class:`AsyncTrace` over the same
-    records; synchronous runs leave it None.  ``patch_solves`` counts
-    every patch reaction solved, confirmation solves included.
-    """
+    """Outcome of one solver run: one :class:`IterationRecord` per step,
+    also read as a ``trace`` when the history keeps ages (asynchronous
+    variants).  ``patch_solves`` counts every patch reaction solved,
+    confirmation solves included."""
 
     converged: bool
     history: RunHistory
     final_u_gamma: np.ndarray
     patch_solves: dict[int, int]
     variant: str
-    trace: AsyncTrace | None = None
+
+    @property
+    def trace(self) -> AsyncTrace | None:
+        return AsyncTrace(self.history) if self.history.sigma else None
 
     @property
     def iterations(self) -> int:
@@ -245,20 +257,17 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
              traced: bool) -> SolveReport:
     """Run the relaxed interface iteration with residuals from ``source``.
 
-    ``relaxation`` is "fixed" (constant omega) or "aitken" (omega re-fitted
-    each step, starting from 1.0 regardless of the omega argument).  When
-    a residual holding reactions of age > 0 passes the stop test, the
-    residual at the same trace is recomputed from fresh reactions and the
-    run stops only if that one passes too; otherwise it carries on with
-    the stale residual.  The source answers that confirmation: one solve
-    per patch in the simulator, in parallel on the threaded ranks.
-    Each step is appended to the :class:`RunHistory` columns; no record or
-    dict is built in the loop.  ``traced`` runs keep ages and solve counts
-    there too and attach an :class:`AsyncTrace`; their source must return
-    ages.
+    ``relaxation`` is as in :func:`richardson_sync`.  When a residual
+    holding reactions of age > 0 passes the stop test, the residual at the
+    same trace is recomputed from fresh reactions and the run stops only
+    if that one passes too; otherwise it carries on with the stale
+    residual.  The source answers that confirmation: one solve per patch
+    in the simulator, in parallel on the threaded ranks.  Each step is
+    appended to the :class:`RunHistory` columns; no record, dict or trace
+    is built in the loop.  ``traced`` runs keep ages and solve counts
+    there too; their source must return ages.
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError("omega must be finite and positive")
+    _check_omega(omega)
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
     if not _is_int(max_iter) or max_iter < 0:
@@ -305,12 +314,11 @@ def _iterate(scenario: CouplingScenario, source: _Reactions, omega: float,
             p = p + w * r
             r_prev = r
 
-    trace = AsyncTrace(history, (0,) + scenario.patch_ids) if traced else None
     return SolveReport(converged=converged, history=history,
                        final_u_gamma=u,
                        patch_solves=dict(zip(scenario.patch_ids,
                                              source.solves.tolist())),
-                       variant=variant, trace=trace)
+                       variant=variant)
 
 
 def richardson_sync(scenario: CouplingScenario, omega: float = 1.0,

@@ -45,19 +45,20 @@ symmetric L^T X L^{-T}, where S_G = L L^T.  ``2 / alpha_max``
 is sharp for the synchronous iteration; the delayed factor
 ``(1-eps)^D alpha_min / ((1+eps)^(2D) alpha_max^2)`` with
 ``eps = min(sin(pi/(3D)), 1/2)`` is sufficient, not sharp, so the
-certificate usually admits noticeably larger omega.
+certificate usually admits noticeably larger omega.  Each record here
+keeps only what was computed and derives the rest on read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi, sin
+from functools import cached_property
+from math import inf, pi, sin
 
 import numpy as np
 
-from .async_engine import _check_delay
 from .coupling import CouplingScenario
-from .solvers import _is_int
+from .solvers import _check_delay, _check_omega, _is_int
 
 __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
            "build_companion", "spectral_radius",
@@ -67,43 +68,90 @@ __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
 
 @dataclass(frozen=True, eq=False)  # array fields: equal only to itself
 class CompanionSystem:
-    """Block companion matrix of one age row at relaxation omega."""
+    """Block companion matrix of one age row at relaxation omega: the
+    blocks are kept as read-only views, and ``matrix`` is built from them
+    on first read."""
 
     omega: float
-    max_delay: int
-    gamma_dim: int
     blocks: tuple[np.ndarray, ...]   # X_0 .. X_D
-    matrix: np.ndarray               # (D+1)*gamma_dim square
+
+    def __post_init__(self):
+        blocks = tuple(np.asarray(x).view() for x in self.blocks)
+        for x in blocks:
+            x.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def max_delay(self) -> int:
+        return len(self.blocks) - 1
+
+    @property
+    def gamma_dim(self) -> int:
+        return self.blocks[0].shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n = self.gamma_dim
+        matrix = np.eye((self.max_delay + 1) * n, k=-n)
+        matrix[:n] = -self.omega * np.hstack(self.blocks)
+        matrix[:n, :n] += np.eye(n)
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Relaxation bounds derived from the generalized spectrum.
-
-    ``omega_async_factor`` (and ``epsilon``) are None for max_delay = 0,
-    where the synchronous bound is the whole story.
-    """
+    """Relaxation bounds of one delay bound (see the module docstring);
+    ``epsilon`` and ``omega_async_factor`` are None at max_delay = 0."""
 
     alpha_min: float
     alpha_max: float
     max_delay: int
-    epsilon: float | None
-    omega_sync: float
-    omega_async_factor: float | None
+
+    def __post_init__(self):
+        if not 0 < self.alpha_min <= self.alpha_max < inf:
+            raise ValueError("need 0 < alpha_min <= alpha_max < inf")
+        _check_delay(self.max_delay)
+
+    @property
+    def epsilon(self) -> float | None:
+        d = self.max_delay
+        return min(sin(pi / (3.0 * d)), 0.5) if d else None
+
+    @property
+    def omega_sync(self) -> float:
+        return 2.0 / self.alpha_max
+
+    @property
+    def omega_async_factor(self) -> float | None:
+        d, eps = self.max_delay, self.epsilon
+        return None if eps is None else (
+            (1.0 - eps) ** d * self.alpha_min
+            / ((1.0 + eps) ** (2 * d) * self.alpha_max ** 2))
 
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Spectral radii of sampled age rows at one (omega, D) point."""
+    """Spectral radii of sampled age rows at one (omega, D) point, one per
+    row of ``ages``; it passes when every radius is strictly below one."""
 
     omega: float
     max_delay: int
-    trials: int
     seed: int
     rhos: tuple[float, ...]
-    rho_max: float
-    passed: bool
     ages: tuple[tuple[int, ...], ...]   # one age row per trial
+
+    @property
+    def trials(self) -> int:
+        return len(self.rhos)
+
+    @property
+    def rho_max(self) -> float:
+        return max(self.rhos)
+
+    @property
+    def passed(self) -> bool:
+        return self.rho_max < 1.0
 
 
 def build_companion(scenario: CouplingScenario, ages, omega: float,
@@ -115,8 +163,7 @@ def build_companion(scenario: CouplingScenario, ages, omega: float,
     complement (at k = 0) and then the age-k patches in ``patch_ids``
     order.
     """
-    if not (isfinite(omega) and omega > 0):
-        raise ValueError("omega must be finite and positive")
+    _check_omega(omega)
     _check_delay(max_delay)
     row, patches = np.asarray(ages), np.asarray(scenario.patch_ids)
     if row.shape != patches.shape or row.dtype.kind not in "iuf" \
@@ -127,13 +174,8 @@ def build_companion(scenario: CouplingScenario, ages, omega: float,
     slots = [patches[row == k].tolist() for k in range(max_delay + 1)]
     if scenario.complement is not None:
         slots[0].insert(0, 0)
-    n = scenario.gamma_dim
-    blocks = tuple(_scattered_sum(scenario, slot) for slot in slots)
-    matrix = np.eye((max_delay + 1) * n, k=-n)
-    matrix[:n] = -omega * np.hstack(blocks)
-    matrix[:n, :n] += np.eye(n)
-    return CompanionSystem(omega=omega, max_delay=max_delay, gamma_dim=n,
-                           blocks=blocks, matrix=matrix)
+    return CompanionSystem(omega, tuple(_scattered_sum(scenario, slot)
+                                        for slot in slots))
 
 
 def _scattered_sum(scenario: CouplingScenario, sids) -> np.ndarray:
@@ -176,29 +218,8 @@ def generalized_alphas(scenario: CouplingScenario) -> tuple[float, float]:
     return float(spectrum[0]), float(spectrum[-1])
 
 
-def relaxation_bounds(alpha_min: float, alpha_max: float,
-                      max_delay: int) -> SpectralBounds:
-    """Admissible-relaxation summary for a given delay bound.
-
-    The synchronous bound 2/alpha_max is sharp.  For max_delay >= 1 the
-    reported async factor is a sufficient bound only; certification gives
-    the sharper, per-age-row answer.
-    """
-    if not (isfinite(alpha_max) and 0 < alpha_min <= alpha_max):
-        raise ValueError("need 0 < alpha_min <= alpha_max < inf")
-    _check_delay(max_delay)
-    omega_sync = 2.0 / alpha_max
-    if max_delay == 0:
-        return SpectralBounds(alpha_min=alpha_min, alpha_max=alpha_max,
-                              max_delay=0, epsilon=None,
-                              omega_sync=omega_sync,
-                              omega_async_factor=None)
-    eps = min(sin(pi / (3.0 * max_delay)), 0.5)
-    factor = ((1.0 - eps) ** max_delay * alpha_min
-              / ((1.0 + eps) ** (2 * max_delay) * alpha_max ** 2))
-    return SpectralBounds(alpha_min=alpha_min, alpha_max=alpha_max,
-                          max_delay=max_delay, epsilon=eps,
-                          omega_sync=omega_sync, omega_async_factor=factor)
+# The admissible-relaxation summary for a delay bound is the record itself.
+relaxation_bounds = SpectralBounds
 
 
 def certify_paracontraction(scenario: CouplingScenario, omega: float,
@@ -209,12 +230,10 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
     Patches are assigned ages uniformly in [0, max_delay]; the complement,
     when present, is always fresh.  For max_delay = 0 there is only one
     age row, evaluated once.  A row drawn more than once is solved once
-    and its radius repeated in ``rhos``.  The certificate passes when
-    every sampled spectral radius is strictly below one; a failure is
-    reported, not raised.
+    and its radius repeated in ``rhos``.  A failed certificate is reported,
+    not raised.
     """
-    if not (isfinite(omega) and omega > 0):
-        raise ValueError("omega must be finite and positive")
+    _check_omega(omega)
     if not _is_int(trials) or trials < 1:
         raise ValueError("trials must be an integer of at least 1")
     _check_delay(max_delay)
@@ -228,11 +247,8 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
     solved: dict[tuple[int, ...], float] = {}
     for row in ages:
         if row not in solved:
-            system = build_companion(scenario, row, omega, max_delay)
-            solved[row] = spectral_radius(system)
-    rhos = tuple(solved[row] for row in ages)
-    rho_max = max(rhos)
-    return CertificateReport(omega=omega, max_delay=max_delay,
-                             trials=len(ages), seed=seed, rhos=rhos,
-                             rho_max=rho_max, passed=rho_max < 1.0,
+            solved[row] = spectral_radius(
+                build_companion(scenario, row, omega, max_delay))
+    return CertificateReport(omega=omega, max_delay=max_delay, seed=seed,
+                             rhos=tuple(solved[row] for row in ages),
                              ages=tuple(ages))

@@ -63,8 +63,9 @@ def symmetrized_companion(scenario, ages, omega: float,
         matrix[:n, k * n:(k + 1) * n] = -omega * blocks[k]
     for k in range(max_delay):
         matrix[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = np.eye(n)
-    return CompanionSystem(omega=omega, max_delay=max_delay, gamma_dim=n,
-                           blocks=tuple(blocks), matrix=matrix)
+    system = CompanionSystem(omega, tuple(blocks))
+    assert np.array_equal(system.matrix, matrix)
+    return system
 
 
 def verify_fixed_point(scenario, system: CompanionSystem, p_hat,

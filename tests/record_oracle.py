@@ -26,18 +26,13 @@ def write_history(path, report):
 
 
 def write_trace(path, scenario, report):
-    """One row per (step, rank): ages seen by the step, solves of the rank."""
-    trace = report.trace
-    sigma_cols = [f"sigma_{sid}" for sid in scenario.subdomain_ids]
+    """One row per step: the step's age of every patch, then every patch's
+    solves so far, both over ``patch_ids``."""
+    ids = scenario.patch_ids
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "rank", *sigma_cols, "residual_norm",
-                         "omega", "solves_rank"])
-        end = writer.dialect.lineterminator
-        for step in trace.steps:
-            shared = ",".join([*(str(step.sigma.get(sid, 0))
-                                 for sid in scenario.subdomain_ids),
-                               _fmt(step.residual_norm), _fmt(step.omega)])
-            fh.writelines(f"{step.index},{rank},{shared},"
-                          f"{step.solves.get(rank, 0)}{end}"
-                          for rank in trace.rank_ids)
+        writer.writerow(["step", *(f"sigma_{sid}" for sid in ids),
+                         *(f"solves_{sid}" for sid in ids)])
+        for step in report.trace.steps:
+            writer.writerow([step.index, *(step.sigma[sid] for sid in ids),
+                             *(step.solves[sid] for sid in ids)])

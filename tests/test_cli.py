@@ -291,38 +291,33 @@ def test_trace_layout(tmp_path, chain):
     cfg = RunConfig(variant="async-sim", omega=0.4, max_delay=1)
     run_case(cfg, scenario=chain, out_dir=tmp_path)
     rows = read_csv(tmp_path / "trace.csv")
-    assert rows[0] == ["step", "rank", "sigma_0", "sigma_1", "sigma_2",
-                       "residual_norm", "omega", "solves_rank"]
-    body = rows[1:]
-    ranks = 1 + len(chain.patch_ids)
-    assert len(body) % ranks == 0
-    steps = len(body) // ranks
-    for s in range(steps):
-        chunk = body[s * ranks:(s + 1) * ranks]
-        assert [row[0] for row in chunk] == [str(s)] * ranks
-        assert [row[1] for row in chunk] == ["0", "1", "2"]
-        # Ages are step data, identical on every rank row of the step.
-        assert len({tuple(row[2:5]) for row in chunk}) == 1
-    # Rank 0 performs one global solve per step.
-    last_global = body[-ranks]
-    assert last_global[7] == str(steps)
+    # The complement is always fresh and the global rank solves once per
+    # step, so neither has a column; residual and omega are in history.csv.
+    assert chain.patch_ids == (1, 2)
+    assert rows[0] == ["step", "sigma_1", "sigma_2", "solves_1", "solves_2"]
+    body = [[int(v) for v in row] for row in rows[1:]]
+    # One row per step, as in history.csv.
+    assert len(body) == len(read_csv(tmp_path / "history.csv")) - 1
+    assert [row[0] for row in body] == list(range(len(body)))
+    # Ages within the bound, fresh at the warm-up step; every patch solves
+    # at step 0 and its count never falls.
+    assert body[0][1:] == [0, 0, 1, 1]
+    assert all(0 <= age <= 1 for row in body for age in row[1:3])
+    for prev, row in zip(body, body[1:]):
+        assert all(a <= b for a, b in zip(prev[3:], row[3:]))
 
 
 def csv_writer_trace(path, scenario, report):
     """Oracle for write_trace: every row rendered by csv.writer."""
-    sigma_cols = [f"sigma_{sid}" for sid in scenario.subdomain_ids]
+    ids = scenario.patch_ids
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "rank", *sigma_cols, "residual_norm",
-                         "omega", "solves_rank"])
+        writer.writerow(["step", *(f"sigma_{sid}" for sid in ids),
+                         *(f"solves_{sid}" for sid in ids)])
         for step in report.trace.steps:
-            sigmas = [step.sigma.get(sid, 0)
-                      for sid in scenario.subdomain_ids]
-            for rank in report.trace.rank_ids:
-                writer.writerow([step.index, rank, *sigmas,
-                                 repr(float(step.residual_norm)),
-                                 repr(float(step.omega)),
-                                 step.solves.get(rank, 0)])
+            writer.writerow([step.index, *(step.sigma.get(sid, 0)
+                                           for sid in ids),
+                             *(step.solves.get(sid, 0) for sid in ids)])
 
 
 def test_trace_bytes_match_csv_writer(tmp_path, two_patch_thermal):
@@ -335,6 +330,28 @@ def test_trace_bytes_match_csv_writer(tmp_path, two_patch_thermal):
     csv_writer_trace(tmp_path / "oracle.csv", scn, report)
     assert (tmp_path / "trace.csv").read_bytes() == \
         (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["async-sim", "async-concurrent"])
+def test_a_written_trace_replays_to_its_history(tmp_path, two_patch_thermal,
+                                                variant):
+    # The sigma columns, as a schedule table, walk the simulator through
+    # the residuals history.csv holds, bit for bit.
+    scn = two_patch_thermal
+    _, alpha_max = generalized_alphas(scn)
+    cfg = RunConfig(variant=variant, omega=0.35 / alpha_max, max_delay=2)
+    assert run_case(cfg, scenario=scn, out_dir=tmp_path).converged
+    trace = read_csv(tmp_path / "trace.csv")
+    sigma = [i for i, name in enumerate(trace[0]) if name.startswith("sigma_")]
+    assert [trace[0][i] for i in sigma] == \
+        [f"sigma_{sid}" for sid in scn.patch_ids]
+    table = [[int(row[i]) for i in sigma] for row in trace[1:]]
+    schedule = DelaySchedule.from_table(
+        scn.patch_ids, 2, table, has_complement=scn.complement is not None)
+    replay = run_async_simulated(scn, cfg.omega, schedule, tol=cfg.tol)
+    assert replay.converged
+    assert [repr(r) for r in replay.history.residual_norm] == \
+        [row[1] for row in read_csv(tmp_path / "history.csv")[1:]]
 
 
 def test_history_and_summary_layout(tmp_path, chain):
@@ -394,6 +411,24 @@ geometry = dodecahedron
 """)
     assert main(["solve", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("content", [
+    b"[scenario]\nsize = 8\nsize = 9\n",           # a repeated key
+    b"size = 8\n",                                  # no section header
+    b"[scenario]\nproblem = therm\xe9l\n",          # not UTF-8
+])
+def test_main_reports_malformed_config_files(tmp_path, capsys, command,
+                                             content):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(content)
+    with pytest.raises(ConfigError, match="bad.ini"):
+        load_config(config)
+    assert main([command, str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and str(config) in err
+    assert err.count("\n") == 1
 
 
 def test_main_certify(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """A run's columnar history: records built on read, and the CSV writers
 that read the columns against the record-by-record oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,14 @@ def test_a_replayed_table_cannot_rewrite_a_run(chain):
         schedule.table[2, 1] = 0
     assert [rec.sigma for rec in report.history] == [
         dict(zip(chain.patch_ids, row)) for row in table]
+
+
+def test_run_records_derive_their_trace(two_patch_thermal):
+    assert [f.name for f in fields(solvers.SolveReport)] == [
+        "converged", "history", "final_u_gamma", "patch_solves", "variant"]
+    assert [f.name for f in fields(solvers.AsyncTrace)] == ["steps"]
+    scn = two_patch_thermal
+    report = simulated(scn, 0.3, seed=4)
+    assert report.trace.steps is report.history
+    assert report.trace.rank_ids == (0,) + scn.patch_ids
+    assert richardson_sync(scn, omega=1.0).trace is None

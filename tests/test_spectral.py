@@ -7,6 +7,8 @@ global.  Everything else is cross-checked against an independent
 generalized-eigenvalue route and the scalar map 1 - omega * alpha.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -359,8 +361,73 @@ def test_compact_blocks_match_the_dense_embedded_path(name, request):
         for k, x in enumerate(blocks):
             matrix[:n, k * n:(k + 1) * n] -= omega * x
         matrix[n:, :-n] = np.eye(max_delay * n)
-        system = spectral.CompanionSystem(omega=omega, max_delay=max_delay,
-                                          gamma_dim=n, blocks=blocks,
-                                          matrix=matrix)
+        system = spectral.CompanionSystem(omega, blocks)
+        assert np.array_equal(system.matrix, matrix)
         dense_rho = spectral_radius(system)
         assert abs(rho - dense_rho) <= 1e-12 * dense_rho
+
+
+# ---------------------------------------------------------------------------
+# records keep only what was computed
+
+
+def test_spectral_records_hold_only_independent_fields():
+    names = {record: [f.name for f in fields(record)] for record in (
+        spectral.CompanionSystem, spectral.SpectralBounds,
+        spectral.CertificateReport)}
+    assert names == {
+        spectral.CompanionSystem: ["omega", "blocks"],
+        spectral.SpectralBounds: ["alpha_min", "alpha_max", "max_delay"],
+        spectral.CertificateReport: ["omega", "max_delay", "seed", "rhos",
+                                     "ages"]}
+
+
+def test_a_replaced_companion_is_a_fresh_build(two_patch_thermal):
+    scn = two_patch_thermal
+    _, amax = generalized_alphas(scn)
+    system = build_companion(scn, (1, 0), 0.5 / amax, 2)
+    assert spectral_radius(system) < 1.0
+    moved = replace(system, omega=2.5 / amax)
+    fresh = build_companion(scn, (1, 0), 2.5 / amax, 2)
+    assert np.array_equal(moved.matrix, fresh.matrix)
+    assert spectral_radius(moved) == spectral_radius(fresh) > 1.0
+    assert (moved.max_delay, moved.gamma_dim) == (2, scn.gamma_dim)
+
+
+def test_companion_blocks_and_matrix_are_read_only(two_patch_thermal):
+    system = build_companion(two_patch_thermal, (1, 0), 0.1, 2)
+    for array in (system.blocks[0], system.blocks[2], system.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    # A hand-made system keeps views: the caller's arrays stay writable.
+    block = np.eye(2)
+    assert np.array_equal(spectral.CompanionSystem(0.5, (block,)).matrix,
+                          0.5 * np.eye(2))
+    block[0, 0] = 3.0
+
+
+def test_replaced_bounds_are_fresh_bounds(two_patch_thermal):
+    amin, amax = generalized_alphas(two_patch_thermal)
+    bounds = relaxation_bounds(amin, amax, 2)
+    moved = replace(bounds, alpha_max=2 * amax)
+    fresh = relaxation_bounds(amin, 2 * amax, 2)
+    assert moved == fresh
+    for name in ("epsilon", "omega_sync", "omega_async_factor"):
+        assert getattr(moved, name) == getattr(fresh, name)
+    assert moved.omega_sync == bounds.omega_sync / 2
+    with pytest.raises(ValueError):
+        replace(bounds, alpha_min=-1.0)
+    with pytest.raises(ValueError):
+        replace(bounds, max_delay=-1)
+    undelayed = replace(bounds, max_delay=0)
+    assert undelayed.epsilon is None and undelayed.omega_async_factor is None
+
+
+def test_a_replaced_certificate_derives_its_verdict(two_patch_thermal):
+    _, amax = generalized_alphas(two_patch_thermal)
+    report = certify_paracontraction(two_patch_thermal, 0.5 / amax, 2,
+                                     trials=5, seed=0)
+    assert report.passed and report.trials == 5
+    assert report.rho_max == max(report.rhos) < 1.0
+    failed = replace(report, rhos=(1.5,) * 5)
+    assert (failed.passed, failed.rho_max, failed.trials) == (False, 1.5, 5)
