@@ -35,7 +35,7 @@ below a work estimate S comes from those solves instead.
 No factor outlives the call: SuperLU keeps its whole fill-estimate
 workspace alive, and a scenario holds one operator per subdomain.
 Interior recovery factors K_ii again on its first call and reuses that
-factor for later calls.
+factor, and its slice of K_gi, for later calls.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class CondensedOperator:
     symmetry and, for meshes with enough Dirichlet data or a nonempty
     interface complement, positive definiteness from the stiffness.  The
     originating ``system`` is kept, not copies of its blocks:
-    :func:`expand_interior` slices K_ii and K_gi from it.
+    :func:`expand_interior` slices K_ii and K_gi from it once.
     """
 
     schur: np.ndarray
@@ -104,6 +104,10 @@ class CondensedOperator:
         # pivots again would leave CSC copies of L and U on the factor.
         k, interior = self.system.stiffness, self.interior_dofs
         return spla.splu(k[interior][:, interior].tocsc(), **_SPD_OPTIONS)
+
+    @cached_property
+    def _k_gi(self) -> sp.csr_matrix:
+        return self.system.stiffness[self.interface_dofs][:, self.interior_dofs]
 
 
 def condense(system: AssembledSystem, interface_dofs,
@@ -234,8 +238,6 @@ def expand_interior(op: CondensedOperator,
     trace = op.transfer @ u
     full[op.interface_dofs] = trace
     if op.interior_dofs.size:
-        k, f = op.system.stiffness, op.system.load
-        k_gi = k[op.interface_dofs][:, op.interior_dofs]
-        rhs = f[op.interior_dofs] - k_gi.T @ trace
+        rhs = op.system.load[op.interior_dofs] - op._k_gi.T @ trace
         full[op.interior_dofs] = op._interior_factor.solve(rhs)
     return full

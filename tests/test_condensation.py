@@ -78,9 +78,29 @@ def test_retained_interior_factor_keeps_no_csc_copies(two_patch_thermal):
     assert allocated >= 8 * factor.nnz
 
 
+@pytest.mark.parametrize("name", ["two_patch_thermal", "imbalanced_thermal"])
+def test_recovery_slices_the_coupling_once(name, request):
+    # The cached K_gi gives the fields of a slice taken on every call.
+    rng = np.random.default_rng(4)
+    for op in request.getfixturevalue(name).subdomains.values():
+        if not op.interior_dofs.size:
+            continue
+        k, f = op.system.stiffness, op.system.load
+        k_gi = k[op.interface_dofs][:, op.interior_dofs]
+        for _ in range(2):
+            u = rng.standard_normal(op.interface_count)
+            trace = op.transfer @ u
+            expected = np.empty(op.dof_count)
+            expected[op.interface_dofs] = trace
+            expected[op.interior_dofs] = op._interior_factor.solve(
+                f[op.interior_dofs] - k_gi.T @ trace)
+            assert np.array_equal(expand_interior(op, u), expected)
+        assert "_k_gi" in vars(op)
+
+
 def test_operator_keeps_its_system_not_copies(two_patch_thermal):
     # Interior recovery slices K_ii and K_gi from the system the scenario
-    # already holds, so no operator stores a second copy of either.
+    # already holds, so no operator is built with a copy of either.
     fields = {f.name for f in
               dataclasses.fields(condensation.CondensedOperator)}
     assert fields == {"schur", "rhs", "interface_dofs", "interior_dofs",

@@ -16,9 +16,12 @@ import scipy.linalg as sla
 from glocal import (
     build_companion,
     certify_paracontraction,
+    chain_1d,
     compute_residual,
+    cube_grid_3d,
     generalized_alphas,
     generalized_spectrum,
+    imbalanced_grid,
     relaxation_bounds,
     residual_offset,
     spectral_radius,
@@ -431,3 +434,143 @@ def test_a_replaced_certificate_derives_its_verdict(two_patch_thermal):
     assert report.rho_max == max(report.rhos) < 1.0
     failed = replace(report, rhos=(1.5,) * 5)
     assert (failed.passed, failed.rho_max, failed.trials) == (False, 1.5, 5)
+
+
+# ---------------------------------------------------------------------------
+# radii from the dominant solvent inside the split
+
+
+def spy_on_radius(monkeypatch):
+    """Route ``spectral.spectral_radius`` through a call counter."""
+    calls, original = [], spectral.spectral_radius
+
+    def counting(system):
+        calls.append(system)
+        return original(system)
+
+    monkeypatch.setattr(spectral, "spectral_radius", counting)
+    return calls
+
+
+def record_eigvals(monkeypatch):
+    """Route ``np.linalg.eigvals`` through a recorder of its arguments."""
+    seen, original = [], np.linalg.eigvals
+
+    def recording(a):
+        seen.append(np.array(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return seen
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_1d(), lambda: two_patch_2d("thermal"),
+    lambda: two_patch_2d("elasticity"), lambda: cube_grid_3d(2, "thermal"),
+    lambda: imbalanced_grid("thermal", seed=0),
+    lambda: imbalanced_grid("thermal", seed=1009)],
+    ids=["chain", "thermal", "elastic", "cube2", "imbalanced0",
+         "imbalanced1009"])
+def test_solvent_radii_match_the_dense_companion(build, monkeypatch):
+    scn = build()
+    amin, amax = generalized_alphas(scn)
+    for max_delay in (1, 2, 4):
+        omega = 0.9 * relaxation_bounds(amin, amax, max_delay) \
+            .omega_async_factor
+        dense = spy_on_radius(monkeypatch)
+        report = certify_paracontraction(scn, omega, max_delay, trials=12,
+                                         seed=1009)
+        monkeypatch.undo()
+        assert dense == []   # every row took the solvent route
+        for ages, rho in zip(report.ages, report.rhos):
+            full = spectral_radius(build_companion(scn, ages, omega,
+                                                   max_delay))
+            assert abs(rho - full) <= 1e-12 * full
+
+
+@pytest.mark.parametrize("name, max_delay", [("two_patch_elastic", 4),
+                                             ("imbalanced_thermal", 2)])
+def test_the_solvent_holds_exactly_the_outer_eigenvalues(name, max_delay,
+                                                         request,
+                                                         monkeypatch):
+    scn = request.getfixturevalue(name)
+    amin, amax = generalized_alphas(scn)
+    omega = 0.9 * relaxation_bounds(amin, amax, max_delay).omega_async_factor
+    ages = np.arange(len(scn.patch_ids)) % (max_delay + 1)
+    system = build_companion(scn, ages, omega, max_delay)
+    seen = record_eigvals(monkeypatch)
+    rho = spectral._principal_radius(system, amax)
+    monkeypatch.undo()
+    n = scn.gamma_dim
+    assert rho is not None and [a.shape for a in seen] == [(n, n)]
+    solvent = np.linalg.eigvals(seen[0])
+    full = np.linalg.eigvals(system.matrix)
+    outer = full[np.abs(full) > max_delay / (max_delay + 1)]
+    assert len(outer) == n
+    # Each set lies within roundoff of the other.
+    gap = np.abs(solvent[:, None] - outer[None, :])
+    assert gap.min(axis=0).max() <= 1e-10 and gap.min(axis=1).max() <= 1e-10
+    assert rho == np.abs(solvent).max()
+    assert abs(rho - np.abs(full).max()) <= 1e-12 * rho
+
+
+def test_rows_outside_the_split_take_the_dense_route(two_patch_thermal,
+                                                     monkeypatch):
+    scn = two_patch_thermal
+    _, amax = generalized_alphas(scn)
+    assert 0.5 > 4 / 27   # 0.5 / alpha_max is past the D = 2 split
+    dense = spy_on_radius(monkeypatch)
+    report = certify_paracontraction(scn, 0.5 / amax, 2, trials=20, seed=3)
+    monkeypatch.undo()
+    assert len(dense) == len(set(report.ages))
+    radii = dict(zip(report.ages, report.rhos))
+    for ages in set(report.ages):
+        assert radii[ages] == spectral_radius(
+            build_companion(scn, ages, 0.5 / amax, 2))
+
+
+def test_the_solvent_route_ends_at_the_split(two_patch_thermal):
+    scn = two_patch_thermal
+    _, amax = generalized_alphas(scn)
+    ages = np.arange(len(scn.patch_ids)) % 2
+    for max_delay in (1, 2, 4):
+        bound = max_delay ** max_delay / (max_delay + 1) ** (max_delay + 1)
+        inside = build_companion(scn, ages, 0.99 * bound / amax, max_delay)
+        rho = spectral._principal_radius(inside, amax)
+        assert abs(rho - spectral_radius(inside)) <= 1e-12 * rho
+        past = build_companion(scn, ages, 1.0001 * bound / amax, max_delay)
+        assert spectral._principal_radius(past, amax) is None
+    undelayed = build_companion(scn, ages * 0, 0.1 / amax, 0)
+    assert spectral._principal_radius(undelayed, amax) is None
+
+
+def test_a_split_certificate_solves_no_companion_eigenproblem(
+        imbalanced_thermal, monkeypatch):
+    scn = imbalanced_thermal
+    amin, amax = generalized_alphas(scn)
+    omega = 0.9 * relaxation_bounds(amin, amax, 2).omega_async_factor
+    seen = record_eigvals(monkeypatch)
+    report = certify_paracontraction(scn, omega, 2, trials=20, seed=0)
+    monkeypatch.undo()
+    n = scn.gamma_dim
+    assert len(seen) == len(set(report.ages)) > 1
+    assert all(a.shape == (n, n) for a in seen)
+
+
+def test_a_certificate_logs_its_routes_at_debug_only(two_patch_thermal,
+                                                     caplog, capfd):
+    scn = two_patch_thermal
+    amin, amax = generalized_alphas(scn)
+    omega = 0.9 * relaxation_bounds(amin, amax, 2).omega_async_factor
+    certify_paracontraction(scn, omega, 2, trials=10, seed=0)
+    assert capfd.readouterr() == ("", "")
+    with caplog.at_level("DEBUG", logger="glocal.spectral"):
+        solvent = certify_paracontraction(scn, omega, 2, trials=10, seed=0)
+        dense = certify_paracontraction(scn, 0.5 / amax, 2, trials=10,
+                                        seed=0)
+    rows = len(set(solvent.ages)), len(set(dense.ages))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"10 rows: {rows[0]} solvent, 0 dense; w alpha_max "
+        f"{omega * amax:.3g}, c_D 0.148",
+        f"10 rows: 0 solvent, {rows[1]} dense; w alpha_max 0.5, c_D 0.148"]
+    assert {r.levelname for r in caplog.records} == {"DEBUG"}
