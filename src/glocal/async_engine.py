@@ -328,16 +328,15 @@ def run_async_concurrent(scenario: CouplingScenario, omega: float,
 
 def run_sync_concurrent(scenario: CouplingScenario, omega: float = 1.0,
                         tol: float = 1e-8, max_iter: int = 10000,
-                        rank_count: int | None = None,
-                        relaxation: str = "fixed") -> SolveReport:
-    """Threaded run at delay bound 0, without a trace.
+                        rank_count: int | None = None) -> SolveReport:
+    """Threaded run at delay bound 0 and fixed ``omega``, without a trace.
 
     Every step waits for every patch rank's answer to its trace, so the
-    iterates are those of :func:`glocal.solvers.richardson_sync`
-    operation for operation: the threaded exchange does not perturb the
-    numbers.  A patch rank that does not answer within ``WATCHDOG_S``
+    iterates are those of :func:`glocal.solvers.richardson_sync` at the
+    same ``omega``, operation for operation: the threaded exchange does
+    not perturb the numbers.  A patch rank that does not answer within ``WATCHDOG_S``
     seconds aborts the run with :class:`LivelockError`.
     """
     ranks = _WindowRanks(scenario, rank_count, max_delay=0)
-    return _iterate(scenario, ranks, omega, tol, max_iter, relaxation,
+    return _iterate(scenario, ranks, omega, tol, max_iter, "fixed",
                     "sync-concurrent", traced=False)

@@ -105,7 +105,6 @@ class CouplingScenario:
     name: str
     global_model: MeshModel
     gamma_nodes: np.ndarray             # free interface nodes, sorted
-    ndof_per_node: int
     subdomains: dict[int, Subdomain]
     schur_global: np.ndarray
     rhs_global: np.ndarray
@@ -114,6 +113,10 @@ class CouplingScenario:
     patch_index: np.ndarray
 
     @property
+    def ndof_per_node(self) -> int:
+        return self.global_model.ndof_per_node
+
+    @cached_property
     def gamma_dim(self) -> int:
         return len(self.gamma_nodes) * self.ndof_per_node
 
@@ -450,8 +453,7 @@ def build_scenario(global_model: MeshModel, labels,
     if gamma_nodes.size == 0:
         raise TopologyError("the coupling interface has no free nodes")
 
-    ndpn = 1 if global_model.material.kind == "thermal" else \
-        global_model.dimension
+    ndpn = global_model.ndof_per_node
     tol = 1e-9 * max(np.ptp(global_model.nodes, axis=0).max(), 1.0)
 
     # Wire every subdomain to Gamma first: the coupled unknown count follows
@@ -522,7 +524,7 @@ def build_scenario(global_model: MeshModel, labels,
 
     scenario = CouplingScenario(
         name=name, global_model=global_model, gamma_nodes=gamma_nodes,
-        ndof_per_node=ndpn, subdomains=subdomains,
+        subdomains=subdomains,
         schur_global=schur_global, rhs_global=rhs_global,
         patch_schur=patch_schur, patch_rhs=patch_rhs,
         patch_index=patch_index)

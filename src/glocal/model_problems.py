@@ -131,6 +131,11 @@ class MeshModel:
     def element_count(self) -> int:
         return len(self.elements)
 
+    @property
+    def ndof_per_node(self) -> int:
+        """One temperature, or one displacement per coordinate axis."""
+        return 1 if self.material.kind == "thermal" else self.dimension
+
 
 @dataclass(frozen=True)
 class AssembledSystem:
@@ -146,7 +151,10 @@ class AssembledSystem:
     load: np.ndarray
     dof_map: np.ndarray       # (n_nodes, ndof_per_node) int
     fixed_values: np.ndarray  # (n_nodes, ndof_per_node) float
-    ndof_per_node: int
+
+    @property
+    def ndof_per_node(self) -> int:
+        return self.dof_map.shape[1]
 
     @property
     def dof_count(self) -> int:
@@ -176,6 +184,11 @@ class AssembledSystem:
 
 # ---------------------------------------------------------------------------
 # mesh construction
+
+
+def _is_int(value) -> bool:
+    """An integer, and not a bool: True is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_tuple(value, dim: int, name: str) -> tuple:
@@ -209,11 +222,11 @@ def build_structured_mesh(dimension: int,
                        dimension, "extent")
     origin = _as_tuple(float(origin) if np.isscalar(origin) else origin,
                        dimension, "origin")
-    if any(int(d) < 1 for d in divisions):
-        raise MeshError("divisions must be at least 1 per direction")
+    if not all(_is_int(d) and d >= 1 for d in divisions):
+        raise MeshError(f"divisions must be integers of at least 1 per "
+                        f"direction, got {divisions}")
     if any(e <= 0 for e in extent):
         raise MeshError("extent must be positive per direction")
-    divisions = tuple(int(d) for d in divisions)
 
     axes = [origin[a] + np.linspace(0.0, extent[a], divisions[a] + 1)
             for a in range(dimension)]
@@ -374,10 +387,10 @@ def _element_major_coo(dofs: np.ndarray, ke: np.ndarray,
     return sp.coo_matrix((ke.reshape(-1), (rows, cols)), shape=(size, size))
 
 
-def _reduce_system(mesh: MeshModel, k_coo: sp.coo_matrix, f: np.ndarray,
-                   ndpn: int) -> AssembledSystem:
+def _reduce_system(mesh: MeshModel, k_coo: sp.coo_matrix,
+                   f: np.ndarray) -> AssembledSystem:
     """Apply symmetric Dirichlet elimination and number the free dofs."""
-    n = mesh.node_count
+    n, ndpn = mesh.node_count, mesh.ndof_per_node
     fixed_values = np.zeros((n, ndpn))
     is_fixed = np.zeros((n, ndpn), dtype=bool)
     for node, value in mesh.dirichlet.items():
@@ -401,8 +414,7 @@ def _reduce_system(mesh: MeshModel, k_coo: sp.coo_matrix, f: np.ndarray,
     # of a right triangle); dropping them keeps factors and products lean.
     k_ff.eliminate_zeros()
     return AssembledSystem(stiffness=k_ff, load=load,
-                           dof_map=dof_map, fixed_values=fixed_values,
-                           ndof_per_node=ndpn)
+                           dof_map=dof_map, fixed_values=fixed_values)
 
 
 def assemble_poisson(mesh: MeshModel, source: float = 1.0) -> AssembledSystem:
@@ -426,7 +438,7 @@ def assemble_poisson(mesh: MeshModel, source: float = 1.0) -> AssembledSystem:
     k = _element_major_coo(mesh.elements, ke, n)
     f = np.bincount(mesh.elements.reshape(-1), weights=fe.reshape(-1),
                     minlength=n)
-    return _reduce_system(mesh, k, f, ndpn=1)
+    return _reduce_system(mesh, k, f)
 
 
 def assemble_elasticity(mesh: MeshModel, body_force=None) -> AssembledSystem:
@@ -470,7 +482,7 @@ def assemble_elasticity(mesh: MeshModel, body_force=None) -> AssembledSystem:
     n = mesh.node_count * dim
     k = _element_major_coo(gdofs, ke, n)
     f = np.bincount(gdofs.reshape(-1), weights=fe.reshape(-1), minlength=n)
-    return _reduce_system(mesh, k, f, ndpn=dim)
+    return _reduce_system(mesh, k, f)
 
 
 def assemble(mesh: MeshModel) -> AssembledSystem:

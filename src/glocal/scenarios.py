@@ -2,18 +2,21 @@
 
 Every generator builds a homogeneous global model and hands the local
 detail (refinement, inclusions, per-patch Dirichlet data) to the fine
-patches only, which is the regime the coupling is meant for.  Zones are
-specified in global cell indices so patch boundaries always align with
-global element faces; the fine meshes refine those zones by an integer
-factor, keeping every global interface node coincident with a fine node.
+patches only, which is the regime the coupling is meant for.  Each is a
+thin wrapper over one builder, :func:`_zoned_scenario`, whose zones are
+boxes of global cells: patch boundaries align with global element faces,
+and the integer refinement of each box keeps every global interface node
+coincident with a fine node.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .coupling import CouplingScenario, build_scenario
-from .model_problems import (build_structured_mesh, nodes_on_plane,
+from .model_problems import (_is_int, build_structured_mesh, nodes_on_plane,
                              scale_coefficient_in_ball, with_dirichlet)
 # extract_submesh stays bound here: perfbench traces it by this name.
 from .model_problems import extract_submesh  # noqa: F401
@@ -21,23 +24,65 @@ from .model_problems import extract_submesh  # noqa: F401
 __all__ = ["two_patch_2d", "fine_equals_global_2d", "cube_grid_3d",
            "imbalanced_grid", "chain_1d"]
 
-_PROBLEMS = ("thermal", "elasticity")
+def _count(name: str, value) -> int:
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
-def _check_problem(problem: str) -> str:
-    if problem not in _PROBLEMS:
-        raise ValueError(f"problem must be one of {_PROBLEMS}, got "
-                         f"{problem!r}")
-    return "thermal" if problem == "thermal" else "elastic"
+def _zoned_scenario(problem: str, divisions: tuple[int, ...], extent,
+                    zones, refines, radius: float, contrast: float,
+                    stiff: bool, name: str) -> CouplingScenario:
+    """Structured grid clamped at x = 0 with one fine patch per zone.
+
+    Zone ``(lo, hi)`` is the box of global cells ``lo <= cell < hi``.  Its
+    patch re-meshes the box ``refines[k]`` times finer and scales the
+    coefficient by ``contrast`` (by ``1/contrast`` unless ``stiff``) in
+    the centred ball of ``radius`` times the box's shortest side.  A patch
+    on x = 0 is clamped there too.
+    """
+    if problem not in ("thermal", "elasticity"):
+        raise ValueError(f"problem {problem!r} is not thermal or elasticity")
+    if not (math.isfinite(contrast) and contrast > 0):
+        raise ValueError(f"contrast {contrast!r} is not finite and > 0")
+    kind = "thermal" if problem == "thermal" else "elastic"
+    glob = build_structured_mesh(len(divisions), divisions, extent, kind=kind)
+    glob = with_dirichlet(glob, nodes_on_plane(glob, 0, 0.0))
+
+    h = np.asarray(extent, dtype=float) / divisions
+    scale = contrast if stiff else 1.0 / contrast
+    labels = np.zeros(glob.element_count, dtype=np.int64)
+    # Elements are numbered cell by cell, so a zone's are one box.
+    cells = labels.reshape(*divisions, -1)
+    fine = {}
+    for sid, ((lo, hi), r) in enumerate(zip(zones, refines, strict=True),
+                                        start=1):
+        r = _count("refine", r)
+        if not all(_is_int(a) and _is_int(b) and 0 <= a < b <= n
+                   for a, b, n in zip(lo, hi, divisions, strict=True)):
+            raise ValueError(f"zone {lo}..{hi} does not fit a "
+                             f"{'x'.join(map(str, divisions))} grid")
+        box = tuple(map(slice, lo, hi))
+        if np.any(cells[box]):
+            raise ValueError("zones overlap")
+        cells[box] = sid
+        span = np.subtract(hi, lo)
+        origin, side = np.multiply(lo, h), span * h
+        mesh = build_structured_mesh(len(divisions), span * r, side,
+                                     origin=origin, kind=kind)
+        mesh = scale_coefficient_in_ball(mesh, origin + side / 2.0,
+                                         radius * side.min(), scale)
+        if lo[0] == 0:
+            mesh = with_dirichlet(mesh, nodes_on_plane(mesh, 0, 0.0))
+        fine[sid] = mesh
+    return build_scenario(glob, labels, fine, name=name)
 
 
-def _zone_cells_2d(nx: int, ny: int, zone: tuple[int, int, int, int]):
-    i0, i1, j0, j1 = zone
-    if not (0 < i0 < i1 <= nx and 0 <= j0 < j1 <= ny):
-        raise ValueError(f"zone {zone} does not fit a {nx}x{ny} grid "
-                         "(zones must stay off the x=0 edge)")
-    cells = (np.arange(i0, i1)[:, None] * ny + np.arange(j0, j1)).ravel()
-    return (2 * cells[:, None] + np.arange(2)).ravel()
+def _off_the_clamp(zones):
+    """The 1D and 2D fixtures keep their patches off the clamped edge."""
+    if any(lo[0] == 0 for lo, _ in zones):
+        raise ValueError("zones must stay off the clamped x = 0 edge")
+    return zones
 
 
 def _default_zones_2d(nx: int, ny: int):
@@ -52,45 +97,19 @@ def two_patch_2d(problem: str = "thermal", *, nx: int = 16,
                  stiff: bool = False, name: str | None = None) -> CouplingScenario:
     """Rectangle with a clamped left edge and two refined inclusion patches.
 
-    The global model is homogeneous; each zone is re-meshed ``refine``
-    times finer and carries a circular inclusion (softer by ``contrast``
-    by default, stiffer with ``stiff=True``) that the global model knows
-    nothing about.
+    The global model is homogeneous; each zone ``(i0, i1, j0, j1)`` of
+    global cells is re-meshed ``refine`` times finer and carries a
+    circular inclusion (softer by ``contrast`` by default, stiffer with
+    ``stiff=True``) that the global model knows nothing about.
     """
-    kind = _check_problem(problem)
-    if ny is None:
-        ny = nx // 2
-    if refine < 1:
-        raise ValueError("refine must be at least 1")
-    if contrast <= 0:
-        raise ValueError("contrast must be positive")
-    if zones is None:
-        zones = _default_zones_2d(nx, ny)
-
-    glob = build_structured_mesh(2, (nx, ny), extent, kind=kind)
-    glob = with_dirichlet(glob, nodes_on_plane(glob, 0, 0.0))
-
-    hx, hy = extent[0] / nx, extent[1] / ny
-    labels = np.zeros(glob.element_count, dtype=np.int64)
-    fine = {}
-    for sid, zone in enumerate(zones, start=1):
-        cells = _zone_cells_2d(nx, ny, zone)
-        if np.any(labels[cells]):
-            raise ValueError("zones overlap")
-        labels[cells] = sid
-        i0, i1, j0, j1 = zone
-        width, height = (i1 - i0) * hx, (j1 - j0) * hy
-        mesh = build_structured_mesh(
-            2, ((i1 - i0) * refine, (j1 - j0) * refine), (width, height),
-            origin=(i0 * hx, j0 * hy), kind=kind)
-        center = (i0 * hx + width / 2.0, j0 * hy + height / 2.0)
-        radius = 0.3 * min(width, height)
-        scale = contrast if stiff else 1.0 / contrast
-        fine[sid] = scale_coefficient_in_ball(mesh, center, radius, scale)
-
+    nx = _count("nx", nx)
+    ny = _count("ny", nx // 2 if ny is None else ny)
+    boxes = [((i0, j0), (i1, j1)) for i0, i1, j0, j1
+             in (_default_zones_2d(nx, ny) if zones is None else zones)]
     if name is None:
         name = f"two-patch-2d-{problem}"
-    return build_scenario(glob, labels, fine, name=name)
+    return _zoned_scenario(problem, (nx, ny), extent, _off_the_clamp(boxes),
+                           [refine] * len(boxes), 0.3, contrast, stiff, name)
 
 
 def fine_equals_global_2d(problem: str = "thermal", *, nx: int = 16,
@@ -109,47 +128,14 @@ def fine_equals_global_2d(problem: str = "thermal", *, nx: int = 16,
                         name=f"fine-equals-global-2d-{problem}")
 
 
-def _cube_scenario(problem: str, shape: tuple[int, int, int],
-                   cells_per_side: int, refine_of, contrast: float,
-                   stiff: bool, inclusion_radius: float,
-                   name: str) -> CouplingScenario:
-    kind = _check_problem(problem)
-    if cells_per_side < 1:
-        raise ValueError("cells_per_side must be at least 1")
-    if contrast <= 0:
-        raise ValueError("contrast must be positive")
-    sx, sy, sz = shape
-    m = cells_per_side
-    divisions = (sx * m, sy * m, sz * m)
-    extent = (float(sx), float(sy), float(sz))
-
-    glob = build_structured_mesh(3, divisions, extent, kind=kind)
-    glob = with_dirichlet(glob, nodes_on_plane(glob, 0, 0.0))
-
-    # Element (i*ny + j)*nz + k is cell (i, j, k) of cube (i, j, k) // m.
-    cube = np.indices(divisions).reshape(3, -1) // m
-    labels = 1 + (cube[0] * sy + cube[1]) * sz + cube[2]
-
-    fine = {}
-    scale = contrast if stiff else 1.0 / contrast
-    for ci in range(sx):
-        for cj in range(sy):
-            for ck in range(sz):
-                sid = 1 + (ci * sy + cj) * sz + ck
-                r = refine_of(ci, cj, ck)
-                if r < 1:
-                    raise ValueError("refine must be at least 1")
-                origin = (float(ci), float(cj), float(ck))
-                mesh = build_structured_mesh(3, (m * r,) * 3, (1.0,) * 3,
-                                             origin=origin, kind=kind)
-                center = (ci + 0.5, cj + 0.5, ck + 0.5)
-                mesh = scale_coefficient_in_ball(mesh, center,
-                                                 inclusion_radius, scale)
-                if ci == 0:
-                    # Shares the clamped x=0 face; the patch must agree.
-                    mesh = with_dirichlet(mesh, nodes_on_plane(mesh, 0, 0.0))
-                fine[sid] = mesh
-    return build_scenario(glob, labels, fine, name=name)
+def _cube_grid(shape, cells_per_side: int):
+    """Divisions, extent and zones of a grid of unit cubes, one zone per
+    cube in lexicographic order, each ``cells_per_side`` cells a side."""
+    m = _count("cells_per_side", cells_per_side)
+    shape = tuple(_count("shape", s) for s in shape)
+    zones = [(tuple(m * c for c in cube), tuple(m * (c + 1) for c in cube))
+             for cube in np.ndindex(*shape)]
+    return tuple(m * s for s in shape), tuple(map(float, shape)), zones
 
 
 def cube_grid_3d(n: int = 2, problem: str = "thermal", *,
@@ -163,13 +149,12 @@ def cube_grid_3d(n: int = 2, problem: str = "thermal", *,
     problem size grows with the domain while each patch stays fixed,
     which is the weak-scaling configuration.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count("n", n)
     if name is None:
         name = f"cube-grid-3d-{problem}-n{n}"
-    return _cube_scenario(problem, (n, n, n), cells_per_side,
-                          lambda ci, cj, ck: refine, contrast, stiff,
-                          inclusion_radius, name)
+    return _zoned_scenario(problem, *_cube_grid((n, n, n), cells_per_side),
+                           [refine] * n ** 3, inclusion_radius, contrast,
+                           stiff, name)
 
 
 def imbalanced_grid(problem: str = "thermal", *,
@@ -185,21 +170,20 @@ def imbalanced_grid(problem: str = "thermal", *,
     makes asynchronous progress pay off.  Pass ``uniform_refine`` for the
     balanced twin used as the comparison baseline.
     """
+    divisions, extent, zones = _cube_grid(shape, cells_per_side)
     if uniform_refine is not None:
-        refine_of = lambda ci, cj, ck: uniform_refine
+        refines = [_count("uniform_refine", uniform_refine)] * len(zones)
         tag = f"balanced-r{uniform_refine}"
     else:
         if seed is None:
             raise ValueError("seed is required for the imbalanced variant")
-        rng = np.random.default_rng(seed)
-        sx, sy, sz = shape
-        draws = rng.choice(refine_choices, size=(sx, sy, sz))
-        refine_of = lambda ci, cj, ck: int(draws[ci, cj, ck])
-        tag = f"imbalanced-s{seed}"
+        draws = np.random.default_rng(seed).choice(
+            [_count("refine_choices", r) for r in refine_choices], size=shape)
+        refines, tag = draws.ravel(), f"imbalanced-s{seed}"
     if name is None:
         name = f"grid-3d-{problem}-{tag}"
-    return _cube_scenario(problem, shape, cells_per_side, refine_of,
-                          contrast, True, 0.35, name)
+    return _zoned_scenario(problem, divisions, extent, zones, refines, 0.35,
+                           contrast, True, name)
 
 
 def chain_1d(problem: str = "thermal", *, n_cells: int = 8,
@@ -208,20 +192,8 @@ def chain_1d(problem: str = "thermal", *, n_cells: int = 8,
     """Small 1D rod fixture: cheap enough to check against hand algebra."""
     if problem != "thermal":
         raise ValueError("the 1D fixture is thermal only")
-    glob = build_structured_mesh(1, (n_cells,), float(n_cells))
-    glob = with_dirichlet(glob, nodes_on_plane(glob, 0, 0.0))
-
-    labels = np.zeros(n_cells, dtype=np.int64)
-    fine = {}
-    for sid, (e0, e1) in enumerate(zones, start=1):
-        if not 0 < e0 < e1 <= n_cells:
-            raise ValueError(f"zone ({e0}, {e1}) does not fit the rod")
-        if np.any(labels[e0:e1]):
-            raise ValueError("zones overlap")
-        labels[e0:e1] = sid
-        width = float(e1 - e0)
-        mesh = build_structured_mesh(1, ((e1 - e0) * refine,), width,
-                                     origin=float(e0))
-        fine[sid] = scale_coefficient_in_ball(mesh, e0 + width / 2.0,
-                                              0.4 * width, contrast)
-    return build_scenario(glob, labels, fine, name="chain-1d-thermal")
+    n_cells = _count("n_cells", n_cells)
+    boxes = _off_the_clamp([((e0,), (e1,)) for e0, e1 in zones])
+    return _zoned_scenario(problem, (n_cells,), (float(n_cells),), boxes,
+                           [refine] * len(boxes), 0.4, contrast, True,
+                           "chain-1d-thermal")

@@ -48,6 +48,7 @@ import scipy.sparse.linalg as spla
 from .coupling import CouplingScenario, patch_reactions, scatter_residual
 from .coupling import interface_reaction  # noqa: F401
 from .errors import DivergenceError, StagnationError
+from .model_problems import _is_int
 
 __all__ = ["IterationRecord", "RunHistory", "SolveReport",
            "ReferenceSolution", "compute_residual", "aitken_update",
@@ -57,12 +58,6 @@ DIVERGENCE_FACTOR = 1e6
 OMEGA_CAP = 10.0
 OMEGA_FLOOR = 1e-6
 CONVERGENCE_FLOOR = 1e-13
-
-
-def _is_int(value) -> bool:
-    """An integer, and not a bool: True is not a count."""
-    return isinstance(value, (int, np.integer)) \
-        and not isinstance(value, bool)
 
 
 def _check_omega(omega: float) -> float:

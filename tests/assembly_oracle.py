@@ -193,7 +193,7 @@ def loop_assemble_poisson(mesh: MeshModel,
                 vals.append(ke[i, j])
     k = sp.coo_matrix((vals, (rows, cols)),
                       shape=(mesh.node_count, mesh.node_count))
-    return _reduce_system(mesh, k, f, ndpn=1)
+    return _reduce_system(mesh, k, f)
 
 
 def loop_assemble_elasticity(mesh: MeshModel,
@@ -242,4 +242,4 @@ def loop_assemble_elasticity(mesh: MeshModel,
                 vals.append(ke[i, j])
     n = mesh.node_count * dim
     k = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return _reduce_system(mesh, k, f, ndpn=dim)
+    return _reduce_system(mesh, k, f)

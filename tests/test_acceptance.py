@@ -240,8 +240,7 @@ def test_criterion_10_condensation_equals_dense_solve():
         f = rng.standard_normal(n)
         system = AssembledSystem(stiffness=sp.csr_matrix(k), load=f,
                                  dof_map=np.arange(n).reshape(n, 1),
-                                 fixed_values=np.zeros((n, 1)),
-                                 ndof_per_node=1)
+                                 fixed_values=np.zeros((n, 1)))
         iface = np.sort(rng.choice(n, size=int(rng.integers(1, n)),
                                    replace=False))
         op = condense(system, iface)

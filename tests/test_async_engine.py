@@ -395,22 +395,19 @@ def stalled_patch_ranks():
 
 def test_synchronized_threads_match_the_sequential_driver(two_patch_thermal):
     scn = two_patch_thermal
-    for relaxation in ("fixed", "aitken"):
-        seq = richardson_sync(scn, omega=1.0, tol=1e-8,
-                              relaxation=relaxation)
-        par = run_sync_concurrent(scn, omega=1.0, tol=1e-8,
-                                  relaxation=relaxation)
-        assert par.converged
-        assert len(par.history) == len(seq.history)
-        for a, b in zip(par.history, seq.history):
-            assert np.array_equal(a.p_gamma, b.p_gamma)
-            assert a.residual_norm == b.residual_norm
-            assert a.omega == b.omega
-        assert np.array_equal(par.final_u_gamma, seq.final_u_gamma)
-        # Both synchronous drivers leave their records untraced.
-        assert par.trace is None and seq.trace is None
-        assert all(rec.sigma is None and rec.solves is None
-                   for rec in par.history + seq.history)
+    seq = richardson_sync(scn, omega=1.0, tol=1e-8)
+    par = run_sync_concurrent(scn, omega=1.0, tol=1e-8)
+    assert par.converged
+    assert len(par.history) == len(seq.history)
+    for a, b in zip(par.history, seq.history):
+        assert np.array_equal(a.p_gamma, b.p_gamma)
+        assert a.residual_norm == b.residual_norm
+        assert a.omega == b.omega
+    assert np.array_equal(par.final_u_gamma, seq.final_u_gamma)
+    # Both synchronous drivers leave their records untraced.
+    assert par.trace is None and seq.trace is None
+    assert all(rec.sigma is None and rec.solves is None
+               for rec in par.history + seq.history)
 
 
 def test_synchronized_threads_with_grouped_patches(imbalanced_thermal):

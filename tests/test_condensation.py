@@ -34,7 +34,7 @@ def dense_system(k: np.ndarray, f: np.ndarray) -> AssembledSystem:
     n = len(f)
     return AssembledSystem(stiffness=sp.csr_matrix(k), load=f,
                            dof_map=np.arange(n).reshape(n, 1),
-                           fixed_values=np.zeros((n, 1)), ndof_per_node=1)
+                           fixed_values=np.zeros((n, 1)))
 
 
 def random_spd(rng, n):

@@ -30,7 +30,7 @@ def unconstrained(k: sp.spmatrix, f: np.ndarray) -> AssembledSystem:
     n = len(f)
     return AssembledSystem(stiffness=sp.csr_matrix(k), load=f,
                            dof_map=np.arange(n).reshape(n, 1),
-                           fixed_values=np.zeros((n, 1)), ndof_per_node=1)
+                           fixed_values=np.zeros((n, 1)))
 
 
 @st.composite

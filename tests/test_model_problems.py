@@ -317,6 +317,15 @@ def test_structured_mesh_validation():
         build_structured_mesh(2, 2, (1.0, -1.0))
 
 
+def test_structured_mesh_rejects_non_integer_divisions():
+    # Neither is truncated to a count: 2.5 cells is not 2, True is not 1.
+    with pytest.raises(MeshError, match="divisions"):
+        build_structured_mesh(1, (2.5,), 1.0)
+    with pytest.raises(MeshError, match="divisions"):
+        build_structured_mesh(2, (True, 3), 1.0)
+    assert build_structured_mesh(2, (np.int64(2), 3), 1.0).element_count == 12
+
+
 def test_assembly_validation():
     thermal = build_structured_mesh(2, 2, 1.0)
     elastic = build_structured_mesh(2, 2, 1.0, kind="elastic")

@@ -236,8 +236,6 @@ def test_driver_argument_validation(chain):
                 pytest.fail(f"{name} accepted {kwargs}")
     with pytest.raises(ValueError):
         richardson_sync(chain, relaxation="chebyshev")
-    with pytest.raises(ValueError):
-        run_sync_concurrent(chain, relaxation="chebyshev")
     for rank_count in (2.5, True):
         with pytest.raises(ValueError, match="rank_count"):
             run_sync_concurrent(chain, 0.5, rank_count=rank_count)
