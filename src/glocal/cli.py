@@ -5,9 +5,9 @@ Configs are INI files with three sections::
     [scenario]
     problem  = thermal            ; or elasticity
     geometry = two-patch-2d       ; or cube-grid-3d, imbalanced-grid
-    size     = 16                 ; base grid width (2d, at least 4) / cubes
-                                  ; per side (3d, 2..3); not for
-                                  ; imbalanced-grid
+    size     = 16                 ; base grid width (2d, >= 4, default 16)
+                                  ; / cubes per side (3d, 2..3, default
+                                  ; 2); not for imbalanced-grid
     refine   = 2                  ; imbalanced-grid: only when balanced
     contrast = 10.0               ; default 10 thermal, 100 elasticity,
                                   ; 1000 imbalanced-grid
@@ -44,8 +44,9 @@ fixed-age-row bound omega_D for D <= 2, but above the switching-age bound
 
 Every run writes ``history.csv`` (one row per global step) and
 ``summary.csv``; the asynchronous variants add ``trace.csv``, one row per
-step with each patch's age and solves so far.  Wall-clock columns are
-the only non-reproducible content for the deterministic variants.  A
+step with each patch's age and solves so far.  One ``csv.writer`` writes
+every file, each float as its repr; wall-clock columns are the only
+non-reproducible content for the deterministic variants.  A
 suite builds each of its cases and solves its monolithic reference once;
 every variant of the case runs on that pair.
 """
@@ -57,7 +58,7 @@ import csv
 import math
 import sys
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +96,6 @@ MAX_SIZE_REFINE_2D = 6 * 159
 # nodes pass 50k after refine 9.
 MAX_REFINE_3D = 9
 
-SUMMARY_COLUMNS = ("case", "variant", "iterations", "loc_solves_min",
-                   "loc_solves_max", "wall_seconds", "rel_residual",
-                   "err_vs_oracle", "converged")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -106,7 +103,7 @@ class RunConfig:
 
     problem: str = "thermal"
     geometry: str = "two-patch-2d"
-    size: int = 16
+    size: int | None = None
     refine: int = 2
     contrast: float | None = None
     seed: int = 0
@@ -120,6 +117,11 @@ class RunConfig:
     update_prob: float = 0.5
     rank_count: int | None = None
     out_dir: Path = Path(".")
+
+    def __post_init__(self):  # the imbalanced grid takes no size
+        if self.size is None:
+            sizes = {"two-patch-2d": 16, "cube-grid-3d": 2}
+            object.__setattr__(self, "size", sizes.get(self.geometry))
 
 
 @dataclass(frozen=True)
@@ -136,11 +138,8 @@ class RunSummary:
     err_vs_oracle: float
     converged: bool
 
-    def row(self) -> list:
-        return [self.case, self.variant, self.iterations,
-                self.loc_solves_min, self.loc_solves_max,
-                _fmt(self.wall_seconds), _fmt(self.rel_residual),
-                _fmt(self.err_vs_oracle), self.converged]
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(RunSummary))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,6 @@ def load_config(path: str | Path) -> RunConfig:
     else:
         problems += [f"{key} is used only by imbalanced-grid"
                      for key in ("seed", "balanced") if key in values]
-        if geometry == "cube-grid-3d":
-            values.setdefault("size", 2)
 
     variant = values.get("variant", "sync-aitken")
     if variant not in VARIANTS:
@@ -270,10 +267,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"invalid config {path}:\n  "
                           + "\n  ".join(problems))
 
-    out_dir = Path(values.pop("directory", "."))
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    kwargs = {k: v for k, v in values.items() if k in known}
-    return RunConfig(out_dir=out_dir, **kwargs)
+    return RunConfig(out_dir=Path(values.pop("directory", ".")), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +332,12 @@ def resolve_omega(cfg: RunConfig, scenario: CouplingScenario) -> float:
     if cfg.variant == "sync-aitken":
         return 1.0
     alpha_min, alpha_max = generalized_alphas(scenario)
-    if cfg.variant in ("sync-fixed", "sync-concurrent"):
-        return 0.9 * (2.0 / alpha_max)
     if cfg.variant == "async-sim":
         bounds = relaxation_bounds(alpha_min, alpha_max, cfg.max_delay)
         return 0.9 * (bounds.omega_async_factor or bounds.omega_sync)
-    # async-concurrent: a quarter of sync, unproved for switching ages.
-    return 0.25 * (2.0 / alpha_max)
+    # 0.9 of sync; async-concurrent a quarter, unproved for switching ages.
+    share = 0.25 if cfg.variant == "async-concurrent" else 0.9
+    return share * (2.0 / alpha_max)
 
 
 def _dispatch(cfg: RunConfig, scenario: CouplingScenario,
@@ -380,9 +373,8 @@ def run_case(cfg: RunConfig, *, scenario: CouplingScenario | None = None,
     reports its true distance to the coupled solution, not only the
     residual it happened to stop at.
     """
-    out_dir = cfg.out_dir if out_dir is None else out_dir
-    return _run_variants(cfg, scenario,
-                         [(cfg.variant, cfg.omega, out_dir)])[0]
+    return _run_variants(cfg, scenario, [(cfg.variant, cfg.omega,
+                                          out_dir or cfg.out_dir)])[0]
 
 
 def _run_variants(base: RunConfig, scenario: CouplingScenario | None,
@@ -401,12 +393,9 @@ def _run_variants(base: RunConfig, scenario: CouplingScenario | None,
                / np.linalg.norm(reference))
         solves = list(report.patch_solves.values()) or [0]
         summary = RunSummary(
-            case=scenario.name, variant=report.variant,
-            iterations=report.iterations,
-            loc_solves_min=min(solves), loc_solves_max=max(solves),
-            wall_seconds=report.history[-1].wall_time,
-            rel_residual=report.final_relative_residual,
-            err_vs_oracle=float(err), converged=report.converged)
+            scenario.name, report.variant, report.iterations, min(solves),
+            max(solves), report.history[-1].wall_time,
+            report.final_relative_residual, float(err), report.converged)
         write_history(out_dir / "history.csv", report)
         if report.trace is not None:
             write_trace(out_dir / "trace.csv", scenario, report)
@@ -419,24 +408,18 @@ def _run_variants(base: RunConfig, scenario: CouplingScenario | None,
 # CSV writers
 
 
-def _fmt(value) -> str:
-    # repr round-trips floats exactly; str() would truncate.
-    return repr(float(value))
-
-
 def _write_rows(path: Path, header, rows):
-    """A header and rows of ints, bools and float reprs, which csv never
-    quotes, so each row is joined directly."""
+    """The one CSV writer: raw values, each float written as its repr."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(str, row)) + "\r\n"
-                      for row in [header, *rows])
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_history(path: Path, report: SolveReport):
     h = report.history
     _write_rows(path, ["iteration", "residual_norm", "omega", "wall_seconds"],
-                ((j, _fmt(r), _fmt(w), _fmt(t)) for j, (r, w, t) in
-                 enumerate(zip(h.residual_norm, h.omega, h.wall_time))))
+                zip(range(len(h)), h.residual_norm, h.omega, h.wall_time))
 
 
 def write_trace(path: Path, scenario: CouplingScenario, report: SolveReport):
@@ -450,17 +433,13 @@ def write_trace(path: Path, scenario: CouplingScenario, report: SolveReport):
 
 
 def write_summary(path: Path, summaries: list[RunSummary]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for summary in summaries:
-            writer.writerow(summary.row())
+    _write_rows(path, SUMMARY_COLUMNS, map(astuple, summaries))
 
 
 def write_certificate(path: Path, report) -> None:
     _write_rows(path, ["trial", "max_delay", "omega", "rho", "pass"],
-                ((trial, report.max_delay, _fmt(report.omega), _fmt(rho),
-                  rho < 1.0) for trial, rho in enumerate(report.rhos)))
+                ((trial, report.max_delay, report.omega, rho, rho < 1.0)
+                 for trial, rho in enumerate(report.rhos)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +492,21 @@ def run_suite(name: str, sizes: list[int] | None = None,
 # entry point
 
 
+def _print_summaries(summaries: list[RunSummary]) -> int:
+    """One ``key=value`` line per summary row; 0 when every run converged."""
+    for summary in summaries:
+        print(", ".join(f"{k}={v}" for k, v in zip(SUMMARY_COLUMNS,
+                                                   astuple(summary))))
+    return 0 if all(s.converged for s in summaries) else 1
+
+
 def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    summary = run_case(cfg)
-    print(", ".join(f"{k}={v}" for k, v in zip(SUMMARY_COLUMNS,
-                                               summary.row())))
-    return 0 if summary.converged else 1
+    return _print_summaries([run_case(load_config(args.config))])
 
 
 def _cmd_suite(args) -> int:
-    summaries = run_suite(args.name, sizes=args.sizes, out_dir=args.out)
-    for summary in summaries:
-        print(", ".join(f"{k}={v}" for k, v in zip(SUMMARY_COLUMNS,
-                                                   summary.row())))
-    return 0 if all(s.converged for s in summaries) else 1
+    return _print_summaries(run_suite(args.name, sizes=args.sizes,
+                                      out_dir=args.out))
 
 
 def _cmd_certify(args) -> int:

@@ -128,8 +128,7 @@ def condense(system: AssembledSystem, interface_dofs,
         raise ValueError("interface dofs contain duplicates")
     if iface.size and (iface.min() < 0 or iface.max() >= n):
         raise ValueError("interface dof out of range")
-    identity = transfer is None
-    if identity:
+    if transfer is None:
         transfer = sp.identity(len(iface), format="csr")
 
     interior = np.setdiff1d(np.arange(n), iface)
@@ -137,28 +136,22 @@ def condense(system: AssembledSystem, interface_dofs,
     k_g = k[iface]
     k_gi = k_g[:, interior].tocsr()
     k_ii = k[interior][:, interior].tocsc()
-    # J is applied as a dense array: sparse-sparse products cost more at
-    # these sizes, so only the bordered path forms the sparse J^T K_gi.
-    jd = None if identity else transfer.toarray()
-    k_gg = k_g[:, iface].toarray() if identity \
-        else jd.T @ (k_g[:, iface] @ jd)
+    # J (exact when I) is applied dense: sparse products cost more here.
+    jd = transfer.toarray()
+    k_gg = jd.T @ (k_g[:, iface] @ jd)
     schur, rhs = k_gg, f[iface]
     if interior.size:
         factor = _factor_spd(k_ii, label)
         rhs = rhs - k_gi @ factor.solve(f[interior])
         m, schur = len(k_gg), None
         if m * min(factor.nnz, m * interior.size) >= _BORDERED_WORK:
-            border = k_gi if identity else (transfer.T @ k_gi).tocsr()
+            border = (transfer.T @ k_gi).tocsr()
             schur = _bordered_schur(k_ii, border, factor.perm_c, k_gg)
         if schur is None:
             # K_ii^{-1} K_ig J as one multi-rhs sweep through the factor.
-            k_ig = k_gi.T.toarray() if identity else k_gi.T @ jd
-            coupled = k_gi @ factor.solve(k_ig)
-            schur = k_gg - (coupled if identity else jd.T @ coupled)
-    rhs = rhs if identity else jd.T @ rhs
-    return CondensedOperator(schur=np.ascontiguousarray(schur), rhs=rhs,
-                             interface_dofs=iface, interior_dofs=interior,
-                             transfer=transfer, system=system)
+            schur = k_gg - jd.T @ (k_gi @ factor.solve(k_gi.T @ jd))
+    return CondensedOperator(np.ascontiguousarray(schur), jd.T @ rhs, iface,
+                             interior, transfer, system)
 
 
 def _bordered_schur(k_ii: sp.csc_matrix, k_gi: sp.csr_matrix,

@@ -218,10 +218,9 @@ def build_structured_mesh(dimension: int,
     if dimension not in (1, 2, 3):
         raise MeshError(f"dimension {dimension} unsupported")
     divisions = _as_tuple(divisions, dimension, "divisions")
-    extent = _as_tuple(float(extent) if np.isscalar(extent) else extent,
-                       dimension, "extent")
-    origin = _as_tuple(float(origin) if np.isscalar(origin) else origin,
-                       dimension, "origin")
+    # Python floats, so a float32 component spaces its axis in float64.
+    extent = tuple(map(float, _as_tuple(extent, dimension, "extent")))
+    origin = tuple(map(float, _as_tuple(origin, dimension, "origin")))
     if not all(_is_int(d) and d >= 1 for d in divisions):
         raise MeshError(f"divisions must be integers of at least 1 per "
                         f"direction, got {divisions}")

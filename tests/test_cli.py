@@ -7,11 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glocal import (ConfigError, DelaySchedule, cli, coupling,
-                    generalized_alphas, monolithic_reference,
-                    relaxation_bounds, run_async_simulated)
+import record_oracle
+from glocal import (CertificateReport, ConfigError, DelaySchedule, cli,
+                    certify_paracontraction, coupling, generalized_alphas,
+                    monolithic_reference, relaxation_bounds,
+                    run_async_simulated)
 from glocal.cli import (
     RunConfig,
+    RunSummary,
     build_case,
     load_config,
     main,
@@ -19,6 +22,8 @@ from glocal.cli import (
     resolve_omega,
     run_case,
     run_suite,
+    write_certificate,
+    write_summary,
     write_trace,
 )
 
@@ -79,6 +84,19 @@ geometry = imbalanced-grid
 geometry = cube-grid-3d
 """))
     assert cube.size == 2 and cube.contrast is None
+
+
+def test_the_record_holds_each_geometrys_size_default(tmp_path):
+    # A config naming only the geometry is the bare record, and both build.
+    cube = load_config(write_config(tmp_path / "c.ini", """
+[scenario]
+geometry = cube-grid-3d
+"""))
+    assert cube == RunConfig(geometry="cube-grid-3d")
+    assert build_case(RunConfig(geometry="cube-grid-3d")).name == \
+        "cube-grid-3d-thermal-n2"
+    assert RunConfig().size == 16
+    assert RunConfig(geometry="imbalanced-grid").size is None
 
 
 def test_contrast_defaults_follow_the_problem():
@@ -246,6 +264,8 @@ def test_resolve_omega_policy(chain):
     assert resolve_omega(RunConfig(variant="sync-aitken"), chain) == 1.0
     assert resolve_omega(RunConfig(variant="sync-fixed"), chain) == \
         pytest.approx(0.9 * sync)
+    assert resolve_omega(RunConfig(variant="sync-concurrent"), chain) == \
+        pytest.approx(0.9 * sync)
     factor = relaxation_bounds(amin, amax, 2).omega_async_factor
     assert resolve_omega(RunConfig(variant="async-sim", max_delay=2),
                          chain) == pytest.approx(0.9 * factor)
@@ -379,8 +399,59 @@ def test_history_and_summary_layout(tmp_path, chain):
     assert not (tmp_path / "trace.csv").exists()
 
 
+# Values a run may hand the writers: numpy floats and bools, a case name
+# that csv must quote, a negative zero and repr-only digits.
+AWKWARD_SUMMARIES = [
+    RunSummary("two-patch, quoted", "async-sim", 12, 3, 40, 0.1 + 0.2,
+               np.float64(2.5e-07), np.float64(1e-300), True),
+    RunSummary("plain", "sync-fixed", 0, 0, 0, 1e-3, -0.0,
+               np.float64(0.1) + np.float64(0.2), np.bool_(False)),
+]
+
+
+def test_summary_and_certificate_bytes_match_hand_formatted_writers(
+        tmp_path, chain):
+    # The oracle formats every float as repr(float(x)) itself; the CLI
+    # hands csv the raw values.
+    summary = run_case(RunConfig(variant="sync-fixed", omega=0.9),
+                       scenario=chain, out_dir=tmp_path)
+    certified = certify_paracontraction(chain, 0.5, 2, trials=7, seed=3)
+    awkward = CertificateReport(
+        omega=np.float64(0.1) + np.float64(0.2), max_delay=2, seed=0,
+        rhos=(np.float64(0.5), 1 / 3, float("inf"), np.float64(1.0)),
+        ages=((0, 1), (1, 2), (2, 2), (0, 0)))
+    cases = [("summary", write_summary, record_oracle.write_summary,
+              [summary]),
+             ("awkward-summary", write_summary, record_oracle.write_summary,
+              AWKWARD_SUMMARIES),
+             ("certificate", write_certificate,
+              record_oracle.write_certificate, certified),
+             ("awkward-certificate", write_certificate,
+              record_oracle.write_certificate, awkward)]
+    for name, write, oracle, value in cases:
+        write(tmp_path / f"{name}.csv", value)
+        oracle(tmp_path / f"{name}-oracle.csv", value)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}-oracle.csv").read_bytes(), name
+    assert b'"two-patch, quoted"' in \
+        (tmp_path / "awkward-summary.csv").read_bytes()
+    assert b",inf,False\r\n" in \
+        (tmp_path / "awkward-certificate.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # console entry point
+
+
+def test_console_lines_match_hand_formatted_rows(tmp_path, capsys,
+                                                 monkeypatch):
+    lines = [record_oracle.summary_line(s) + "\n" for s in AWKWARD_SUMMARIES]
+    monkeypatch.setattr(cli, "run_case", lambda cfg: AWKWARD_SUMMARIES[0])
+    assert main(["solve", str(write_config(tmp_path / "c.ini", ""))]) == 0
+    assert capsys.readouterr().out == lines[0]
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: AWKWARD_SUMMARIES)
+    assert main(["suite", "paper-2d"]) == 1
+    assert capsys.readouterr().out == "".join(lines)
 
 
 def test_main_solve_roundtrip(tmp_path, capsys):

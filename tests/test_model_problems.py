@@ -326,6 +326,20 @@ def test_structured_mesh_rejects_non_integer_divisions():
     assert build_structured_mesh(2, (np.int64(2), 3), 1.0).element_count == 12
 
 
+@pytest.mark.parametrize("dimension, divisions", [(1, 3), (2, (3, 2))])
+def test_structured_mesh_reads_scalar_and_tuple_extents_alike(dimension,
+                                                              divisions):
+    # A float32 extent or origin is read as the same Python float in
+    # either form, so both space their axes in float64 alike.
+    extent, origin = np.float32(0.3), np.float32(0.1)
+    scalar = build_structured_mesh(dimension, divisions, extent,
+                                   origin=origin)
+    tupled = build_structured_mesh(dimension, divisions, (extent,) * dimension,
+                                   origin=(origin,) * dimension)
+    assert scalar.nodes.dtype == tupled.nodes.dtype == np.float64
+    assert np.array_equal(scalar.nodes, tupled.nodes)
+
+
 def test_assembly_validation():
     thermal = build_structured_mesh(2, 2, 1.0)
     elastic = build_structured_mesh(2, 2, 1.0, kind="elastic")
