@@ -63,7 +63,7 @@ class DelaySchedule:
 
     max_delay: int
     patch_ids: tuple[int, ...]
-    has_complement: bool = False
+    has_complement: bool | None = None   # None: read off the scenario
     table: np.ndarray | None = None
     seed: int | None = None
     update_prob: float = 0.5
@@ -106,13 +106,13 @@ class DelaySchedule:
     @classmethod
     def random_bounded(cls, patch_ids, max_delay: int, seed: int,
                        update_prob: float = 0.5,
-                       has_complement: bool = False) -> "DelaySchedule":
+                       has_complement: bool | None = None) -> "DelaySchedule":
         return cls(max_delay, tuple(patch_ids), has_complement, seed=seed,
                    update_prob=update_prob)
 
     @classmethod
     def from_table(cls, patch_ids, max_delay: int, table,
-                   has_complement: bool = False) -> "DelaySchedule":
+                   has_complement: bool | None = None) -> "DelaySchedule":
         return cls(max_delay, tuple(patch_ids), has_complement, table=table)
 
     def ages(self, j: int) -> np.ndarray:
@@ -150,7 +150,7 @@ class _ScheduledReactions(_Reactions):
     def __init__(self, scenario: CouplingScenario, schedule: DelaySchedule):
         if tuple(schedule.patch_ids) != scenario.patch_ids:
             raise ScheduleError("schedule and scenario patch ids differ")
-        if schedule.has_complement != (scenario.complement is not None):
+        if schedule.has_complement not in (None, 0 in scenario.subdomains):
             raise ScheduleError("schedule and scenario complements differ")
         super().__init__(scenario)
         self.schedule = schedule

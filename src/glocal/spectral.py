@@ -48,30 +48,34 @@ is sharp for the synchronous iteration; the delayed factor
 certificate usually admits noticeably larger omega.  Each record here
 keeps only what was computed and derives the rest on read.
 
-A fixed row at D >= 1 with w alpha_max < c_D = D^D/(D+1)^(D+1) (0.148 at
-D = 2; 0.9 omega_async_factor is inside up to D = 8) takes rho from the
-solvent S = I - w sum_k X_k S^-k (no switching proof), as B W = W S for
-W = [I; S^-1; ...; S^-D].  On an eigenvector, with M_k = L^-1 Shat_k L^-T
-PSD and sum_k M_k = G, |(l-1) l^D| >= c_D > w alpha_max >= |w sum_k m_k
-l^(D-k)| on |l| = r* = D/(D+1), so as at w = 0 exactly Gamma eigenvalues
-lie outside r*; if all of eig(S) do, rho(B) = rho(S).
+Inside the split w alpha_max < c_D = D^D/(D+1)^(D+1), D >= 1 (0.148 at
+D = 2), a fixed row is overdamped (Duffin 1955; no switching proof).
+With S_G = L L^T the polynomial is similar to (1-l) l^D I - w T(l),
+T(l) = sum_k l^(D-k) M_k, M_k = L^-1 Shat_k L^-T PSD.  For |x| = 1, p_x(l)
+= (1-l) l^D - w x^T T(l) x falls and is concave on [r*, inf), r* = D/(D+1),
+from p_x(r*) >= c_D - w alpha_max > 0 to p_x(1) = -w x^T T(1) x < 0: one
+root rho(x).  So (Voss & Werner 1982) Gamma eigenvalues are real in
+(r*, 1), the top max_x rho(x), and none crosses |l| = r* from w = 0
+(|(1-l) l^D| >= c_D > |w x^H T(l) x| there): rho(B) = max_x rho(x).
+Werner's safeguarded iteration finds it: l <- rho(v) by Newton from 1 on
+the concave p_x / l^D, v <- the bottom eigenvector of T(l).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import inf, pi, sin
 
 import numpy as np
+import scipy.linalg as la
 
 from .coupling import CouplingScenario
 from .solvers import _check_delay, _check_omega, _is_int
 
 _log = logging.getLogger(__name__)
-# S is kept when a step moves no entry past roundoff; a NaN fails that.
-_SOLVENT_STEPS, _SOLVENT_TOL, _SPLIT_MARGIN = 100, 1e-13, 1e-6
+_STEPS, _SPLIT_SLACK = 50, 1 + 1e-6
 
 __all__ = ["CompanionSystem", "SpectralBounds", "CertificateReport",
            "build_companion", "spectral_radius",
@@ -213,29 +217,33 @@ def spectral_radius(system: CompanionSystem) -> float:
     return float(np.abs(np.linalg.eigvals(matrix[np.ix_(keep, keep)])).max())
 
 
-def _principal_radius(system: CompanionSystem,
-                      alpha_max: float) -> float | None:
-    """rho(B) from the dominant solvent S, or None if a test fails."""
-    d, omega, blocks = system.max_delay, system.omega, system.blocks
-    if d < 1 or (omega * alpha_max * (1 + _SPLIT_MARGIN)
-                 >= d ** d / (d + 1) ** (d + 1)):
+def _overdamped_route(scenario: CouplingScenario, omega: float,
+                      max_delay: int, alpha_max: float):
+    """None outside the split, else ages -> (rho, eigensolves), or None
+    when a root leaves (r*, 1) or the safeguarded iteration runs out."""
+    d, r_star = max_delay, max_delay / (max_delay + 1)
+    if d < 1 or omega * alpha_max * _SPLIT_SLACK >= r_star ** d / (d + 1):
         return None
-    eye = np.eye(system.gamma_dim)
-    s, last = eye - omega * sum(blocks), inf
-    inv = np.linalg.inv(s)
-    for _ in range(_SOLVENT_STEPS):
-        acc = blocks[d]   # Horner: sum_k X_k S^-k
-        for x in blocks[-2::-1]:
-            acc = x + acc @ inv
-        new = eye - omega * acc
-        if not (moved := np.abs(new - s).max()) < last:
-            break
-        s, last, inv = new, moved, inv @ (2 * eye - new @ inv)  # Newton-Schulz
-    if not (moved <= _SOLVENT_TOL
-            and np.abs(s @ inv - eye).max() <= _SOLVENT_TOL):
-        return None
-    moduli = np.abs(np.linalg.eigvals(s))
-    return float(moduli.max()) if moduli.min() > d / (d + 1) else None
+    inv_l = np.tril(scenario._sg_chol[0]).T @ scenario._sg_inverse   # L^-1
+    ms = np.stack([inv_l[:, s.amap] @ s.schur @ inv_l[:, s.amap].T for s in
+                   map(scenario.subdomains.get, scenario.subdomain_ids)])
+    bottom = partial(la.eigh, subset_by_index=[0, 0])   # least eigenpair
+    start = bottom(ms.sum(axis=0))[1][:, 0]   # v at l = 1, for every row
+
+    def radius(ages):
+        age = dict(zip(scenario.patch_ids, ages))   # the complement is fresh
+        k = np.array([age.get(s, 0) for s in scenario.subdomain_ids])
+        lam, x = r_star, start   # T(l) / l^D = sum_s l^-k_s M_s
+        for step in range(_STEPS):   # Newton from 1 on p_x(l) / l^D
+            a, mu, new = omega * (ms @ x @ x), 2.0, 1.0
+            while new < mu:
+                mu, t = new, a * new ** -k
+                new -= (1 - mu - t.sum()) / (t @ k / mu - 1)
+            if not lam < mu < 1:
+                return (float(lam), step) if r_star < mu < 1 else None
+            lam, x = mu, bottom(np.tensordot(mu ** -k, ms, 1))[1][:, 0]
+
+    return radius
 
 
 def generalized_spectrum(scenario: CouplingScenario) -> np.ndarray:
@@ -282,16 +290,16 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
     else:
         ages = [tuple(rng.integers(0, max_delay + 1, size=n_patches).tolist())
                 for _ in range(trials)]
-    alpha_max, solved, dense = generalized_alphas(scenario)[1], {}, 0
-    for row in ages:
-        if row not in solved:
-            system = build_companion(scenario, row, omega, max_delay)
-            solved[row] = _principal_radius(system, alpha_max)
-            if solved[row] is None:
-                solved[row], dense = spectral_radius(system), dense + 1
-    _log.debug("%d rows: %d solvent, %d dense; w alpha_max %.3g, c_D %.3g",
-               len(ages), len(solved) - dense, dense, omega * alpha_max,
+    alpha_max, solved = generalized_alphas(scenario)[1], {}
+    route = _overdamped_route(scenario, omega, max_delay, alpha_max)
+    for row in dict.fromkeys(ages):   # (rho, eigensolves), -1 when dense
+        solved[row] = route and route(row) or (spectral_radius(
+            build_companion(scenario, row, omega, max_delay)), -1)
+    steps = [n for _, n in solved.values()]
+    _log.debug("%d rows: %d symmetric, %d dense, <= %d steps; w alpha_max "
+               "%.3g, c_D %.3g", len(ages), len(steps) - steps.count(-1),
+               steps.count(-1), max(0, *steps), omega * alpha_max,
                max_delay ** max_delay / (max_delay + 1) ** (max_delay + 1))
     return CertificateReport(omega=omega, max_delay=max_delay, seed=seed,
-                             rhos=tuple(solved[row] for row in ages),
+                             rhos=tuple(solved[row][0] for row in ages),
                              ages=tuple(ages))

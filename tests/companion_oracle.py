@@ -13,9 +13,21 @@ here take the same age row as ``build_companion`` (one age per patch in
 ``patch_ids`` order) but group the subdomains into slots by age on their
 own, with the complement in slot 0.  Nothing in ``src/`` imports this
 module.
+
+``solvent_radius`` is the earlier route to a radius inside the split
+w alpha_max < c_D, kept to cross-check the symmetric route that replaced
+it.  It reads rho(B) off the dominant solvent S = I - w sum_k X_k S^-k
+(as B W = W S for W = [I; S^-1; ...; S^-D]), found by a Newton-Schulz
+loop, with one Gamma x Gamma ``eigvals``.  On an eigenvector, with
+M_k = L^-1 Shat_k L^-T PSD and sum_k M_k = G, |(l-1) l^D| >= c_D >
+w alpha_max >= |w sum_k m_k l^(D-k)| on |l| = r* = D/(D+1), so as at
+w = 0 exactly Gamma eigenvalues lie outside r*; if all of eig(S) do,
+rho(B) = rho(S).
 """
 
 from __future__ import annotations
+
+from math import inf
 
 import numpy as np
 import scipy.linalg as la
@@ -99,3 +111,32 @@ def characteristic_value(system: CompanionSystem, lam: complex) -> complex:
         acc += lam ** (d - k) * x
     poly = (1 - lam) * lam ** d * np.eye(n) - system.omega * acc
     return complex(np.linalg.det(poly))
+
+
+# S is kept when a step moves no entry past roundoff; a NaN fails that.
+_SOLVENT_STEPS, _SOLVENT_TOL, _SPLIT_MARGIN = 100, 1e-13, 1e-6
+
+
+def solvent_radius(system: CompanionSystem,
+                   alpha_max: float) -> float | None:
+    """rho(B) from the dominant solvent S, or None if a test fails."""
+    d, omega, blocks = system.max_delay, system.omega, system.blocks
+    if d < 1 or (omega * alpha_max * (1 + _SPLIT_MARGIN)
+                 >= d ** d / (d + 1) ** (d + 1)):
+        return None
+    eye = np.eye(system.gamma_dim)
+    s, last = eye - omega * sum(blocks), inf
+    inv = np.linalg.inv(s)
+    for _ in range(_SOLVENT_STEPS):
+        acc = blocks[d]   # Horner: sum_k X_k S^-k
+        for x in blocks[-2::-1]:
+            acc = x + acc @ inv
+        new = eye - omega * acc
+        if not (moved := np.abs(new - s).max()) < last:
+            break
+        s, last, inv = new, moved, inv @ (2 * eye - new @ inv)  # Newton-Schulz
+    if not (moved <= _SOLVENT_TOL
+            and np.abs(s @ inv - eye).max() <= _SOLVENT_TOL):
+        return None
+    moduli = np.abs(np.linalg.eigvals(s))
+    return float(moduli.max()) if moduli.min() > d / (d + 1) else None

@@ -374,6 +374,24 @@ def test_simulated_run_validates_inputs(chain):
         run_async_simulated(chain, 0.5, no_complement)
 
 
+def test_a_schedule_reads_its_complement_off_the_scenario(chain,
+                                                          cube2_thermal):
+    assert chain.complement is not None and cube2_thermal.complement is None
+    amin, amax = generalized_alphas(chain)
+    omega = 0.9 * relaxation_bounds(amin, amax, 2).omega_async_factor
+    runs = [run_async_simulated(chain, omega, DelaySchedule.random_bounded(
+        chain.patch_ids, 2, seed=3, **given), tol=1e-8)
+        for given in ({}, {"has_complement": True})]
+    assert runs[0].converged
+    assert [h.residual_norm for h in runs[0].history] \
+        == [h.residual_norm for h in runs[1].history]
+    for scn, wrong in ((chain, False), (cube2_thermal, True)):
+        schedule = DelaySchedule.random_bounded(scn.patch_ids, 2, seed=0,
+                                                has_complement=wrong)
+        with pytest.raises(ScheduleError):
+            run_async_simulated(scn, omega, schedule)
+
+
 # ---------------------------------------------------------------------------
 # threaded executors
 

@@ -30,8 +30,8 @@ from glocal import (
 from glocal import spectral
 
 from companion_oracle import (age_slots, characteristic_value,
-                              scattered_schur, symmetrized_companion,
-                              verify_fixed_point)
+                              scattered_schur, solvent_radius,
+                              symmetrized_companion, verify_fixed_point)
 
 
 def fresh_ages(scn):
@@ -437,7 +437,7 @@ def test_a_replaced_certificate_derives_its_verdict(two_patch_thermal):
 
 
 # ---------------------------------------------------------------------------
-# radii from the dominant solvent inside the split
+# radii from the overdamped route inside the split
 
 
 def spy_on_radius(monkeypatch):
@@ -452,25 +452,32 @@ def spy_on_radius(monkeypatch):
     return calls
 
 
-def record_eigvals(monkeypatch):
-    """Route ``np.linalg.eigvals`` through a recorder of its arguments."""
-    seen, original = [], np.linalg.eigvals
+def record_eigensolves(monkeypatch):
+    """Route numpy's and scipy's eigensolvers through a recorder of the
+    matrix shapes they are given, kept by kind: general or symmetric."""
+    seen = {"general": [], "symmetric": []}
+    for module in (np.linalg, sla):
+        for name, kind in (("eig", "general"), ("eigvals", "general"),
+                           ("eigh", "symmetric"), ("eigvalsh", "symmetric")):
+            def recording(a, *args, _solve=getattr(module, name),
+                          _kind=kind, **kwargs):
+                seen[_kind].append(np.shape(a))
+                return _solve(a, *args, **kwargs)
 
-    def recording(a):
-        seen.append(np.array(a))
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
+            monkeypatch.setattr(module, name, recording)
     return seen
 
 
-@pytest.mark.parametrize("build", [
+split_cases = pytest.mark.parametrize("build", [
     lambda: chain_1d(), lambda: two_patch_2d("thermal"),
     lambda: two_patch_2d("elasticity"), lambda: cube_grid_3d(2, "thermal"),
     lambda: imbalanced_grid("thermal", seed=0),
     lambda: imbalanced_grid("thermal", seed=1009)],
     ids=["chain", "thermal", "elastic", "cube2", "imbalanced0",
          "imbalanced1009"])
+
+
+@split_cases
 def test_solvent_radii_match_the_dense_companion(build, monkeypatch):
     scn = build()
     amin, amax = generalized_alphas(scn)
@@ -481,37 +488,54 @@ def test_solvent_radii_match_the_dense_companion(build, monkeypatch):
         report = certify_paracontraction(scn, omega, max_delay, trials=12,
                                          seed=1009)
         monkeypatch.undo()
-        assert dense == []   # every row took the solvent route
+        assert dense == []   # every row took the symmetric route
         for ages, rho in zip(report.ages, report.rhos):
             full = spectral_radius(build_companion(scn, ages, omega,
                                                    max_delay))
             assert abs(rho - full) <= 1e-12 * full
 
 
-@pytest.mark.parametrize("name, max_delay", [("two_patch_elastic", 4),
-                                             ("imbalanced_thermal", 2)])
-def test_the_solvent_holds_exactly_the_outer_eigenvalues(name, max_delay,
-                                                         request,
-                                                         monkeypatch):
-    scn = request.getfixturevalue(name)
+@split_cases
+def test_symmetric_radii_match_the_solvent_oracle(build):
+    """The rows of the test above, whose radii match ``spectral_radius``,
+    against the Newton-Schulz solvent route the symmetric one replaced."""
+    scn = build()
     amin, amax = generalized_alphas(scn)
-    omega = 0.9 * relaxation_bounds(amin, amax, max_delay).omega_async_factor
-    ages = np.arange(len(scn.patch_ids)) % (max_delay + 1)
-    system = build_companion(scn, ages, omega, max_delay)
-    seen = record_eigvals(monkeypatch)
-    rho = spectral._principal_radius(system, amax)
-    monkeypatch.undo()
-    n = scn.gamma_dim
-    assert rho is not None and [a.shape for a in seen] == [(n, n)]
-    solvent = np.linalg.eigvals(seen[0])
-    full = np.linalg.eigvals(system.matrix)
-    outer = full[np.abs(full) > max_delay / (max_delay + 1)]
-    assert len(outer) == n
-    # Each set lies within roundoff of the other.
-    gap = np.abs(solvent[:, None] - outer[None, :])
-    assert gap.min(axis=0).max() <= 1e-10 and gap.min(axis=1).max() <= 1e-10
-    assert rho == np.abs(solvent).max()
-    assert abs(rho - np.abs(full).max()) <= 1e-12 * rho
+    for max_delay in (1, 2, 4):
+        omega = 0.9 * relaxation_bounds(amin, amax, max_delay) \
+            .omega_async_factor
+        report = certify_paracontraction(scn, omega, max_delay, trials=12,
+                                         seed=1009)
+        for ages, rho in zip(report.ages, report.rhos):
+            solvent = solvent_radius(
+                build_companion(scn, ages, omega, max_delay), amax)
+            assert abs(rho - solvent) <= 1e-12 * solvent
+
+
+@pytest.mark.parametrize("name, max_delay", [
+    (name, max_delay) for name in ("two_patch_thermal", "two_patch_elastic",
+                                   "cube2_thermal", "imbalanced_thermal")
+    for max_delay in (1, 2, 4, 8)])
+def test_overdamped_rows_have_gamma_real_outer_eigenvalues(name, max_delay,
+                                                           request):
+    scn = request.getfixturevalue(name)
+    _, amax = generalized_alphas(scn)
+    n, r_star = scn.gamma_dim, max_delay / (max_delay + 1)
+    c_d = max_delay ** max_delay / (max_delay + 1) ** (max_delay + 1)
+    rng = np.random.default_rng(max_delay)
+    for omega in (0.5 * c_d / amax, 0.99 * c_d / amax):
+        route = spectral._overdamped_route(scn, omega, max_delay, amax)
+        for _ in range(2):
+            ages = tuple(rng.integers(0, max_delay + 1,
+                                      size=len(scn.patch_ids)).tolist())
+            full = np.linalg.eigvals(
+                build_companion(scn, ages, omega, max_delay).matrix)
+            outer = full[np.abs(full) > r_star]
+            assert len(outer) == n
+            assert np.abs(outer.imag).max() <= 1e-10
+            assert np.all((r_star < outer.real) & (outer.real < 1))
+            rho, _ = route(ages)
+            assert abs(rho - outer.real.max()) <= 1e-12 * rho
 
 
 def test_rows_outside_the_split_take_the_dense_route(two_patch_thermal,
@@ -535,13 +559,14 @@ def test_the_solvent_route_ends_at_the_split(two_patch_thermal):
     ages = np.arange(len(scn.patch_ids)) % 2
     for max_delay in (1, 2, 4):
         bound = max_delay ** max_delay / (max_delay + 1) ** (max_delay + 1)
-        inside = build_companion(scn, ages, 0.99 * bound / amax, max_delay)
-        rho = spectral._principal_radius(inside, amax)
+        omega = 0.99 * bound / amax
+        rho, _ = spectral._overdamped_route(scn, omega, max_delay,
+                                            amax)(ages)
+        inside = build_companion(scn, ages, omega, max_delay)
         assert abs(rho - spectral_radius(inside)) <= 1e-12 * rho
-        past = build_companion(scn, ages, 1.0001 * bound / amax, max_delay)
-        assert spectral._principal_radius(past, amax) is None
-    undelayed = build_companion(scn, ages * 0, 0.1 / amax, 0)
-    assert spectral._principal_radius(undelayed, amax) is None
+        assert spectral._overdamped_route(scn, 1.0001 * bound / amax,
+                                          max_delay, amax) is None
+    assert spectral._overdamped_route(scn, 0.1 / amax, 0, amax) is None
 
 
 def test_a_split_certificate_solves_no_companion_eigenproblem(
@@ -549,12 +574,13 @@ def test_a_split_certificate_solves_no_companion_eigenproblem(
     scn = imbalanced_thermal
     amin, amax = generalized_alphas(scn)
     omega = 0.9 * relaxation_bounds(amin, amax, 2).omega_async_factor
-    seen = record_eigvals(monkeypatch)
+    seen = record_eigensolves(monkeypatch)
     report = certify_paracontraction(scn, omega, 2, trials=20, seed=0)
     monkeypatch.undo()
-    n = scn.gamma_dim
-    assert len(seen) == len(set(report.ages)) > 1
-    assert all(a.shape == (n, n) for a in seen)
+    n, rows = scn.gamma_dim, len(set(report.ages))
+    assert seen["general"] == [] and rows > 1
+    assert 0 < len(seen["symmetric"]) <= 1 + 6 * rows
+    assert set(seen["symmetric"]) == {(n, n)}
 
 
 def test_a_certificate_logs_its_routes_at_debug_only(two_patch_thermal,
@@ -569,8 +595,11 @@ def test_a_certificate_logs_its_routes_at_debug_only(two_patch_thermal,
         dense = certify_paracontraction(scn, 0.5 / amax, 2, trials=10,
                                         seed=0)
     rows = len(set(solvent.ages)), len(set(dense.ages))
+    route = spectral._overdamped_route(scn, omega, 2, amax)
+    steps = max(route(ages)[1] for ages in set(solvent.ages))
     assert [r.getMessage() for r in caplog.records] == [
-        f"10 rows: {rows[0]} solvent, 0 dense; w alpha_max "
-        f"{omega * amax:.3g}, c_D 0.148",
-        f"10 rows: 0 solvent, {rows[1]} dense; w alpha_max 0.5, c_D 0.148"]
+        f"10 rows: {rows[0]} symmetric, 0 dense, <= {steps} steps; "
+        f"w alpha_max {omega * amax:.3g}, c_D 0.148",
+        f"10 rows: 0 symmetric, {rows[1]} dense, <= 0 steps; w alpha_max "
+        "0.5, c_D 0.148"]
     assert {r.levelname for r in caplog.records} == {"DEBUG"}
