@@ -46,21 +46,17 @@ __all__ = [
     "assemble_elasticity", "assemble_poisson", "build_structured_mesh",
     "element_centroids", "extract_submesh", "nodes_on_plane",
     "scale_coefficient_in_ball", "solve_direct", "with_dirichlet",
-    "CondensedOperator", "condense", "dirichlet_to_neumann",
-    "expand_interior",
+    "CondensedOperator", "condense", "dirichlet_to_neumann", "expand_interior",
     "CouplingScenario", "Subdomain", "build_scenario", "build_transfer",
     "interface_reaction", "residual_offset",
     "IterationRecord", "ReferenceSolution", "SolveReport", "aitken_update",
-    "compute_residual", "monolithic_reference",
-    "stop_threshold",
+    "compute_residual", "monolithic_reference", "stop_threshold",
     "richardson_sync",
-    "AsyncTrace", "DelaySchedule",
-    "run_async_concurrent", "run_async_simulated", "run_sync_concurrent",
+    "AsyncTrace", "DelaySchedule", "run_async_concurrent",
+    "run_async_simulated", "run_sync_concurrent",
     "CertificateReport", "CompanionSystem", "SpectralBounds",
-    "build_companion", "certify_paracontraction",
-    "generalized_alphas", "generalized_spectrum", "relaxation_bounds",
-    "spectral_radius",
+    "build_companion", "certify_paracontraction", "generalized_alphas",
+    "generalized_spectrum", "relaxation_bounds", "spectral_radius",
     "chain_1d", "cube_grid_3d", "fine_equals_global_2d", "imbalanced_grid",
-    "two_patch_2d",
-    "__version__",
+    "two_patch_2d", "__version__",
 ]

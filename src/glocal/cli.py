@@ -162,37 +162,20 @@ def _parse_rank_count(text: str) -> int | None:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:  # 1/0, true/false, yes/no and on/off, as configparser reads them
+        return ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 _SCHEMA = {
-    "scenario": {
-        "problem": str.strip,
-        "geometry": str.strip,
-        "size": int,
-        "refine": int,
-        "contrast": float,
-        "seed": int,
-        "balanced": _parse_bool,
-    },
-    "solver": {
-        "variant": str.strip,
-        "omega": _parse_omega,
-        "tol": float,
-        "max_iter": int,
-        "max_delay": int,
-        "schedule_seed": int,
-        "update_prob": float,
-        "rank_count": _parse_rank_count,
-    },
-    "output": {
-        "directory": str.strip,
-    },
+    "scenario": {"problem": str.strip, "geometry": str.strip, "size": int,
+                 "refine": int, "contrast": float, "seed": int,
+                 "balanced": _parse_bool},
+    "solver": {"variant": str.strip, "omega": _parse_omega, "tol": float,
+               "max_iter": int, "max_delay": int, "schedule_seed": int,
+               "update_prob": float, "rank_count": _parse_rank_count},
+    "output": {"directory": str.strip},
 }
 
 

@@ -19,13 +19,16 @@ one :class:`Subdomain` record, its condensed operator plus its wiring:
 * its assembly map ``A_s`` (a dof index map) scattering its interface
   dofs into Gamma.
 
-The assembled global interface operator is ``S_G = sum A_s S_sG A_s^T``
-(with its load ``b_G``), summed from the global-side Schur complements.
-The build checks S_G is SPD by its cached Cholesky factor, and S_G^{-1}
-is formed from it once, on first use; the global solve
-``u = S_G^{-1} (b_G + p)``, the companions and the spectrum all apply it
-as one product with that cached inverse.  The residual of the coupled
-problem at a trace u is
+The assembled global interface operator ``S_G = sum A_s S_sG A_s^T`` (and
+its load ``b_G``) sums the global-side Schur complements.  The patch
+zones' global parts meet only on Gamma, so their union's interior block
+is block diagonal by zone and their sum is one condensation of the union
+(primal domain decomposition, Gosselet & Rey 2006); the complement's own
+operator is added to it.  The build checks S_G is SPD by its cached
+Cholesky factor, and S_G^{-1} is formed from it once, on first use; the
+global solve ``u = S_G^{-1} (b_G + p)``, the companions and the spectrum
+all apply it as one product with that cached inverse.  The residual of
+the coupled problem at a trace u is
 
     r(u) = -( sum_s A_s (S_s A_s^T u - b_s) ),
 
@@ -40,8 +43,10 @@ Q = (sum_s A_s S_s A_s^T) S_G^{-1}.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 import scipy.linalg as la
@@ -65,6 +70,7 @@ __all__ = [
     "build_scenario",
 ]
 
+_log = logging.getLogger(__name__)
 # Coupled unknowns (Gamma plus every subdomain interior) a scenario may
 # have; keeps dense condensation and certificates at desk scale.
 MAX_COUPLED_DOFS = 50_000
@@ -150,6 +156,19 @@ class CouplingScenario:
                            check_finite=False)
         inv.flags.writeable = False
         return inv
+
+    @cached_property
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``M_s = L^-1 A_s S_s A_s^T L^-T`` (S_G = L L^T) over subdomains,
+        and the eigenvalues (ascending, read-only) and vectors of their sum."""
+        inv_l = np.tril(self._sg_chol[0]).T @ self._sg_inverse   # L^-1
+        ms = np.empty((len(self.subdomains), *inv_l.shape))
+        for m, s in zip(ms, self.subdomains.values()):   # no list of P blocks
+            w = inv_l[:, s.amap]
+            np.matmul(w @ s.schur, w.T, out=m)
+        values, vectors = la.eigh(ms.sum(axis=0), check_finite=False)
+        values.flags.writeable = False
+        return ms, values, vectors
 
     def solve_interface(self, p_gamma: np.ndarray) -> np.ndarray:
         """Global interface solve ``u = S_G^{-1} (b_G + p)``: one product
@@ -425,10 +444,10 @@ def build_scenario(global_model: MeshModel, labels,
     the complement (may be absent), positive ids are patch zones and must
     each come with a fine mesh.  Every subdomain, global side and fine
     side, carries :func:`assemble`'s default load (a unit source, or a
-    unit body force along the last axis, pointing down).  A scenario
-    with more than ``MAX_COUPLED_DOFS`` coupled unknowns raises
-    :class:`ConfigError` once its subdomains are wired, before anything
-    is assembled.
+    unit body force along the last axis, pointing down).  More than
+    ``MAX_COUPLED_DOFS`` coupled unknowns raise :class:`ConfigError` once
+    the subdomains are wired, before anything is assembled.  A build logs
+    its condense calls and the time in each layer at DEBUG.
     """
     labels = np.asarray(labels)
     if labels.shape != (global_model.element_count,):
@@ -455,62 +474,65 @@ def build_scenario(global_model: MeshModel, labels,
 
     ndpn = global_model.ndof_per_node
     tol = 1e-9 * max(np.ptp(global_model.nodes, axis=0).max(), 1.0)
+    spent = dict.fromkeys(("assembly", "transfers", "condensation"), 0.0)
+
+    def timed(kind, fn, *args, **kwargs):
+        start = perf_counter()
+        out = fn(*args, **kwargs)
+        spent[kind] += perf_counter() - start
+        return out
 
     # Wire every subdomain to Gamma first: the coupled unknown count follows
     # from the meshes, so an oversized case is rejected before assembly.
-    gamma_dim = len(gamma_nodes) * ndpn
-    coupled_dofs = gamma_dim
+    coupled_dofs = gamma_dim = len(gamma_nodes) * ndpn
     wiring = []
     for c, sid in enumerate(sids.tolist()):
-        part, node_map = extract_submesh(global_model,
-                                         np.flatnonzero(labels == sid))
         pos = np.flatnonzero(gamma_touch[:, c])
         if pos.size == 0:
             raise TopologyError(f"subdomain {sid} has no free interface "
                                 "nodes (floating patch?)")
         gnodes = gamma_nodes[pos]
         amap = (pos[:, None] * ndpn + np.arange(ndpn)).reshape(-1)
-        local_of = -np.ones(global_model.node_count, dtype=np.int64)
-        local_of[node_map] = np.arange(len(node_map))
-        local_ids = local_of[gnodes]
         if sid == 0:
-            mesh, iface, j_dof = part, local_ids, None
+            mesh, node_map = extract_submesh(global_model,
+                                             np.flatnonzero(labels == 0))
+            iface, j_dof = np.searchsorted(node_map, gnodes), None
         else:
             mesh = fine_meshes[sid]
-            iface, j_dof = _patch_transfer(sid, global_model, mesh,
-                                           facets[facet_touch[:, c]], gnodes,
-                                           ndpn, tol)
+            iface, j_dof = timed("transfers", _patch_transfer, sid,
+                                 global_model, mesh, facets[facet_touch[:, c]],
+                                 gnodes, ndpn, tol)
         coupled_dofs += ndpn * (mesh.node_count - len(mesh.dirichlet)
                                 - len(iface))
-        wiring.append((sid, part, amap, gnodes, local_ids, mesh, iface, j_dof))
+        wiring.append((sid, amap, gnodes, mesh, iface, j_dof))
     if coupled_dofs > MAX_COUPLED_DOFS:
         raise ConfigError(f"scenario has {coupled_dofs} coupled unknowns, "
                           f"over the {MAX_COUPLED_DOFS} cap")
 
+    # S_G and b_G, bar the complement's part: one condensation of all zones.
+    zones, node_map = extract_submesh(global_model, np.flatnonzero(labels > 0))
+    system = timed("assembly", assemble, zones)
+    cond = timed("condensation", condense, system, system.node_dofs(
+        np.searchsorted(node_map, gamma_nodes)),
+        label="patch zones (global part)")
+    schur_global, rhs_global = cond.schur, cond.rhs
     # Patch blocks, loads and Gamma dofs are stacked once, zero-padded to
     # the largest patch interface; each patch record views its row.
-    m = max(len(amap) for sid, _, amap, *_ in wiring if sid != 0)
+    m = max(len(amap) for sid, amap, *_ in wiring if sid != 0)
     patch_schur = np.zeros((len(patch_ids), m, m))
     patch_rhs = np.zeros((len(patch_ids), m))
     patch_index = np.zeros((len(patch_ids), m), dtype=np.int64)
-    schur_global = np.zeros((gamma_dim, gamma_dim))
-    rhs_global = np.zeros(gamma_dim)
     subdomains: dict[int, Subdomain] = {}
-    for sid, part, amap, gnodes, local_ids, mesh, iface, j_dof in wiring:
-        system_g = assemble(part)
-        cond_g = condense(system_g, system_g.node_dofs(local_ids),
-                          label=f"subdomain {sid} (global part)")
-        schur_global[np.ix_(amap, amap)] += cond_g.schur
-        rhs_global[amap] += cond_g.rhs
-
-        if sid == 0:
-            cond = cond_g
-        else:
-            system = assemble(mesh)
-            cond = condense(system, system.node_dofs(iface),
-                            label=f"patch {sid} (fine)", transfer=j_dof)
+    for sid, amap, gnodes, mesh, iface, j_dof in wiring:
+        system = timed("assembly", assemble, mesh)
+        cond = timed("condensation", condense, system, system.node_dofs(iface),
+                     label="complement (global part)" if sid == 0
+                     else f"patch {sid} (fine)", transfer=j_dof)
         schur, rhs = embedded_fine_schur(gamma_dim, cond, amap)
-        if sid != 0:
+        if sid == 0:
+            schur_global[np.ix_(amap, amap)] += schur
+            rhs_global[amap] += rhs
+        else:
             i, k = patch_ids.index(sid), len(amap)
             patch_schur[i, :k, :k], patch_rhs[i, :k], patch_index[i, :k] = \
                 schur, rhs, amap
@@ -521,12 +543,14 @@ def build_scenario(global_model: MeshModel, labels,
             interior_dofs=cond.interior_dofs, transfer=cond.transfer,
             system=cond.system, sid=sid, mesh=mesh, interface_nodes=gnodes,
             mesh_interface_nodes=iface, amap=amap)
+    _log.debug("%d subdomains, %d condense calls; %.4f s assembly, %.4f s "
+               "transfers, %.4f s condensation", len(subdomains),
+               1 + len(subdomains), *spent.values())
 
     scenario = CouplingScenario(
         name=name, global_model=global_model, gamma_nodes=gamma_nodes,
-        subdomains=subdomains,
-        schur_global=schur_global, rhs_global=rhs_global,
-        patch_schur=patch_schur, patch_rhs=patch_rhs,
+        subdomains=subdomains, schur_global=schur_global,
+        rhs_global=rhs_global, patch_schur=patch_schur, patch_rhs=patch_rhs,
         patch_index=patch_index)
     try:
         scenario._sg_chol

@@ -53,6 +53,7 @@ _HEX_SHAPE = np.prod(_HEX_TERMS, axis=2) / 8.0
 _HEX_DSHAPE = np.stack(
     [np.prod(np.where(np.arange(3) == a, _HEX_CORNERS, _HEX_TERMS), axis=2)
      for a in range(3)], axis=2) / 8.0
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # axis i+1 and i+2, cyclic
 
 
 @dataclass(frozen=True)
@@ -337,8 +338,10 @@ def _element_geometry(mesh: MeshModel):
     folded in, basis ``grads`` (element, point, node, dim) and basis values
     ``shape`` (point, node).  Intervals and P1 triangles have constant
     gradients and take one point; hexahedra take the 2x2x2 Gauss rule with
-    a Jacobian per point, so sheared and distorted elements stay exact.
-    The checks read ``~(x > 0)`` so that NaN geometry is rejected too.
+    a Jacobian per point, so sheared and distorted elements stay exact;
+    its inverse is the adjugate over the determinant, cofactor row i being
+    (row i+1) x (row i+2) of J, cyclic.  Checks read ``~(x > 0)`` so that
+    NaN geometry is rejected too.
     """
     x = mesh.nodes[mesh.elements]                      # (element, node, dim)
     if mesh.dimension == 1:
@@ -359,11 +362,13 @@ def _element_geometry(mesh: MeshModel):
         c = x[:, [2, 0, 1], 0] - x[:, [1, 2, 0], 0]
         grads = np.stack([b, c], axis=2) / det[:, None, None]
         return area[:, None], grads[:, None], np.full((1, 3), 1.0 / 3.0)
-    jac = np.matmul(_HEX_DSHAPE.swapaxes(1, 2), x[:, None])
-    det = np.linalg.det(jac)
+    jac = np.einsum("gna,enb->egab", _HEX_DSHAPE, x, optimize=True)
+    a, b = jac[..., _NEXT, :], jac[..., _AFTER, :]
+    cof = a[..., _NEXT] * b[..., _AFTER] - a[..., _AFTER] * b[..., _NEXT]
+    det = np.einsum("...i,...i->...", jac[..., 0, :], cof[..., 0, :])
     if np.any(~(det > 0)):
         raise MeshError("inverted hexahedron")
-    grads = np.matmul(_HEX_DSHAPE, np.linalg.inv(jac))
+    grads = np.matmul(_HEX_DSHAPE, cof.swapaxes(2, 3) / det[..., None, None])
     return det, grads, _HEX_SHAPE
 
 

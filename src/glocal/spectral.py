@@ -40,8 +40,10 @@ enters the first block row, so B[K, K^c] = 0 and B[K^c, K^c] is a
 nilpotent shift; hence rho(B) = rho(B[K, K]).
 
 The relaxation bounds come from the generalized eigenvalues alpha of the
-pencil (sum_s A_s S_s A_s^T, S_G), computed from the same X as the
-symmetric L^T X L^{-T}, where S_G = L L^T.  ``2 / alpha_max``
+pencil (sum_s A_s S_s A_s^T, S_G): with S_G = L L^T, those of the
+symmetric sum_s M_s, M_s = L^-1 A_s S_s A_s^T L^-T.  Neither depends on
+omega or D, so the scenario forms the M_s and that eigendecomposition
+once, and the split route below reuses both.  ``2 / alpha_max``
 is sharp for the synchronous iteration; the delayed factor
 ``(1-eps)^D alpha_min / ((1+eps)^(2D) alpha_max^2)`` with
 ``eps = min(sin(pi/(3D)), 1/2)`` is sufficient, not sharp, so the
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from math import inf, pi, sin
 
 import numpy as np
@@ -224,16 +226,12 @@ def _overdamped_route(scenario: CouplingScenario, omega: float,
     d, r_star = max_delay, max_delay / (max_delay + 1)
     if d < 1 or omega * alpha_max * _SPLIT_SLACK >= r_star ** d / (d + 1):
         return None
-    inv_l = np.tril(scenario._sg_chol[0]).T @ scenario._sg_inverse   # L^-1
-    ms = np.stack([inv_l[:, s.amap] @ s.schur @ inv_l[:, s.amap].T for s in
-                   map(scenario.subdomains.get, scenario.subdomain_ids)])
-    bottom = partial(la.eigh, subset_by_index=[0, 0])   # least eigenpair
-    start = bottom(ms.sum(axis=0))[1][:, 0]   # v at l = 1, for every row
+    ms, _, vectors = scenario._whitened   # the bottom vector: v at l = 1
 
     def radius(ages):
         age = dict(zip(scenario.patch_ids, ages))   # the complement is fresh
         k = np.array([age.get(s, 0) for s in scenario.subdomain_ids])
-        lam, x = r_star, start   # T(l) / l^D = sum_s l^-k_s M_s
+        lam, x = r_star, vectors[:, 0]   # T(l) / l^D = sum_s l^-k_s M_s
         for step in range(_STEPS):   # Newton from 1 on p_x(l) / l^D
             a, mu, new = omega * (ms @ x @ x), 2.0, 1.0
             while new < mu:
@@ -241,21 +239,16 @@ def _overdamped_route(scenario: CouplingScenario, omega: float,
                 new -= (1 - mu - t.sum()) / (t @ k / mu - 1)
             if not lam < mu < 1:
                 return (float(lam), step) if r_star < mu < 1 else None
-            lam, x = mu, bottom(np.tensordot(mu ** -k, ms, 1))[1][:, 0]
+            lam, x = mu, la.eigh(np.tensordot(mu ** -k, ms, 1),
+                                 subset_by_index=[0, 0])[1][:, 0]
 
     return radius
 
 
 def generalized_spectrum(scenario: CouplingScenario) -> np.ndarray:
-    """All generalized eigenvalues of (sum_s A_s S_s A_s^T, S_G).
-
-    Computed as the symmetric eigenvalues of L^T X L^{-T} = L^T X S_G^{-1} L,
-    with X over all subdomains and the global interface operator L L^T.
-    """
-    x = _scattered_sum(scenario, scenario.subdomain_ids)
-    chol_l = np.tril(scenario._sg_chol[0])
-    m = chol_l.T @ x @ scenario._sg_inverse @ chol_l
-    return np.linalg.eigvalsh(0.5 * (m + m.T))
+    """All generalized eigenvalues of (sum_s A_s S_s A_s^T, S_G), ascending
+    and read-only, as the scenario caches them (see the module docstring)."""
+    return scenario._whitened[1]
 
 
 def generalized_alphas(scenario: CouplingScenario) -> tuple[float, float]:
@@ -285,11 +278,9 @@ def certify_paracontraction(scenario: CouplingScenario, omega: float,
     _check_delay(max_delay)
     rng = np.random.default_rng(seed)
     n_patches = len(scenario.patch_ids)
-    if max_delay == 0:
-        ages = [(0,) * n_patches]
-    else:
-        ages = [tuple(rng.integers(0, max_delay + 1, size=n_patches).tolist())
-                for _ in range(trials)]
+    ages = [(0,) * n_patches] if max_delay == 0 else [
+        tuple(rng.integers(0, max_delay + 1, size=n_patches).tolist())
+        for _ in range(trials)]
     alpha_max, solved = generalized_alphas(scenario)[1], {}
     route = _overdamped_route(scenario, omega, max_delay, alpha_max)
     for row in dict.fromkeys(ages):   # (rho, eigensolves), -1 when dense

@@ -8,6 +8,11 @@ n_g columns of K_ig pushed through both of its triangular factors,
 
 Tests compare ``condense`` against it on both of its paths; nothing in
 ``src/`` imports it.
+
+``per_part_global_schur`` is how ``build_scenario`` formed the global
+interface operator before it condensed every patch zone at once: each
+subdomain's global part, the complement included, extracted, assembled,
+condensed onto its own Gamma nodes and scatter-added.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from glocal.model_problems import AssembledSystem
+from glocal.model_problems import AssembledSystem, assemble, extract_submesh
 
 
 def solve_condense(system: AssembledSystem, interface_dofs):
@@ -34,4 +39,25 @@ def solve_condense(system: AssembledSystem, interface_dofs):
                        options={"SymmetricMode": True})
     schur = k_gg - k_gi @ factor.solve(k_gi.T.toarray())
     rhs = f[iface] - k_gi @ factor.solve(f[interior])
+    return schur, rhs
+
+
+def per_part_global_schur(global_model, labels, gamma_nodes):
+    """``(S_G, b_G)`` summed over the subdomains' global parts one by one,
+    each condensed by :func:`solve_condense`."""
+    labels = np.asarray(labels).astype(np.int64)
+    ndpn = global_model.ndof_per_node
+    n = len(gamma_nodes) * ndpn
+    schur, rhs = np.zeros((n, n)), np.zeros(n)
+    for sid in np.unique(labels):
+        part, node_map = extract_submesh(global_model,
+                                         np.flatnonzero(labels == sid))
+        gnodes = np.intersect1d(node_map, gamma_nodes)
+        system = assemble(part)
+        s, b = solve_condense(
+            system, system.node_dofs(np.searchsorted(node_map, gnodes)))
+        pos = np.searchsorted(gamma_nodes, gnodes)
+        amap = (pos[:, None] * ndpn + np.arange(ndpn)).reshape(-1)
+        schur[np.ix_(amap, amap)] += s
+        rhs[amap] += b
     return schur, rhs

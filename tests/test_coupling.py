@@ -8,6 +8,8 @@ oracle.
 """
 
 import dataclasses
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from glocal import (
 )
 from glocal.cli import coupled_dof_count
 from glocal.coupling import patch_reactions
+from condensation_oracle import per_part_global_schur
 from reaction_oracle import loop_residual
 from topology_oracle import interface_topology
 from transfer_oracle import patch_transfer
@@ -642,3 +645,64 @@ def test_two_patch_zone_validation():
         two_patch_2d("thermal", zones=((0, 2, 1, 3), (4, 6, 1, 3)))
     with pytest.raises(ValueError):
         two_patch_2d("acoustic")
+
+
+# ---------------------------------------------------------------------------
+# one global-side condensation
+
+# The transfer builds mirror the conftest fixtures and the benchmark's
+# workloads; cube n=3 elasticity adds a 3D vector-valued case.
+GLOBAL_SIDE_BUILDS = dict(
+    TRANSFER_BUILDS, cube3_elastic=lambda: cube_grid_3d(3, "elasticity"))
+
+
+def rel_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", GLOBAL_SIDE_BUILDS)
+def test_schur_global_matches_the_per_part_sum(monkeypatch, name):
+    (glob, labels, fine), kwargs = scenario_inputs(monkeypatch,
+                                                   GLOBAL_SIDE_BUILDS[name])
+    scn = build_scenario(glob, labels, fine, **kwargs)
+    schur, rhs = per_part_global_schur(glob, labels, scn.gamma_nodes)
+    assert rel_gap(scn.schur_global, schur) <= 1e-13
+    assert rel_gap(scn.rhs_global, rhs) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["chain", "two_patch_elastic",
+                                  "cube2_thermal", "grid3d-imbalanced"])
+def test_a_build_condenses_the_global_side_once(monkeypatch, name):
+    # One assemble and condense for all patch zones' global parts, then one
+    # per subdomain: P + 1, or P + 2 with a complement (17 on the
+    # imbalanced grid, where a condensation per global part made 32).
+    calls, labels = Counter(), []
+    for layer in ("assemble", "condense"):
+        def spy(*args, _real=getattr(coupling, layer), _layer=layer,
+                **kwargs):
+            calls[_layer] += 1
+            if _layer == "condense":
+                labels.append(kwargs.get("label"))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(coupling, layer, spy)
+    scn = GLOBAL_SIDE_BUILDS[name]()
+    expected = len(scn.patch_ids) + 1 + (scn.complement is not None)
+    assert calls == {"assemble": expected, "condense": expected}
+    assert labels[0] == "patch zones (global part)"
+    if name == "grid3d-imbalanced":
+        assert expected == 17
+
+
+def test_a_build_logs_its_layers_at_debug_only(caplog, capfd):
+    two_patch_2d("thermal")
+    assert capfd.readouterr() == ("", "")
+    assert caplog.records == []
+    with caplog.at_level("DEBUG", logger="glocal.coupling"):
+        two_patch_2d("thermal")
+    [record] = caplog.records
+    assert (record.name, record.levelname) == ("glocal.coupling", "DEBUG")
+    seconds = r"(\d+\.\d{4}) s"
+    match = re.fullmatch(
+        f"3 subdomains, 4 condense calls; {seconds} assembly, {seconds} "
+        f"transfers, {seconds} condensation", record.getMessage())
+    assert match

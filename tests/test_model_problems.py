@@ -5,6 +5,8 @@ formulas before the assembly code was written; the tests check the code
 against the numbers, not the other way around.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from glocal import (
     solve_direct,
     with_dirichlet,
 )
+from glocal.model_problems import _HEX_DSHAPE, _element_geometry
 
 # Plane strain at E = 1, nu = 0.3.
 LAM = 0.5769230769230769
@@ -137,6 +140,72 @@ def test_sheared_hexahedra_keep_exact_volume():
                         material=mesh.material, dirichlet={})
     system = assemble_poisson(sheared, source=1.0)
     assert np.isclose(system.load.sum(), 1.0, atol=1e-13)
+
+
+def lapack_hex_geometry(mesh):
+    """Gauss-point determinants and basis gradients of every hexahedron
+    from LAPACK's ``det`` and ``inv`` of the stacked Jacobians."""
+    x = mesh.nodes[mesh.elements][:, None]
+    jac = np.matmul(_HEX_DSHAPE.swapaxes(1, 2), x)
+    return np.linalg.det(jac), np.matmul(_HEX_DSHAPE, np.linalg.inv(jac))
+
+
+def rotation(*angles):
+    """Rotations by the given angles about the z, y and x axes, in turn."""
+    out = np.eye(3)
+    for axis, t in zip((2, 1, 0), angles):
+        r, plane = np.eye(3), [k for k in range(3) if k != axis]
+        r[np.ix_(plane, plane)] = [[np.cos(t), -np.sin(t)],
+                                   [np.sin(t), np.cos(t)]]
+        out = out @ r
+    return out
+
+
+HEX_MAPS = {
+    "sheared": np.array([[1.0, 0.7, -0.3], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]]),
+    "rotated": rotation(0.4, -1.1, 2.3),
+    "aspect_1e-3": np.diag([1.0, 1.0, 1e-3]),
+    "aspect_1e-3_rotated": rotation(0.3, 0.2, -0.7)
+    @ np.diag([1e-3, 1.0, 1.0]),
+    "all_three": rotation(-0.5, 0.9, 0.1) @ np.diag([1.0, 1e-3, 0.5])
+    @ np.array([[1.0, 0.4, 0.0], [0.0, 1.0, -0.6], [0.2, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", HEX_MAPS)
+@pytest.mark.parametrize("distort", [0.0, 0.08])
+def test_closed_form_jacobian_matches_lapack(name, distort):
+    # An affine map of a 3x3x3 grid, then (distort > 0) each node moved by
+    # up to that share of a cell, so the Jacobian varies over the points.
+    mesh = build_structured_mesh(3, 3, 1.0)
+    moved = mesh.nodes + distort / 3.0 * np.random.default_rng(5).uniform(
+        -1.0, 1.0, mesh.nodes.shape)
+    mesh = replace(mesh, nodes=moved @ HEX_MAPS[name].T)
+    weights, grads, shape = _element_geometry(mesh)
+    det, ref = lapack_hex_geometry(mesh)
+    assert np.all(det > 0) and shape.shape == (8, 8)
+    assert np.linalg.norm(weights - det) <= 1e-12 * np.linalg.norm(det)
+    assert np.linalg.norm(grads - ref) <= 1e-12 * np.linalg.norm(ref)
+    # Per element and point too: the thin axis must not hide the others.
+    scale = np.linalg.norm(ref, axis=2, keepdims=True)
+    assert np.all(np.abs(grads - ref) <= 1e-12 * scale)
+
+
+def test_closed_form_jacobian_rejects_nan_and_inverted_hexahedra():
+    cube = build_structured_mesh(3, 2, 1.0)
+    nan = replace(cube, nodes=cube.nodes.copy())
+    nan.nodes[13, 2] = np.nan   # the centre node, in all eight elements
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(lapack_hex_geometry(nan)[0]).all()
+    flipped = cube.elements[:, [4, 5, 6, 7, 0, 1, 2, 3]]
+    inverted = MeshModel(3, cube.nodes, flipped, cube.material, {})
+    assert np.all(lapack_hex_geometry(inverted)[0] < 0)
+    flat = replace(cube, nodes=cube.nodes * [1.0, 1.0, 0.0])
+    for mesh in (nan, inverted, flat):
+        with pytest.raises(MeshError, match="inverted hexahedron"):
+            _element_geometry(mesh)
+        with pytest.raises(MeshError, match="inverted hexahedron"):
+            assemble_poisson(mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,55 @@ def test_a_split_certificate_solves_no_companion_eigenproblem(
     assert set(seen["symmetric"]) == {(n, n)}
 
 
+def test_the_whitened_pencil_is_formed_once_per_scenario(monkeypatch):
+    # alpha, the M_s of the split route and its start vector depend on
+    # neither omega nor D: a scenario forms them in one full symmetric
+    # eigensolve, however many certificates it runs.
+    scn = two_patch_2d("elasticity", contrast=100.0)
+    full = []
+    for module in (np.linalg, sla):
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _solve=getattr(module, name), **kwargs):
+                if "subset_by_index" not in kwargs:
+                    full.append(np.shape(a))
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+    amin, amax = generalized_alphas(scn)
+    rhos = {}
+    for max_delay in (1, 2, 4):
+        omega = 0.9 * relaxation_bounds(amin, amax, max_delay) \
+            .omega_async_factor
+        for _ in range(2):
+            rhos[max_delay] = certify_paracontraction(
+                scn, omega, max_delay, trials=10, seed=0).rhos
+    assert generalized_alphas(scn) == (amin, amax)
+    assert full == [(scn.gamma_dim, scn.gamma_dim)]
+    monkeypatch.undo()
+
+    # The spectrum is the one L^T X S_G^{-1} L gives, X over all subdomains.
+    chol_l = np.tril(scn._sg_chol[0])
+    x = np.linalg.solve(scn.schur_global,
+                        scattered_schur(scn, scn.subdomain_ids))
+    m = chol_l.T @ x @ np.linalg.inv(scn.schur_global) @ chol_l
+    direct = np.linalg.eigvalsh(0.5 * (m + m.T))
+    assert np.abs(generalized_spectrum(scn) - direct).max() \
+        <= 1e-12 * direct[-1]
+
+    # A copy with S_G doubled forms its own: X halves, so twice omega gives
+    # the same companions and radii.
+    doubled = replace(scn, schur_global=2.0 * scn.schur_global)
+    assert "_whitened" not in vars(doubled)
+    halves = np.array(generalized_alphas(doubled))
+    assert np.allclose(halves, 0.5 * np.array([amin, amax]), rtol=1e-12,
+                       atol=0)
+    for max_delay, want in rhos.items():
+        omega = 0.9 * relaxation_bounds(amin, amax, max_delay) \
+            .omega_async_factor
+        got = certify_paracontraction(doubled, 2.0 * omega, max_delay,
+                                      trials=10, seed=0).rhos
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_a_certificate_logs_its_routes_at_debug_only(two_patch_thermal,
                                                      caplog, capfd):
     scn = two_patch_thermal
